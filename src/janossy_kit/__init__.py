@@ -26,6 +26,7 @@ from .janossy import (
     ExtremePoint,
     JanossyKernel,
     biorthogonal_janossy_recipe,
+    count_distribution,
     count_probability,
     janossy_density,
     janossy_kernel_explicit,
@@ -71,7 +72,7 @@ from .oracle import (
 )
 from .verify import SuiteReport, verify_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BlockKernel",
@@ -103,6 +104,7 @@ __all__ = [
     "complement",
     "correlation_function",
     "correlation_kernel",
+    "count_distribution",
     "count_probability",
     "dyson_mehta_check",
     "enumerate_density",

@@ -49,6 +49,23 @@ WARN_RCOND = 1e-6
 DEFAULT_COND_LIMIT = 1e12
 
 
+def rcond_gate(matrix: np.ndarray, name: str,
+               detail: str = "") -> tuple[float, tuple[str, ...]]:
+    """Apply the package-wide rcond gate; returns (cond, warnings).
+
+    Raises SingularOperatorError below HARD_RCOND and returns one warning
+    line below WARN_RCOND.
+    """
+    cond = float(np.linalg.cond(matrix))
+    rcond = 1.0 / cond if cond > 0 else 0.0
+    if not np.isfinite(cond) or rcond < HARD_RCOND:
+        raise SingularOperatorError(name, rcond, detail)
+    if rcond < WARN_RCOND:
+        return cond, (f"{name}: rcond {rcond:.3e} below warning threshold "
+                      f"{WARN_RCOND:.0e}",)
+    return cond, ()
+
+
 def _as_complex_matrix(a, name: str, shape: tuple[int, ...]) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.complex128)
     if out.shape != shape:
@@ -107,8 +124,8 @@ class ChainEnsemble:
         self.floors = len(self.g) + 1
         self.cond_limit = float(cond_limit)
 
-        self._tables = build_tables(self.f, self.phi, self.g, space.weights,
-                                    masks=None)
+        self._tables = build_tables(self.f, self.phi, self.g,
+                                    [space.weights] * self.floors)
         a = self._tables.gram
         cond = float(np.linalg.cond(a))
         if not np.isfinite(cond) or cond > self.cond_limit:
@@ -156,15 +173,14 @@ class ChainEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class ConvolutionTables:
-    """All chain convolutions of an ensemble under per-floor node masks.
+    """All chain convolutions of an ensemble under per-floor weights.
 
     ``chain[(l, m)]`` holds the floor-l to floor-m transfer kernel for
-    l < m, with the integrations over floors l+1..m-1 restricted by the
-    masks.  ``left[m-1][:, j]`` holds ``f_{j+1} * g_{1,m}`` (integrations
-    over floors 1..m-1) and ``right[l-1][:, s]`` holds
-    ``g_{l,M} * phi_{s+1}`` (integrations over floors l+1..M).  ``gram``
-    applies all M integrations.  ``masks`` is None for the unrestricted
-    tables.
+    l < m, integrating floors l+1..m-1 against their weights.
+    ``left[m-1][:, j]`` holds ``f_{j+1} * g_{1,m}`` (integrations over
+    floors 1..m-1) and ``right[l-1][:, s]`` holds ``g_{l,M} * phi_{s+1}``
+    (integrations over floors l+1..M).  ``gram`` applies all M
+    integrations.
     """
 
     floors: int
@@ -173,40 +189,26 @@ class ConvolutionTables:
     left: tuple
     right: tuple
     gram: np.ndarray
-    masks: tuple | None
-
-    def chain_block(self, l: int, m: int) -> np.ndarray | None:
-        """g_{l,m} for l < m, else None (the kernel is zero)."""
-        return self.chain.get((l, m))
-
-
-def _masked_weights(weights: np.ndarray, masks, floor: int) -> np.ndarray:
-    # floor is 1-based; masks is None (unrestricted) or a list of bool arrays
-    if masks is None:
-        return weights
-    return weights * masks[floor - 1]
 
 
 def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
-                 weights: np.ndarray, masks=None) -> ConvolutionTables:
-    """Compute every chain convolution once, under optional floor masks.
+                 floor_weights: Sequence[np.ndarray]) -> ConvolutionTables:
+    """Compute every chain convolution once, under per-floor weights.
 
     Parameters
     ----------
     f, phi : ndarray, shape (n, P)
     g : sequence of (P, P) arrays, length M-1
-    weights : ndarray, shape (P,)
-    masks : sequence of (P,) bool arrays or None
-        One mask per floor; integration over floor l keeps only nodes with
-        ``masks[l-1]`` set.  None means no restriction.
+    floor_weights : sequence of M (P,) arrays
+        Integration over floor l is against ``floor_weights[l-1]``: the
+        node weights for the plain tables, the weights times a window's
+        complement mask for Janossy tables.
     """
     n, P = f.shape
     M = len(g) + 1
-    if masks is not None:
-        masks = [np.asarray(m, dtype=bool) for m in masks]
-        if len(masks) != M:
-            raise ValueError(f"need {M} masks, got {len(masks)}")
-    wm = [_masked_weights(weights, masks, l) for l in range(1, M + 1)]
+    if len(floor_weights) != M:
+        raise ValueError(f"need {M} weight vectors, got {len(floor_weights)}")
+    wm = floor_weights
 
     # chain kernels g_{l,m}: iterate right from each starting floor
     chain: dict[tuple[int, int], np.ndarray] = {}
@@ -240,108 +242,67 @@ def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
     return ConvolutionTables(
         floors=M, n=n, chain=chain, left=tuple(left), right=tuple(right),
         gram=gram,
-        masks=None if masks is None else tuple(masks),
     )
+
+
+def pairing_halves(ensemble: ChainEnsemble,
+                   floor_weights: Sequence[np.ndarray],
+                   split: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairing matrix ``f W_1 g_1 W_2 ... g_{M-1} W_M phi^T`` cut after a floor.
+
+    Returns ``(left, right)`` with ``left = f W_1 g_1 ... W_split g_split``
+    (no transfer when ``split`` is M) and ``right = phi W_M g_{M-1}^T ...
+    W_{split+1}``, so the pairing matrix is ``left @ right^T``.  Only
+    sweeps run, so this is the cheap route when nothing but the pairing
+    matrix is needed.  ``floor_weights[l-1]`` has shape ``batch + (P,)``;
+    the batch axes broadcast within each half, so a batch axis only one
+    half carries costs the other half nothing.
+    """
+    M = ensemble.floors
+    w = [np.asarray(x)[..., None, :] for x in floor_weights]
+    left = ensemble.f * w[0]
+    for l in range(2, split + 1):
+        left = (left @ ensemble.g[l - 2]) * w[l - 1]
+    if split < M:
+        left = left @ ensemble.g[split - 1]
+    right = ensemble.phi
+    for l in range(M, split, -1):
+        if l < M:
+            right = right @ ensemble.g[l - 1].T
+        right = right * w[l - 1]
+    return left, right
 
 
 # ---------------------------------------------------------------------------
 # public chain operations
 # ---------------------------------------------------------------------------
 
-def chain_convolve(ensemble: ChainEnsemble, l: int, m: int,
-                   restriction=None) -> np.ndarray:
+def chain_convolve(ensemble: ChainEnsemble, l: int, m: int) -> np.ndarray:
     """Transfer kernel from floor l to floor m as a (P, P) node matrix.
 
     Zero for m <= l.  For m > l+1 the floors strictly between are
-    integrated out; ``restriction`` may list one boolean node mask per
-    intermediate floor (l+1, ..., m-1 in order) to restrict those
-    integrations.
+    integrated out.
     """
     l = ensemble.check_floor(l, "source floor")
     m = ensemble.check_floor(m, "target floor")
-    P = ensemble.space.size
     if m <= l:
+        P = ensemble.space.size
         return np.zeros((P, P), dtype=np.complex128)
-    if restriction is None:
-        return ensemble.tables.chain[(l, m)].copy()
-    restriction = [np.asarray(r, dtype=bool) for r in restriction]
-    if len(restriction) != m - l - 1:
-        raise ValueError(
-            f"restriction needs {m - l - 1} masks for floors {l + 1}..{m - 1}, "
-            f"got {len(restriction)}"
-        )
-    w = ensemble.weights
-    block = ensemble.g[l - 1]
-    for i, t in enumerate(range(l + 1, m)):
-        block = (block * (w * restriction[i])[None, :]) @ ensemble.g[t - 1]
-    return block
+    return ensemble.tables.chain[(l, m)].copy()
 
 
-def left_convolve(ensemble: ChainEnsemble, j: int, m: int,
-                  first_mask=None, intermediate=None) -> np.ndarray:
-    """``f_j * g_{1,m}`` sampled at the nodes; equals ``f_j`` for m = 1.
-
-    ``first_mask`` restricts the floor-1 integration, ``intermediate`` the
-    floors 2..m-1 (one mask each, in order).
-    """
+def left_convolve(ensemble: ChainEnsemble, j: int, m: int) -> np.ndarray:
+    """``f_j * g_{1,m}`` sampled at the nodes; equals ``f_j`` for m = 1."""
     j = ensemble.check_function(j)
     m = ensemble.check_floor(m, "target floor")
-    if m == 1:
-        return ensemble.f[j - 1].copy()
-    if first_mask is None and intermediate is None:
-        return ensemble.tables.left[m - 1][:, j - 1].copy()
-    w = ensemble.weights
-    n_inter = m - 2
-    if intermediate is None:
-        intermediate = [None] * n_inter
-    else:
-        intermediate = list(intermediate)
-        if len(intermediate) != n_inter:
-            raise ValueError(
-                f"intermediate needs {n_inter} masks for floors 2..{m - 1}, "
-                f"got {len(intermediate)}"
-            )
-    wm1 = w if first_mask is None else w * np.asarray(first_mask, dtype=bool)
-    v = ensemble.f[j - 1] * wm1
-    for i, t in enumerate(range(2, m)):
-        v = v @ ensemble.g[t - 2]
-        mask = intermediate[i]
-        v = v * (w if mask is None else w * np.asarray(mask, dtype=bool))
-    return v @ ensemble.g[m - 2]
+    return ensemble.tables.left[m - 1][:, j - 1].copy()
 
 
-def right_convolve(ensemble: ChainEnsemble, s: int, l: int,
-                   last_mask=None, intermediate=None) -> np.ndarray:
-    """``g_{l,M} * phi_s`` sampled at the nodes; equals ``phi_s`` for l = M.
-
-    ``last_mask`` restricts the floor-M integration, ``intermediate`` the
-    floors l+1..M-1 (one mask each, in order).
-    """
+def right_convolve(ensemble: ChainEnsemble, s: int, l: int) -> np.ndarray:
+    """``g_{l,M} * phi_s`` sampled at the nodes; equals ``phi_s`` for l = M."""
     s = ensemble.check_function(s)
     l = ensemble.check_floor(l, "source floor")
-    M = ensemble.floors
-    if l == M:
-        return ensemble.phi[s - 1].copy()
-    if last_mask is None and intermediate is None:
-        return ensemble.tables.right[l - 1][:, s - 1].copy()
-    w = ensemble.weights
-    n_inter = M - l - 1
-    if intermediate is None:
-        intermediate = [None] * n_inter
-    else:
-        intermediate = list(intermediate)
-        if len(intermediate) != n_inter:
-            raise ValueError(
-                f"intermediate needs {n_inter} masks for floors {l + 1}..{M - 1}, "
-                f"got {len(intermediate)}"
-            )
-    wmM = w if last_mask is None else w * np.asarray(last_mask, dtype=bool)
-    v = ensemble.phi[s - 1] * wmM
-    for i, t in enumerate(range(M - 1, l, -1)):
-        v = ensemble.g[t - 1] @ v
-        mask = intermediate[t - l - 1]
-        v = v * (w if mask is None else w * np.asarray(mask, dtype=bool))
-    return ensemble.g[l - 1] @ v
+    return ensemble.tables.right[l - 1][:, s - 1].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,8 +335,9 @@ def gram_matrix(ensemble: ChainEnsemble, variant: str = "full",
             raise ValueError(f"variant {variant!r} needs a window family")
         wf = ensemble.check_windows(windows)
         masks = wf.complement_masks() if variant == "complement" else wf.masks()
-        entries = build_tables(ensemble.f, ensemble.phi, ensemble.g,
-                               ensemble.weights, masks=masks).gram
+        left, right = pairing_halves(
+            ensemble, [ensemble.weights * m for m in masks], ensemble.floors)
+        entries = left @ right.T
     else:
         raise ValueError(f"unknown gram variant {variant!r}")
     cond = float(np.linalg.cond(entries))

@@ -19,17 +19,25 @@ correlation kernel; the kernels module computes that route and the two are
 cross-checked in the verify suites.  const(I) equals det(A^c)/det(A), the
 ratio of complement to full pairing determinants.
 
-Window-count probabilities use a bordered-determinant form of
-const * det(L) that never inverts A^c, so they stay finite for degenerate
-window families (for example a window covering the whole space, where
-A^c = 0); that is what lets the extreme-value curves sweep s across the
-entire axis.
+Window-count probabilities come from the counting identity
+
+    E[prod_l z_l^{#_l}] = det A(z) / det A,
+
+where A(z) is the pairing matrix with the floor-l integration taken against
+w * (1 - (1 - z_l) chi_{I_l}): the node weights, times z_l inside the
+window.  det A(z) is a polynomial of degree at most min(n, |I_l|) in z_l,
+so evaluating it on min(n, |I_l|) + 1 roots of unity per floor and
+inverting with one FFT gives every count probability at once.  No inverse
+of A^c appears, so the route stays finite for degenerate window families
+(for example a window covering the whole space, where A^c = 0); that is
+what lets the extreme-value curves sweep s across the entire axis.  The
+FFT error is absolute, about eps * max|det A(z) / det A| over the grid, so
+tiny tail probabilities carry no relative accuracy.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,22 +45,26 @@ import numpy as np
 import scipy.linalg
 
 from .chain_ensemble import (
-    HARD_RCOND,
-    WARN_RCOND,
     ChainEnsemble,
     ConvolutionTables,
     GramMatrix,
     build_tables,
     marginal_ensemble,
+    pairing_halves,
+    rcond_gate,
 )
-from .errors import SingularOperatorError
+from .errors import BudgetExceededError
 from .kernels import KIND_JANOSSY, BlockKernel, check_points, kernel_from_tables
 from .measure_space import Window, WindowFamily
+from .oracle import DEFAULT_BUDGET
 
 KIND_BIORTHOGONAL = "janossy-biorthogonal"
 
 # imaginary residue allowed on probabilities before they are reported real
 IMAG_RESIDUE = 1e-6
+
+# complex entries of one chunk of pairing matrices in count_distribution
+CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -82,8 +94,9 @@ class JanossyKernel:
 def _complement_tables(ensemble: ChainEnsemble,
                        windows: WindowFamily) -> ConvolutionTables:
     wf = ensemble.check_windows(windows)
+    w = ensemble.space.weights
     return build_tables(ensemble.f, ensemble.phi, ensemble.g,
-                        ensemble.space.weights, masks=wf.complement_masks())
+                        [w * m for m in wf.complement_masks()])
 
 
 def _det_ratio(num: np.ndarray, den: np.ndarray) -> complex:
@@ -147,87 +160,78 @@ def janossy_density(jk: JanossyKernel, points) -> complex:
 # window-count probabilities
 # ---------------------------------------------------------------------------
 
-def _bordered_janossy_sum(ensemble: ChainEnsemble, tables: ConvolutionTables,
-                          windows: WindowFamily, counts: Sequence[int]) -> complex:
-    """Sum over node subsets of the bordered-determinant Janossy mass.
+def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
+                       budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Joint law of the per-floor window counts, as a complex array.
 
-    For per-floor subsets S_l of window nodes with |S_l| = counts[l], the
-    Janossy mass J(S) * prod weights is accumulated, with
+    Entry ``[k_1, ..., k_M]``, each k_l in 0..n, is the probability of
+    exactly k_l floor-l particles in window I_l.  Entries with k_l above
+    the node count of I_l lie beyond the FFT grid and are exact zeros.  See
+    the module docstring for the generating function.  Raises
+    BudgetExceededError when the law has more than ``budget`` entries.
 
-        J(S) = det [[A^c, -F_S^T], [R_S, -G_S]] / det A
-
-    whose Schur complement reproduces const * det L(S) whenever A^c is
-    invertible, and which extends it continuously when it is not.
-    Configurations with repeated nodes carry duplicate rows, hence vanish,
-    so subsets (not tuples) suffice and no factorials appear.
+    The pairing sweep meets in the middle: the floors before the cut and
+    the floors after it each sweep only their own grid axes, and the grid
+    of n x n pairing matrices is formed and reduced to determinants in
+    chunks of bounded size.
     """
-    n, M = ensemble.n, ensemble.floors
-    w = ensemble.space.weights
-    a_full = ensemble.tables.gram
-    a_comp = tables.gram
+    wf = ensemble.check_windows(windows)
+    M, n, w = ensemble.floors, ensemble.n, ensemble.space.weights
+    if (n + 1) ** M > budget:
+        raise BudgetExceededError((n + 1) ** M, budget)
+    grid = tuple(min(n, win.count) + 1 for win in wf.windows)
+    floor_weights = []
+    for l, (win, size) in enumerate(zip(wf.windows, grid)):
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        axes = (1,) * l + (size,) + (1,) * (M - l - 1)
+        weights = w * np.where(win.mask, z[:, None], 1.0)
+        floor_weights.append(weights.reshape(axes + (w.size,)))
+    split = min(range(1, M + 1), key=lambda m: max(math.prod(grid[:m]),
+                                                   math.prod(grid[m:])))
+    left, right = pairing_halves(ensemble, floor_weights, split)
+    left = left.reshape(-1, w.size)
+    right = right.reshape(-1, w.size).T
+    n_left, n_right = left.shape[0] // n, right.shape[1] // n
+    s_a, l_a = np.linalg.slogdet(ensemble.tables.gram)
+    values = np.empty((n_left, n_right), dtype=np.complex128)
+    step = max(1, CHUNK_ENTRIES // (n_right * n * n))
+    for a in range(0, n_left, step):
+        block = (left[a * n:(a + step) * n] @ right).reshape(-1, n, n_right, n)
+        s_z, l_z = np.linalg.slogdet(block.transpose(0, 2, 1, 3))
+        values[a:a + step] = s_z / s_a * np.exp(l_z - l_a)
+    law = np.zeros((n + 1,) * M, dtype=np.complex128)
+    law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
+    return law / values.size
 
-    floors_vec: list[int] = []
-    combo_arrays: list[np.ndarray] = []
-    for l, k in enumerate(counts, start=1):
-        if k == 0:
-            continue
-        nodes = windows.window(l).node_indices
-        combos = list(itertools.combinations(nodes.tolist(), k))
-        if not combos:
-            return 0.0 + 0.0j
-        combo_arrays.append(np.array(combos, dtype=np.int64))
-        floors_vec.extend([l] * k)
-    k_total = len(floors_vec)
-    if k_total == 0:
-        return _det_ratio(a_comp, a_full)
 
-    # cross product of per-floor subset choices -> node matrix (C, k_total)
-    sizes = [c.shape[0] for c in combo_arrays]
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    parts = [combo_arrays[i][grids[i].reshape(-1)] for i in range(len(sizes))]
-    nodes_mat = np.concatenate(parts, axis=1)
-    C = nodes_mat.shape[0]
+def real_probability(value) -> float:
+    """A count probability as a float, after the imaginary-residue check.
 
-    bordered = np.zeros((C, n + k_total, n + k_total), dtype=np.complex128)
-    bordered[:, :n, :n] = a_comp
-    for j in range(k_total):
-        lj = floors_vec[j]
-        nj = nodes_mat[:, j]
-        bordered[:, :n, n + j] = -tables.left[lj - 1][nj, :]
-        bordered[:, n + j, :n] = tables.right[lj - 1][nj, :]
-        for q in range(k_total):
-            lq = floors_vec[q]
-            block = tables.chain.get((lj, lq))
-            if block is not None:
-                bordered[:, n + j, n + q] = -block[nj, nodes_mat[:, q]]
-    dets = np.linalg.det(bordered)
-    wprod = np.prod(w[nodes_mat], axis=1) if k_total else np.ones(C)
-    s_full, l_full = np.linalg.slogdet(a_full)
-    return complex(np.sum(dets * wprod) / s_full * np.exp(-l_full))
+    Raises ArithmeticError when the imaginary part exceeds IMAG_RESIDUE
+    relative to max(1, |real part|).
+    """
+    value = complex(value)
+    if abs(value.imag) > IMAG_RESIDUE * max(1.0, abs(value.real)):
+        raise ArithmeticError(
+            f"count probability has imaginary residue {value.imag:.3e}"
+        )
+    return float(value.real)
 
 
 def count_probability(ensemble: ChainEnsemble, windows: WindowFamily,
                       counts: Sequence[int]) -> float:
     """Probability of exactly counts[l-1] floor-l particles in window I_l.
 
-    Integrates the Janossy density over the windows (a sum over per-floor
-    node subsets), through a bordered-determinant form that tolerates
-    degenerate window families.  Summing over all count vectors in
+    One entry of count_distribution.  Summing over all count vectors in
     {0..n}^M returns 1.
     """
-    wf = ensemble.check_windows(windows)
     counts = [int(c) for c in counts]
     if len(counts) != ensemble.floors:
         raise ValueError(f"need {ensemble.floors} counts, got {len(counts)}")
     if any(c < 0 or c > ensemble.n for c in counts):
         raise ValueError(f"counts must lie in 0..{ensemble.n}")
-    tables = _complement_tables(ensemble, wf)
-    value = _bordered_janossy_sum(ensemble, tables, wf, counts)
-    if abs(value.imag) > IMAG_RESIDUE * max(1.0, abs(value.real)):
-        raise ArithmeticError(
-            f"count probability has imaginary residue {value.imag:.3e}"
-        )
-    return float(value.real)
+    law = count_distribution(ensemble, windows)
+    return real_probability(law[tuple(counts)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +249,7 @@ class ExtremePoint:
 
 
 def kth_extreme_distribution(ensemble: ChainEnsemble, floor: int, k: int,
-                             s_grid: Sequence[float],
-                             threads: int = 1) -> list[ExtremePoint]:
+                             s_grid: Sequence[float]) -> list[ExtremePoint]:
     """Distribution of the k-th largest floor-`floor` particle on a grid.
 
     For each s the counting probabilities Pr(#particles >= s equals j),
@@ -261,19 +264,15 @@ def kth_extreme_distribution(ensemble: ChainEnsemble, floor: int, k: int,
     marg = marginal_ensemble(ensemble, [floor])
     space = marg.space
 
-    def at(s: float) -> ExtremePoint:
+    curve = []
+    for s in s_grid:
         window = space.window_from_intervals([(float(s), None)])
-        wf = WindowFamily((window,))
-        probs = tuple(count_probability(marg, wf, (j,)) for j in range(k + 1))
+        dist = count_distribution(marg, WindowFamily((window,)))
+        probs = tuple(real_probability(dist[j]) for j in range(k + 1))
         prob_ge = 1.0 - sum(probs[:k])
-        return ExtremePoint(s=float(s), count_probs=probs,
-                            prob_ge=prob_ge, cdf=1.0 - prob_ge)
-
-    s_list = [float(s) for s in s_grid]
-    if threads <= 1 or len(s_list) <= 1:
-        return [at(s) for s in s_list]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(at, s_list))
+        curve.append(ExtremePoint(s=float(s), count_probs=probs,
+                                  prob_ge=prob_ge, cdf=1.0 - prob_ge))
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +301,10 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     wf = WindowFamily((window,))
     wc = ensemble.space.weights * (~window.mask)
     a_comp = (ensemble.f * wc[None, :]) @ ensemble.phi.T
-    cond = float(np.linalg.cond(a_comp))
-    rcond = 1.0 / cond if cond > 0 else 0.0
-    if not np.isfinite(cond) or rcond < HARD_RCOND:
-        raise SingularOperatorError(
-            "pairing matrix on window complement", rcond,
-            detail=f"window keeps {window.count}/{ensemble.space.size} nodes",
-        )
-    warns: tuple[str, ...] = ()
-    if rcond < WARN_RCOND:
-        warns = (f"pairing matrix on window complement: rcond {rcond:.3e} "
-                 f"below warning threshold {WARN_RCOND:.0e}",)
+    cond, warns = rcond_gate(
+        a_comp, "pairing matrix on window complement",
+        detail=f"window keeps {window.count}/{ensemble.space.size} nodes",
+    )
     perm, low, up = scipy.linalg.lu(a_comp)
     # rows of f_t: ftilde_i = sum_j [L^{-1} P^T]_{ij} f_j
     f_t = scipy.linalg.solve_triangular(low, perm.T @ ensemble.f, lower=True)

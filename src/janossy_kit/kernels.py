@@ -19,6 +19,7 @@ the unscaled convention above.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass
@@ -26,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chain_ensemble import (
-    HARD_RCOND,
-    WARN_RCOND,
-    ChainEnsemble,
-    ConvolutionTables,
-)
-from .errors import SingularOperatorError
+from .chain_ensemble import ChainEnsemble, ConvolutionTables, rcond_gate
 from .measure_space import WindowFamily
 
 KIND_CORRELATION = "correlation"
@@ -105,25 +100,12 @@ def check_points(ensemble: ChainEnsemble, points) -> list[tuple[int, int]]:
     return out
 
 
-def _inverse(matrix: np.ndarray, name: str, detail: str = ""):
-    """Inverse with the package-wide rcond gate; returns (inv, warnings)."""
-    cond = float(np.linalg.cond(matrix))
-    rcond = 1.0 / cond if cond > 0 else 0.0
-    if not np.isfinite(cond) or rcond < HARD_RCOND:
-        raise SingularOperatorError(name, rcond, detail)
-    warns = ()
-    if rcond < WARN_RCOND:
-        warns = (f"{name}: rcond {rcond:.3e} below warning threshold "
-                 f"{WARN_RCOND:.0e}",)
-    inv = np.linalg.inv(matrix)
-    return inv, warns
-
-
 def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,
                        kind: str, name: str, detail: str = "") -> BlockKernel:
     """Assemble -g_{l,m} + right @ inv(gram) @ left^T from any table set."""
     M, P = tables.floors, ensemble.space.size
-    inv, warns = _inverse(tables.gram, name, detail)
+    _, warns = rcond_gate(tables.gram, name, detail)
+    inv = np.linalg.inv(tables.gram)
     blocks = np.empty((M, M, P, P), dtype=np.complex128)
     for l in range(1, M + 1):
         lead = tables.right[l - 1] @ inv
@@ -239,16 +221,8 @@ def resolvent_kernel(kernel: BlockKernel, windows: WindowFamily) -> BlockKernel:
     warns: tuple[str, ...] = ()
     if op.size:
         t = np.eye(op.size, dtype=np.complex128) - op.matrix
-        cond = float(np.linalg.cond(t))
-        rcond = 1.0 / cond if cond > 0 else 0.0
-        if not np.isfinite(cond) or rcond < HARD_RCOND:
-            raise SingularOperatorError(
-                "Id - restricted kernel", rcond,
-                detail=f"windows: {op.windows.describe()}",
-            )
-        if rcond < WARN_RCOND:
-            warns = (f"Id - restricted kernel: rcond {rcond:.3e} below "
-                     f"warning threshold {WARN_RCOND:.0e}",)
+        _, warns = rcond_gate(t, "Id - restricted kernel",
+                              detail=f"windows: {op.windows.describe()}")
         lu = scipy.linalg.lu_factor(t)
         # L (Id - K) = K  =>  (Id - K)^T L^T = K^T
         lmat = scipy.linalg.lu_solve(lu, op.matrix.T, trans=1).T
@@ -303,6 +277,31 @@ def dyson_mehta_check(kernel: BlockKernel, k: int, m: int, x: int, z: int) -> fl
 # export
 # ---------------------------------------------------------------------------
 
+def complex_pair(z) -> list[float]:
+    """A complex number as the JSON pair [re, im]."""
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Text handle whose content replaces ``path`` only if the block succeeds.
+
+    Writes go to a temp file beside ``path``, renamed over it on success and
+    removed on failure, so readers never see a partial file.
+    """
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                       f".tmp-{os.path.basename(path)}")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def export_kernel_csv(kernel: BlockKernel, path: str) -> None:
     """Write every kernel value as one CSV row, atomically.
 
@@ -311,8 +310,7 @@ def export_kernel_csv(kernel: BlockKernel, path: str) -> None:
     """
     ens = kernel.ensemble
     nodes = ens.space.nodes
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# {CSV_SCHEMA} kernel kind={kernel.kind}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["floor_row", "node_row", "point_row",
@@ -327,7 +325,6 @@ def export_kernel_csv(kernel: BlockKernel, path: str) -> None:
                                          m, y, repr(float(nodes[y])),
                                          repr(float(v.real)),
                                          repr(float(v.imag))])
-    os.replace(tmp, path)
 
 
 def kernel_to_json(kernel: BlockKernel) -> dict:
@@ -336,8 +333,7 @@ def kernel_to_json(kernel: BlockKernel) -> dict:
     M, P = ens.floors, ens.space.size
     blocks = [
         [
-            [[[float(v.real), float(v.imag)] for v in row]
-             for row in kernel.blocks[l, m]]
+            [[complex_pair(v) for v in row] for row in kernel.blocks[l, m]]
             for m in range(M)
         ]
         for l in range(M)

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from janossy_kit import janossy, verify
 from janossy_kit.cli import main
 
 GAP_CONFIG = {
@@ -166,6 +167,19 @@ def test_singular_model_exits_3(tmp_path):
     assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
 
+def test_imaginary_residue_exits_3(tmp_path, monkeypatch, capsys):
+    exact = janossy.count_distribution
+
+    def with_residue(ensemble, windows):
+        return exact(ensemble, windows) + 1e-3j
+
+    monkeypatch.setattr(janossy, "count_distribution", with_residue)
+    code, out_dir = run(tmp_path, EXTREMES_CONFIG)
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+
 def test_tolerance_override_exits_1_but_writes_report(tmp_path):
     doc = {"task": {"name": "verify", "suite": "correlations",
                     "instances": 6, "seed": 2},
@@ -174,6 +188,93 @@ def test_tolerance_override_exits_1_but_writes_report(tmp_path):
     assert code == 1
     report = json.load(open(os.path.join(out_dir, "report.json")))
     assert report["passed"] is False
+
+
+def test_partition_override_judges_relative_error(tmp_path):
+    doc = {"task": {"name": "verify", "suite": "partition", "instances": 6,
+                    "seed": 2}}
+    code, out_dir = run(tmp_path, doc, out="plain")
+    assert code == 0
+    records = json.load(open(os.path.join(out_dir, "report.json"))
+                        )["results"]["records"]
+    max_abs = max(r["abs_error"] for r in records)
+    max_rel = max(r["rel_error"] for r in records)
+    assert max_abs < max_rel
+    # every absolute error clears this bar, some relative error does not
+    tol = (max_abs * max_rel) ** 0.5
+    code, out_dir = run(tmp_path, dict(doc, tolerances={"partition": tol}),
+                        out="tight")
+    assert code == 1
+    results = json.load(open(os.path.join(out_dir, "report.json"))
+                        )["results"]
+    assert results["tolerance"] == tol
+    failed = [r for r in results["records"] if r["status"] == "fail"]
+    assert failed
+    assert all(r["rel_error"] > tol >= r["abs_error"] for r in failed)
+
+
+def test_override_keeps_a_failed_probe_failing(tmp_path, monkeypatch):
+    """A record that compares nothing is not re-judged by an override: a
+    window construction that wrongly accepts full windows still fails the
+    resolvent suite under the loosest tolerance."""
+    exact = verify.janossy_kernel_explicit
+
+    def accepts_full_windows(ensemble, windows):
+        if all(w.count == ensemble.space.size for w in windows.windows):
+            return None
+        return exact(ensemble, windows)
+
+    monkeypatch.setattr(verify, "janossy_kernel_explicit",
+                        accepts_full_windows)
+    doc = {"task": {"name": "verify", "suite": "resolvent", "instances": 3,
+                    "seed": 5},
+           "tolerances": {"resolvent": 1.0}}
+    code, out_dir = run(tmp_path, doc)
+    assert code == 1
+    first = json.load(open(os.path.join(out_dir, "report.json"))
+                      )["results"]["records"][0]
+    assert first["quantity"] == "full windows reject"
+    assert first["status"] == "fail"
+    assert first["judged_error"] is None
+
+
+JANOSSY_SIX_FLOORS = {
+    "model": {"variant": "random", "seed": 5, "nodes": 4, "particles": 2,
+              "floors": 6},
+    "windows": [{"mask": [True, True, False, False]}] * 6,
+    "task": {"name": "janossy",
+             "counts": [[0] * 6, [1, 0, 0, 0, 0, 2], [2] * 6]},
+}
+
+
+def test_janossy_count_law_respects_the_budget(tmp_path, capsys):
+    """The law has (n+1)^M = 3^6 entries: one fewer allowed is a clean
+    exit 4 before any report, exactly enough runs."""
+    code, out_dir = run(tmp_path, JANOSSY_SIX_FLOORS, "--budget",
+                        str(3 ** 6 - 1), out="tight")
+    assert code == 4
+    assert "budget exceeded" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out_dir, "report.json"))
+    code, out_dir = run(tmp_path, JANOSSY_SIX_FLOORS, "--budget",
+                        str(3 ** 6), out="fits")
+    assert code == 0
+    results = json.load(open(os.path.join(out_dir, "report.json"))
+                        )["results"]
+    rows = results["count_probabilities"]
+    assert [r["counts"] for r in rows] == JANOSSY_SIX_FLOORS["task"]["counts"]
+    assert rows[0]["probability"] == pytest.approx(
+        results["all_empty_probability"][0], abs=1e-12)
+    # a random model is a signed measure: its "probabilities" may be negative
+    assert rows[2]["probability"] != 0.0
+
+
+@pytest.mark.parametrize("vec", [[3, 0], [0, 0, 0]])
+def test_count_vector_outside_the_model_exits_2(tmp_path, vec):
+    doc = {"model": GAP_CONFIG["model"], "windows": GAP_CONFIG["windows"],
+           "task": {"name": "janossy", "counts": [vec]}}
+    code, out_dir = run(tmp_path, doc)
+    assert code == 2
+    assert not os.path.exists(out_dir)
 
 
 def test_seed_flag_overrides_verify_seed(tmp_path):

@@ -7,11 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from janossy_kit.chain_ensemble import marginal_ensemble
-from janossy_kit.errors import SingularOperatorError
+from janossy_kit import janossy
+from janossy_kit.errors import BudgetExceededError, SingularOperatorError
 from janossy_kit.janossy import (
     biorthogonal_janossy_recipe,
+    count_distribution,
     count_probability,
     janossy_density,
     janossy_kernel_explicit,
@@ -19,7 +23,11 @@ from janossy_kit.janossy import (
 )
 from janossy_kit.kernels import correlation_kernel, fredholm_det, restrict
 from janossy_kit.measure_space import WindowFamily, make_quadrature
-from janossy_kit.models import build_random, build_unitary
+from janossy_kit.models import (
+    build_coupled_chain,
+    build_random,
+    build_unitary,
+)
 from janossy_kit.oracle import (
     brute_count_probability,
     brute_janossy,
@@ -103,6 +111,71 @@ def test_count_probability_on_degenerate_windows():
     assert count_probability(ens, empty, (1, 0)) == 0.0
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 5), st.integers(1, 2),
+       st.integers(1, 3),
+       st.lists(st.sampled_from(("full", "empty", "random")),
+                min_size=3, max_size=3))
+def test_count_distribution_matches_brute_on_random_chains(seed, P, n, M,
+                                                            kinds):
+    """Every entry of the generating-function law, and every impossible
+    count beyond it, agrees with the enumeration oracle."""
+    n = min(n, P)
+    try:
+        ens = build_random(seed, P, n, M)
+    except SingularOperatorError:
+        assume(False)
+    # the oracle's own normalization loses digits on ill-conditioned draws
+    assume(ens.gram_cond <= 1e4)
+    rng = np.random.default_rng(seed)
+    masks = []
+    for kind in kinds[:M]:
+        if kind == "random":
+            masks.append(rng.random(P) < 0.5)
+        else:
+            masks.append(np.full(P, kind == "full"))
+    wf = WindowFamily(tuple(ens.space.window(m) for m in masks))
+    law = count_distribution(ens, wf)
+    assert law.shape == (n + 1,) * M
+    dist = enumerate_density(ens)
+    for counts in itertools.product(range(n + 1), repeat=M):
+        brute = brute_count_probability(dist, wf, counts)
+        assert law[counts] == pytest.approx(brute, abs=1e-11)
+        if any(c > m.sum() for c, m in zip(counts, masks)):
+            assert law[counts] == 0.0
+
+
+def test_count_distribution_on_many_floors_matches_marginals(monkeypatch):
+    """Six floors put the meet-in-the-middle cut inside the chain.  Summed
+    down to a pair of floors, the law must match the law of the marginal
+    ensemble on that pair, computed without a cut; the all-empty entry must
+    match the complement determinant ratio; chunking must change nothing;
+    and a law larger than the budget must be refused."""
+    # a positive chain, so |det A(z) / det A| <= 1 bounds the FFT error
+    M = 6
+    space = make_quadrature((-4.0, 4.0), 12)
+    ens = build_coupled_chain(2, M, [[0.0, 0.0, 1.0]] * M, [0.3] * (M - 1),
+                              space)
+    wf = WindowFamily(tuple(space.window_from_intervals([(0.2 * l, None)])
+                            for l in range(-2, M - 2)))
+    law = count_distribution(ens, wf)
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    const = janossy_kernel_explicit(ens, wf).const
+    assert law[(0,) * M] == pytest.approx(const, abs=1e-12)
+    for pair in [(1, 6), (2, 4), (3, 5)]:
+        others = tuple(a for a in range(M) if a + 1 not in pair)
+        sub = WindowFamily(tuple(wf.windows[l - 1] for l in pair))
+        expected = count_distribution(marginal_ensemble(ens, list(pair)), sub)
+        np.testing.assert_allclose(law.sum(axis=others), expected,
+                                   rtol=0, atol=1e-12)
+
+    monkeypatch.setattr(janossy, "CHUNK_ENTRIES", 1)
+    np.testing.assert_allclose(count_distribution(ens, wf), law,
+                               rtol=0, atol=1e-14)
+    with pytest.raises(BudgetExceededError):
+        count_distribution(ens, wf, budget=3 ** M - 1)
+
+
 def test_count_probability_validates_count_vector():
     ens, wf = windows_2x4()
     with pytest.raises(ValueError):
@@ -158,15 +231,6 @@ def test_kth_extreme_telescopes_through_count_probabilities():
         if p_exactly_1 is not None:
             assert p1.count_probs[0] == pytest.approx(
                 p2.count_probs[0], abs=1e-12)
-
-
-def test_kth_extreme_threads_do_not_change_values():
-    ens = gaussian_ensemble()
-    grid = [-1.0, 0.0, 1.0, 2.0]
-    serial = kth_extreme_distribution(ens, 1, 1, grid, threads=1)
-    parallel = kth_extreme_distribution(ens, 1, 1, grid, threads=4)
-    assert [p.cdf for p in serial] == [p.cdf for p in parallel]
-    assert [p.count_probs for p in serial] == [p.count_probs for p in parallel]
 
 
 def test_kth_extreme_validates_floor_and_k():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from janossy_kit.janossy import janossy_kernel_explicit
 from janossy_kit.kernels import (
     CSV_SCHEMA,
     JSON_SCHEMA,
+    atomic_open,
     check_points,
     correlation_function,
     correlation_kernel,
@@ -202,7 +204,18 @@ def test_csv_export_round_trips_values(tmp_path):
         m, y = int(row["floor_col"]), int(row["node_col"])
         val = complex(float(row["re"]), float(row["im"]))
         assert val == kernel.value(l, x, m, y)
-    assert not list(tmp_path.glob("*.tmp"))
+    assert os.listdir(tmp_path) == ["kernel.csv"]
+
+
+def test_atomic_open_removes_its_temp_file_when_the_write_fails(tmp_path):
+    target = tmp_path / "kernel.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(target)) as fh:
+            fh.write("partial")
+            raise RuntimeError("disk full")
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["kernel.csv"]
 
 
 def test_kernel_json_layout():
