@@ -13,9 +13,7 @@ from __future__ import annotations
 from .chain_ensemble import (
     ChainEnsemble,
     ConvolutionTables,
-    GramMatrix,
     chain_convolve,
-    gram_matrix,
     left_convolve,
     marginal_ensemble,
     partition_function,
@@ -84,7 +82,6 @@ __all__ = [
     "DiscretizedSpace",
     "EnumeratedDistribution",
     "ExtremePoint",
-    "GramMatrix",
     "JanossyKernel",
     "RestrictedOperator",
     "SingularOperatorError",
@@ -110,7 +107,6 @@ __all__ = [
     "enumerate_density",
     "export_kernel_csv",
     "fredholm_det",
-    "gram_matrix",
     "janossy_density",
     "janossy_kernel_explicit",
     "kernel_to_json",

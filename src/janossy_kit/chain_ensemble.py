@@ -305,45 +305,6 @@ def right_convolve(ensemble: ChainEnsemble, s: int, l: int) -> np.ndarray:
     return ensemble.tables.right[l - 1][:, s - 1].copy()
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Pairing matrix of a chain under one of the three mask variants."""
-
-    entries: np.ndarray
-    variant: str
-    windows: WindowFamily | None
-    cond: float
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def gram_matrix(ensemble: ChainEnsemble, variant: str = "full",
-                windows: WindowFamily | None = None) -> GramMatrix:
-    """Pairing matrix ``A[j,k] = f_j * g_{1,M} * phi_k`` under a mask variant.
-
-    ``variant`` selects the integration domain per floor: ``"full"`` (all
-    nodes), ``"complement"`` (nodes outside each floor's window) or
-    ``"window"`` (nodes inside; diagnostic use only).
-    """
-    if variant == "full":
-        entries = ensemble.tables.gram.copy()
-        wf = None
-    elif variant in ("complement", "window"):
-        if windows is None:
-            raise ValueError(f"variant {variant!r} needs a window family")
-        wf = ensemble.check_windows(windows)
-        masks = wf.complement_masks() if variant == "complement" else wf.masks()
-        left, right = pairing_halves(
-            ensemble, [ensemble.weights * m for m in masks], ensemble.floors)
-        entries = left @ right.T
-    else:
-        raise ValueError(f"unknown gram variant {variant!r}")
-    cond = float(np.linalg.cond(entries))
-    return GramMatrix(entries=entries, variant=variant, windows=wf, cond=cond)
-
-
 def partition_function(ensemble: ChainEnsemble) -> complex:
     """Total unnormalized mass ``(n!)^M det A`` of the chain density."""
     a = ensemble.tables.gram

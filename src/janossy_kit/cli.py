@@ -425,7 +425,7 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
                                   dict(spec.params, seed=int(seed)))
         ens = build_model(spec)
         if cfg.task["name"] != "verify":
-            _check_task_dimensions(cfg, ens)
+            _check_task_dimensions(cfg, ens, opts.budget)
 
     os.makedirs(out_dir, exist_ok=True)
     report = _RUNNERS[cfg.task["name"]](cfg, ens, out_dir, opts)
@@ -434,8 +434,16 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
     return report
 
 
-def _check_task_dimensions(cfg: ExperimentConfig, ens: ChainEnsemble) -> None:
-    """Point sets and count vectors must fit the built model."""
+def _check_task_dimensions(cfg: ExperimentConfig, ens: ChainEnsemble,
+                           budget: int) -> None:
+    """Point sets and count vectors must fit the built model.
+
+    A kernel dump writes (M P)^2 CSV rows; more than ``budget`` is refused.
+    """
+    if cfg.task.get("dump_kernel"):
+        rows = (ens.floors * ens.space.size) ** 2
+        if rows > budget:
+            raise BudgetExceededError(rows, budget)
     for vec in cfg.task.get("counts", []) or []:
         if len(vec) != ens.floors or any(k > ens.n for k in vec):
             raise ConfigError(
@@ -472,8 +480,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--threads", type=int, default=1,
                        help="worker threads for verify suites")
     run_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="configuration cap for brute-force enumeration "
-                            "and for count-probability laws")
+                       help="configuration cap for brute-force enumeration, "
+                            "count-probability laws and kernel dumps")
     args = parser.parse_args(argv)
 
     if args.threads < 1:

@@ -47,7 +47,6 @@ import scipy.linalg
 from .chain_ensemble import (
     ChainEnsemble,
     ConvolutionTables,
-    GramMatrix,
     build_tables,
     marginal_ensemble,
     pairing_halves,
@@ -56,12 +55,9 @@ from .chain_ensemble import (
 from .errors import BudgetExceededError
 from .kernels import KIND_JANOSSY, BlockKernel, check_points, kernel_from_tables
 from .measure_space import Window, WindowFamily
-from .oracle import DEFAULT_BUDGET
+from .oracle import DEFAULT_BUDGET, IMAG_RESIDUE
 
 KIND_BIORTHOGONAL = "janossy-biorthogonal"
-
-# imaginary residue allowed on probabilities before they are reported real
-IMAG_RESIDUE = 1e-6
 
 # complex entries of one chunk of pairing matrices in count_distribution
 CHUNK_ENTRIES = 1 << 20
@@ -73,14 +69,11 @@ class JanossyKernel:
 
     ``const`` is the probability that every window is empty; Janossy
     densities are ``const`` times determinants of ``kernel`` values.
-    ``complement_gram`` carries the complement pairing matrix and its
-    condition number for diagnostics.
     """
 
     kernel: BlockKernel
     windows: WindowFamily
     const: complex
-    complement_gram: GramMatrix
 
     @property
     def ensemble(self) -> ChainEnsemble:
@@ -91,8 +84,12 @@ class JanossyKernel:
         return self.kernel.warnings
 
 
-def _complement_tables(ensemble: ChainEnsemble,
-                       windows: WindowFamily) -> ConvolutionTables:
+def complement_tables(ensemble: ChainEnsemble,
+                      windows: WindowFamily) -> ConvolutionTables:
+    """Chain tables with every floor integrated over its window's complement.
+
+    The complement pairing matrix A^c is the ``gram`` of the result.
+    """
     wf = ensemble.check_windows(windows)
     w = ensemble.space.weights
     return build_tables(ensemble.f, ensemble.phi, ensemble.g,
@@ -117,16 +114,13 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
     when some window covers every node of the space.
     """
     wf = ensemble.check_windows(windows)
-    tables = _complement_tables(ensemble, wf)
+    tables = complement_tables(ensemble, wf)
     kernel = kernel_from_tables(
         ensemble, tables, KIND_JANOSSY,
         "complement pairing matrix", detail=f"windows: {wf.describe()}",
     )
     const = _det_ratio(tables.gram, ensemble.tables.gram)
-    comp = GramMatrix(entries=tables.gram, variant="complement", windows=wf,
-                      cond=float(np.linalg.cond(tables.gram)))
-    return JanossyKernel(kernel=kernel, windows=wf, const=const,
-                         complement_gram=comp)
+    return JanossyKernel(kernel=kernel, windows=wf, const=const)
 
 
 def janossy_density(jk: JanossyKernel, points) -> complex:
@@ -301,7 +295,7 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     wf = WindowFamily((window,))
     wc = ensemble.space.weights * (~window.mask)
     a_comp = (ensemble.f * wc[None, :]) @ ensemble.phi.T
-    cond, warns = rcond_gate(
+    _, warns = rcond_gate(
         a_comp, "pairing matrix on window complement",
         detail=f"window keeps {window.count}/{ensemble.space.size} nodes",
     )
@@ -315,7 +309,4 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     kernel = BlockKernel(ensemble=ensemble, blocks=blocks,
                          kind=KIND_BIORTHOGONAL, warnings=warns)
     const = _det_ratio(a_comp, ensemble.tables.gram)
-    comp = GramMatrix(entries=a_comp, variant="complement", windows=wf,
-                      cond=cond)
-    return JanossyKernel(kernel=kernel, windows=wf, const=const,
-                         complement_gram=comp)
+    return JanossyKernel(kernel=kernel, windows=wf, const=const)

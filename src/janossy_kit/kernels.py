@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -136,10 +137,8 @@ def correlation_function(kernel: BlockKernel, points) -> complex:
         raise ValueError(
             f"correlation_function needs a correlation kernel, got {kernel.kind!r}"
         )
-    pts = check_points(kernel.ensemble, points)
-    if not pts:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(kernel.matrix_at(pts)))
+    # matrix_at validates the points; the 0 x 0 determinant is 1
+    return complex(np.linalg.det(kernel.matrix_at(points)))
 
 
 @dataclass(eq=False)
@@ -162,30 +161,26 @@ class RestrictedOperator:
         return self.matrix.shape[0]
 
 
+def pair_index(points) -> tuple[np.ndarray, ...]:
+    """Broadcast index of every pair of (floor, node) points into blocks.
+
+    ``blocks[pair_index(points)][i, j]`` is the kernel value at
+    (points[i]; points[j]) for any ``BlockKernel.blocks``, and assigning
+    through the index scatters a matrix back into the blocks.
+    """
+    pts = np.asarray(points, dtype=np.intp).reshape(-1, 2)
+    floor, node = pts[:, 0] - 1, pts[:, 1]
+    return floor[:, None], floor[None, :], node[:, None], node[None, :]
+
+
 def restrict(kernel: BlockKernel, windows: WindowFamily) -> RestrictedOperator:
     """Restriction of a block kernel to the nodes of a window family."""
     ens = kernel.ensemble
     wf = ens.check_windows(windows)
+    index = wf.points()
+    l, m, x, y = pair_index(index)
     sqrtw = np.sqrt(ens.space.weights)
-    per_floor = [w.node_indices for w in wf.windows]
-    index = tuple((l, int(x)) for l in range(1, ens.floors + 1)
-                  for x in per_floor[l - 1])
-    sizes = [idx.size for idx in per_floor]
-    total = int(sum(sizes))
-    matrix = np.empty((total, total), dtype=np.complex128)
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    for l in range(1, ens.floors + 1):
-        il = per_floor[l - 1]
-        if il.size == 0:
-            continue
-        for m in range(1, ens.floors + 1):
-            im = per_floor[m - 1]
-            if im.size == 0:
-                continue
-            sub = kernel.blocks[l - 1, m - 1][np.ix_(il, im)]
-            matrix[offs[l - 1]:offs[l], offs[m - 1]:offs[m]] = (
-                sub * np.outer(sqrtw[il], sqrtw[im])
-            )
+    matrix = kernel.blocks[l, m, x, y] * (sqrtw[x] * sqrtw[y])
     return RestrictedOperator(kernel=kernel, windows=wf, matrix=matrix,
                               index=index)
 
@@ -216,8 +211,7 @@ def resolvent_kernel(kernel: BlockKernel, windows: WindowFamily) -> BlockKernel:
         )
     ens = kernel.ensemble
     op = restrict(kernel, windows)
-    M, P = ens.floors, ens.space.size
-    blocks = np.zeros((M, M, P, P), dtype=np.complex128)
+    blocks = np.zeros_like(kernel.blocks)
     warns: tuple[str, ...] = ()
     if op.size:
         t = np.eye(op.size, dtype=np.complex128) - op.matrix
@@ -226,51 +220,41 @@ def resolvent_kernel(kernel: BlockKernel, windows: WindowFamily) -> BlockKernel:
         lu = scipy.linalg.lu_factor(t)
         # L (Id - K) = K  =>  (Id - K)^T L^T = K^T
         lmat = scipy.linalg.lu_solve(lu, op.matrix.T, trans=1).T
+        l, m, x, y = pair_index(op.index)
         sqrtw = np.sqrt(ens.space.weights)
-        per_floor = [w.node_indices for w in op.windows.windows]
-        sizes = [idx.size for idx in per_floor]
-        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        for l in range(1, M + 1):
-            il = per_floor[l - 1]
-            if il.size == 0:
-                continue
-            for m in range(1, M + 1):
-                im = per_floor[m - 1]
-                if im.size == 0:
-                    continue
-                sub = lmat[offs[l - 1]:offs[l], offs[m - 1]:offs[m]]
-                blocks[l - 1, m - 1][np.ix_(il, im)] = (
-                    sub / np.outer(sqrtw[il], sqrtw[im])
-                )
+        blocks[l, m, x, y] = lmat / (sqrtw[x] * sqrtw[y])
     return BlockKernel(ensemble=ens, blocks=blocks, kind=KIND_RESOLVENT,
                        warnings=warns)
 
 
-def dyson_mehta_check(kernel: BlockKernel, k: int, m: int, x: int, z: int) -> float:
-    """Residual of the reproducing identity at (floor k, node x; floor m, node z).
+def dyson_mehta_check(kernel: BlockKernel) -> tuple[np.ndarray, float]:
+    """Residuals of the reproducing identity for every floor triple.
 
-    Computes | sum_l \\int K(k,x; l,y) K(l,y; m,z) dmu(y)
-               - (1 + (m-k)) K(k,x; m,z) - 2 (m-k) g_{k,m}(x,z) |.
+    Let W = K + g be the rank-n part of the kernel, W_{k,m}(x, z) =
+    sum_{i,j} (g_{k,M} * phi_i)(x) [A^{-1}]_{ij} (f_j * g_{1,m})(z).  The
+    pairing of the two halves over any floor l gives back A, so for every
+    floors k, l, m
 
-    The k = m case is an identity of the construction and its residual is
-    rounding-level; the k != m case is a recorded diagnostic, not an
-    assertion (see the dyson-mehta verify suite).
+        \\int W_{k,l}(x, y) W_{l,m}(y, z) dmu(y) = W_{k,m}(x, z).
+
+    Returns ``(residual, scale)``: ``residual[k-1, l-1, m-1]`` is the
+    largest absolute difference of the two sides over all node pairs x, z,
+    and ``scale`` is max(1, max|W|), the size the residuals are judged
+    against.
     """
     if kernel.kind != KIND_CORRELATION:
         raise ValueError("dyson_mehta_check needs a correlation kernel")
     ens = kernel.ensemble
-    (k, x), (m, z) = check_points(ens, [(k, x), (m, z)])
+    proj = kernel.blocks.copy()
+    for (l, m), g in ens.tables.chain.items():
+        proj[l - 1, m - 1] += g
     w = ens.space.weights
-    lhs = 0.0 + 0.0j
-    for l in range(1, ens.floors + 1):
-        row = kernel.blocks[k - 1, l - 1][x, :]
-        col = kernel.blocks[l - 1, m - 1][:, z]
-        lhs += np.sum(row * w * col)
-    rhs = (1 + (m - k)) * kernel.blocks[k - 1, m - 1][x, z]
-    gkm = ens.tables.chain.get((k, m))
-    if gkm is not None:
-        rhs += 2 * (m - k) * gkm[x, z]
-    return float(abs(lhs - rhs))
+    M = ens.floors
+    residual = np.empty((M, M, M))
+    for k, l, m in itertools.product(range(M), repeat=3):
+        lhs = (proj[k, l] * w[None, :]) @ proj[l, m]
+        residual[k, l, m] = np.abs(lhs - proj[k, m]).max()
+    return residual, max(1.0, float(np.abs(proj).max()))
 
 
 # ---------------------------------------------------------------------------

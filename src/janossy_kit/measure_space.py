@@ -215,9 +215,6 @@ class Window(object):
     def is_full(self) -> bool:
         return bool(self.mask.all())
 
-    def same_nodes(self, other: Window) -> bool:
-        return self.space is other.space and bool(np.all(self.mask == other.mask))
-
     def to_json(self) -> dict:
         if self.intervals is not None:
             return {"intervals": [[a if np.isfinite(a) else None,
@@ -276,14 +273,17 @@ class WindowFamily:
             raise ValueError(f"floor {floor} outside 1..{self.floors}")
         return self.windows[floor - 1]
 
-    def masks(self) -> list[np.ndarray]:
-        return [w.mask for w in self.windows]
-
     def complement_masks(self) -> list[np.ndarray]:
         return [~w.mask for w in self.windows]
 
-    def all_empty(self) -> bool:
-        return all(w.is_empty() for w in self.windows)
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """The (floor, node) pairs inside the windows, floor-major.
+
+        Floors ascend, and node indices ascend within a floor: the row
+        order of every operator restricted to the family.
+        """
+        return tuple((l, int(x)) for l, w in enumerate(self.windows, start=1)
+                     for x in w.node_indices)
 
     def describe(self) -> str:
         parts = []

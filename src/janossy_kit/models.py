@@ -204,9 +204,6 @@ class ChainModelSpec:
         params = {k: v for k, v in doc.items() if k != "variant"}
         return ChainModelSpec(variant=variant, params=params)
 
-    def build(self) -> ChainEnsemble:
-        return build_model(self)
-
 
 def _require(params: dict, *names: str) -> list:
     missing = [k for k in names if k not in params]

@@ -33,7 +33,8 @@ from .measure_space import WindowFamily
 
 DEFAULT_BUDGET = 10 ** 6
 
-# imaginary residue allowed before a "real" oracle output is reported
+# imaginary residue, relative to max(1, |real part|), allowed on a
+# probability before it is reported real
 IMAG_RESIDUE = 1e-10
 
 

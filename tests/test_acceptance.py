@@ -185,17 +185,20 @@ def test_criterion_09_heine_identity():
 def test_criterion_10_reproducing_identity():
     report = verify_suite("dyson-mehta", instances=100, seed=SEED)
     assert report.passed
-    equal_floor = [r for r in report.records
-                   if r["quantity"].startswith("reproducing identity k=m")]
-    assert equal_floor
-    for r in equal_floor:
-        assert r["abs_error"] <= 1e-10
-    cross = [r for r in report.records if "recorded_residual" in r]
+    floors = {r["instance"]: r["description"]["floors"]
+              for r in report.records}
+    assert len(report.records) == sum(M * M for M in floors.values())
+    pairs = [tuple(int(s[2:]) for s in r["quantity"].split()[-2:])
+             for r in report.records]
+    cross = sum(k != m for k, m in pairs)
+    assert cross
+    for r in report.records:
+        assert r["judged_error"] <= 1e-10
     rerun = verify_suite("dyson-mehta", instances=100, seed=SEED)
     assert json.dumps(report.to_json(), sort_keys=True) == \
         json.dumps(rerun.to_json(), sort_keys=True)
-    print(f"criterion 10: {len(equal_floor)} equal-floor residuals <= 1e-10, "
-          f"{len(cross)} cross-floor residuals recorded")
+    print(f"criterion 10: {len(pairs)} floor-pair residuals, {cross} of them "
+          f"cross-floor, all <= 1e-10 scaled")
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from janossy_kit.chain_ensemble import (
     ChainEnsemble,
     chain_convolve,
-    gram_matrix,
     left_convolve,
     marginal_ensemble,
     partition_function,
     right_convolve,
 )
 from janossy_kit.errors import SingularOperatorError
+from janossy_kit.janossy import complement_tables
 from janossy_kit.measure_space import WindowFamily, make_discrete
 from janossy_kit.models import build_random
 
@@ -84,8 +84,6 @@ def test_gram_matrix_is_full_chain_pairing():
     g1m = naive_chain(ens, 1, 3)
     expect = (ens.f * w[None, :]) @ g1m @ (w[:, None] * ens.phi.T)
     assert np.allclose(ens.tables.gram, expect, atol=1e-12)
-    full = gram_matrix(ens, "full")
-    assert np.allclose(full.entries, expect, atol=1e-12)
 
 
 def test_single_floor_gram_has_no_couplings():
@@ -95,21 +93,20 @@ def test_single_floor_gram_has_no_couplings():
     assert np.allclose(ens.tables.gram, expect, atol=1e-13)
 
 
-def test_window_gram_variants_restrict_each_integration():
+def test_complement_tables_restrict_each_integration():
     ens = build_random(3, 4, 2, 2)
     space = ens.space
-    wf = WindowFamily((space.window([True, False, True, False]),
-                       space.window([False, True, True, False])))
+    m1 = np.array([True, False, True, False])
+    m2 = np.array([False, True, True, False])
+    wf = WindowFamily((space.window(m1), space.window(m2)))
     w = space.weights
-    m1, m2 = wf.masks()
-    inside = (ens.f * (w * m1)[None, :]) @ ens.g[0] @ \
-        ((w * m2)[:, None] * ens.phi.T)
-    got = gram_matrix(ens, "window", wf)
-    assert np.allclose(got.entries, inside, atol=1e-13)
-    comp = gram_matrix(ens, "complement", wf)
-    outside = (ens.f * (w * ~m1)[None, :]) @ ens.g[0] @ \
-        ((w * ~m2)[:, None] * ens.phi.T)
-    assert np.allclose(comp.entries, outside, atol=1e-13)
+    # naive sum over the complement nodes of both floors
+    outside = np.zeros((ens.n, ens.n), dtype=complex)
+    for x in np.flatnonzero(~m1):
+        for y in np.flatnonzero(~m2):
+            outside += (w[x] * w[y] * ens.g[0][x, y]
+                        * np.outer(ens.f[:, x], ens.phi[:, y]))
+    assert np.allclose(complement_tables(ens, wf).gram, outside, atol=1e-13)
 
 
 def brute_partition_function(ens: ChainEnsemble) -> complex:

@@ -268,6 +268,19 @@ def test_janossy_count_law_respects_the_budget(tmp_path, capsys):
     assert rows[2]["probability"] != 0.0
 
 
+def test_kernel_dump_respects_the_budget(tmp_path, capsys):
+    """A dump of M=2, P=4 writes (M P)^2 = 64 kernel rows: a budget of 63
+    exits 4 before the output directory exists, 64 writes the dump."""
+    code, out_dir = run(tmp_path, CORR_CONFIG, "--budget", "63", out="tight")
+    assert code == 4
+    assert "budget exceeded" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+    code, out_dir = run(tmp_path, CORR_CONFIG, "--budget", "64", out="fits")
+    assert code == 0
+    lines = open(os.path.join(out_dir, "kernel.csv")).read().splitlines()
+    assert len(lines) == 2 + 64
+
+
 @pytest.mark.parametrize("vec", [[3, 0], [0, 0, 0]])
 def test_count_vector_outside_the_model_exits_2(tmp_path, vec):
     doc = {"model": GAP_CONFIG["model"], "windows": GAP_CONFIG["windows"],

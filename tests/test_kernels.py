@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from janossy_kit.chain_ensemble import ChainEnsemble
 from janossy_kit.errors import SingularOperatorError
@@ -98,21 +100,23 @@ def test_single_floor_kernel_is_a_reproducing_projection():
 def test_dyson_mehta_check_vanishes_on_equal_floors():
     for seed in (3, 4):
         ens = build_random(seed, 4, 2, 2)
+        residual, scale = dyson_mehta_check(correlation_kernel(ens))
+        for k in range(2):
+            assert residual[k, :, k].max() <= 1e-10 * scale
+
+
+def test_dyson_mehta_check_vanishes_on_cross_floors():
+    """W = K + g reproduces over every floor l, for every k != m too."""
+    for seed in (9, 21, 33):
+        ens = build_random(seed, 3, 2, 3)
         kernel = correlation_kernel(ens)
-        for k in (1, 2):
-            for x in range(4):
-                for z in range(4):
-                    assert dyson_mehta_check(kernel, k, k, x, z) < 1e-10
-
-
-def test_dyson_mehta_cross_floor_residual_is_deterministic():
-    ens = build_random(9, 3, 2, 3)
-    kernel = correlation_kernel(ens)
-    first = [dyson_mehta_check(kernel, 1, 3, x, z)
-             for x in range(3) for z in range(3)]
-    second = [dyson_mehta_check(kernel, 1, 3, x, z)
-              for x in range(3) for z in range(3)]
-    assert first == second
+        residual, scale = dyson_mehta_check(kernel)
+        assert residual.shape == (3, 3, 3)
+        assert residual.max() <= 1e-10 * scale
+        # the check sees a kernel that is not a projection
+        kernel.blocks[0, 2] += 0.01
+        residual, scale = dyson_mehta_check(kernel)
+        assert residual[0, :, 2].max() > 1e-4 * scale
 
 
 def test_restrict_empty_windows_is_trivial():
@@ -136,6 +140,49 @@ def test_restrict_orders_rows_by_floor_then_node():
     w = ens.space.weights
     expect = np.sqrt(w[0]) * kernel.value(1, 0, 2, 1) * np.sqrt(w[1])
     assert op.matrix[0, 2] == pytest.approx(expect, rel=1e-13)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 2),
+       st.integers(1, 3), st.data())
+def test_window_points_index_restriction_and_resolvent(seed, P, n, M, data):
+    """Restriction reads, and the resolvent writes, exactly the window points.
+
+    Masks are arbitrary, so whole floors may be empty (or full).
+    """
+    try:
+        ens = build_random(seed, P, n, M)
+    except SingularOperatorError:
+        assume(False)
+    masks = [data.draw(st.lists(st.booleans(), min_size=P, max_size=P))
+             for _ in range(M)]
+    wf = WindowFamily(tuple(ens.space.window(m) for m in masks))
+    kernel = correlation_kernel(ens)
+    op = restrict(kernel, wf)
+    assert op.index == wf.points()
+    assert op.index == tuple((l, x) for l in range(1, M + 1)
+                             for x in range(P) if masks[l - 1][x])
+    sqrtw = np.sqrt(ens.space.weights)
+    for i, (l, x) in enumerate(op.index):
+        for j, (m, y) in enumerate(op.index):
+            expect = sqrtw[x] * kernel.value(l, x, m, y) * sqrtw[y]
+            assert abs(op.matrix[i, j] - expect) <= 1e-14 * abs(expect)
+    try:
+        res = resolvent_kernel(kernel, wf)
+    except SingularOperatorError:
+        return
+    inside = np.zeros(res.blocks.shape, dtype=bool)
+    for l, x in op.index:
+        for m, y in op.index:
+            inside[l - 1, m - 1, x, y] = True
+    assert np.all(res.blocks[~inside] == 0)
+    # and inside, R_I = K_I (Id - K_I)^{-1} in the symmetrized convention
+    r = np.array([[sqrtw[x] * res.value(l, x, m, y) * sqrtw[y]
+                   for m, y in op.index] for l, x in op.index],
+                 dtype=complex).reshape(op.size, op.size)
+    t = np.eye(op.size) - op.matrix
+    bound = 1e-10 * (1 + np.abs(r).max(initial=0)) * max(1, op.size)
+    assert np.abs(r @ t - op.matrix).max(initial=0) <= bound
 
 
 def test_full_restriction_determinant_is_numerically_zero():

@@ -72,12 +72,14 @@ def test_resolvent_suite_flags_the_full_window_instance():
     assert report.passed
 
 
-def test_dyson_mehta_records_cross_floor_residuals_without_asserting():
+def test_dyson_mehta_asserts_every_floor_pair():
     report = verify_suite("dyson-mehta", instances=6, seed=29)
-    cross = [r for r in report.records if "recorded" in r["quantity"]]
-    equal = [r for r in report.records if "k=m" in r["quantity"]]
-    assert equal and all(r["status"] == "pass" for r in equal)
-    multi = [r for r in cross if "recorded_residual" in r]
-    assert multi, "expected at least one multi-floor instance"
-    # cross-floor residuals are typically far from zero: that is the point
-    assert all(r["status"] == "pass" for r in cross)
+    assert report.passed
+    floors = {r["instance"]: r["description"]["floors"]
+              for r in report.records}
+    assert len(report.records) == sum(M * M for M in floors.values())
+    assert max(floors.values()) > 1, "expected a multi-floor instance"
+    for r in report.records:
+        assert 1 <= r["description"]["worst_l"] <= r["description"]["floors"]
+        assert r["judged_error"] <= 1e-10
+        assert r["status"] == "pass"
