@@ -161,6 +161,39 @@ class ChainEnsemble:
             raise ValueError(f"function index {j} outside 1..{self.n}")
         return int(j)
 
+    def check_points(self, points) -> list[tuple[int, int]]:
+        """Validate a list of (floor, node-index) pairs."""
+        out = []
+        P = self.space.size
+        for p in points:
+            if len(p) != 2:
+                raise ValueError(f"point {p!r} is not a (floor, node) pair")
+            floor, node = self.check_floor(int(p[0])), int(p[1])
+            if not 0 <= node < P:
+                raise ValueError(f"node index {node} outside 0..{P - 1}")
+            out.append((floor, node))
+        return out
+
+    def check_window_points(self, wf: WindowFamily,
+                            points) -> list[tuple[int, int]]:
+        """Validate points of a Janossy density of a window family.
+
+        Every point must lie inside its floor's window, and no floor may
+        hold more points than particles.
+        """
+        pts = self.check_points(points)
+        counts = [0] * self.floors
+        for floor, node in pts:
+            if not wf.window(floor).mask[node]:
+                raise ValueError(f"point (floor {floor}, node {node}) lies "
+                                 f"outside its window")
+            counts[floor - 1] += 1
+        for l, c in enumerate(counts, start=1):
+            if c > self.n:
+                raise ValueError(
+                    f"{c} points on floor {l} but only {self.n} particles")
+        return pts
+
     def check_windows(self, wf: WindowFamily) -> WindowFamily:
         if wf.floors != self.floors:
             raise ValueError(

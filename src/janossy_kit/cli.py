@@ -130,7 +130,7 @@ class ExperimentConfig:
         if not isinstance(tolerances, dict):
             raise ConfigError("'tolerances' must be an object")
         for key, val in tolerances.items():
-            if not isinstance(val, (int, float)) or val <= 0:
+            if not (_is_int(val) or isinstance(val, float)) or val <= 0:
                 raise ConfigError(f"tolerance {key!r} must be positive")
 
         _validate_task(name, task)
@@ -158,16 +158,16 @@ def _validate_task(name: str, task: dict) -> None:
             raise ConfigError("'counts' must be a list of count vectors")
         for vec in counts:
             if not isinstance(vec, list) or not all(
-                    isinstance(k, int) and k >= 0 for k in vec):
+                    _is_int(k) and k >= 0 for k in vec):
                 raise ConfigError(f"bad count vector {vec!r}")
     elif name == "extremes":
-        if not isinstance(task.get("floor", 1), int):
+        if not _is_int(task.get("floor", 1)):
             raise ConfigError("'floor' must be an integer")
-        if not isinstance(task.get("k", 1), int):
+        if not _is_int(task.get("k", 1)):
             raise ConfigError("'k' must be an integer")
         grid = task.get("thresholds")
         if (not isinstance(grid, list) or not grid
-                or not all(isinstance(s, (int, float)) for s in grid)):
+                or not all(_is_int(s) or isinstance(s, float) for s in grid)):
             raise ConfigError("extremes task needs a numeric 'thresholds' list")
     elif name == "verify":
         suite = task.get("suite")
@@ -176,9 +176,13 @@ def _validate_task(name: str, task: dict) -> None:
                 f"verify task needs 'suite' in {sorted(SUITES)}"
             )
         for key in ("instances", "seed"):
-            if key in task and (not isinstance(task[key], int)
-                                or task[key] < 0):
+            if key in task and (not _is_int(task[key]) or task[key] < 0):
                 raise ConfigError(f"'{key}' must be a nonnegative integer")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_point_list(ps) -> None:
@@ -186,7 +190,7 @@ def _check_point_list(ps) -> None:
         raise ConfigError(f"point set must be a list, got {ps!r}")
     for p in ps:
         if (not isinstance(p, list) or len(p) != 2
-                or not all(isinstance(c, int) for c in p)):
+                or not all(_is_int(c) for c in p)):
             raise ConfigError(
                 f"each point must be a [floor, node] integer pair, got {p!r}"
             )
@@ -232,34 +236,20 @@ def _write_json(path: str, doc: dict) -> None:
 # tasks
 # ---------------------------------------------------------------------------
 
-def _build_windows(cfg: ExperimentConfig, ens: ChainEnsemble) -> WindowFamily:
-    try:
-        wf = window_family_from_json(ens.space, cfg.windows_doc)
-    except ValueError as exc:
-        raise ConfigError(f"bad windows section: {exc}") from exc
-    if wf.floors != ens.floors:
-        raise ConfigError(
-            f"{wf.floors} windows for {ens.floors} floors"
-        )
-    return wf
-
-
 def _as_points(ps) -> list[tuple[int, int]]:
     return [(int(p[0]), int(p[1])) for p in ps]
 
 
 def _task_correlations(cfg: ExperimentConfig, ens: ChainEnsemble,
-                       out_dir: str, opts) -> RunReport:
+                       wf: WindowFamily | None, out_dir: str,
+                       opts) -> RunReport:
     kernel = correlation_kernel(ens)
     values = []
     for ps in cfg.task["point_sets"]:
         points = _as_points(ps)
-        try:
-            val = correlation_function(kernel, points)
-        except ValueError as exc:
-            raise ConfigError(f"bad point set {ps!r}: {exc}") from exc
         values.append({"points": [[l, x] for l, x in points],
-                       "value": complex_pair(val)})
+                       "value": complex_pair(
+                           correlation_function(kernel, points))})
     results = {
         "kind": kernel.kind,
         "floors": ens.floors,
@@ -289,18 +279,13 @@ def _task_correlations(cfg: ExperimentConfig, ens: ChainEnsemble,
 
 
 def _task_janossy(cfg: ExperimentConfig, ens: ChainEnsemble,
-                  out_dir: str, opts) -> RunReport:
-    wf = _build_windows(cfg, ens)
+                  wf: WindowFamily, out_dir: str, opts) -> RunReport:
     jk = janossy_kernel_explicit(ens, wf)
     densities = []
     for ps in cfg.task.get("point_sets", []):
         points = _as_points(ps)
-        try:
-            val = janossy_density(jk, points)
-        except ValueError as exc:
-            raise ConfigError(f"bad point set {ps!r}: {exc}") from exc
         densities.append({"points": [[l, x] for l, x in points],
-                          "value": complex_pair(val)})
+                          "value": complex_pair(janossy_density(jk, points))})
     count_rows = []
     if cfg.task.get("counts"):
         law = count_distribution(ens, wf, budget=opts.budget)
@@ -320,8 +305,7 @@ def _task_janossy(cfg: ExperimentConfig, ens: ChainEnsemble,
 
 
 def _task_gap(cfg: ExperimentConfig, ens: ChainEnsemble,
-              out_dir: str, opts) -> RunReport:
-    wf = _build_windows(cfg, ens)
+              wf: WindowFamily, out_dir: str, opts) -> RunReport:
     kernel = correlation_kernel(ens)
     det = fredholm_det(restrict(kernel, wf))
     results = {
@@ -344,14 +328,12 @@ def _task_gap(cfg: ExperimentConfig, ens: ChainEnsemble,
 
 
 def _task_extremes(cfg: ExperimentConfig, ens: ChainEnsemble,
-                   out_dir: str, opts) -> RunReport:
+                   wf: WindowFamily | None, out_dir: str,
+                   opts) -> RunReport:
     floor = int(cfg.task.get("floor", 1))
     k = int(cfg.task.get("k", 1))
     grid = [float(s) for s in cfg.task["thresholds"]]
-    try:
-        curve = kth_extreme_distribution(ens, floor, k, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    curve = kth_extreme_distribution(ens, floor, k, grid)
     points = [{"s": pt.s, "count_probs": list(pt.count_probs),
                "prob_ge": pt.prob_ge, "cdf": pt.cdf} for pt in curve]
     results = {"floor": floor, "k": k, "points": points}
@@ -371,7 +353,8 @@ def _task_extremes(cfg: ExperimentConfig, ens: ChainEnsemble,
 
 
 def _task_verify(cfg: ExperimentConfig, ens: ChainEnsemble | None,
-                 out_dir: str, opts) -> RunReport:
+                 wf: WindowFamily | None, out_dir: str,
+                 opts) -> RunReport:
     task = cfg.task
     suite = task["suite"]
     seed = opts.seed if opts.seed is not None else task.get("seed", 1234)
@@ -416,7 +399,7 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
     opts = _Options(seed=seed, threads=max(1, int(threads)),
                     budget=int(budget))
 
-    ens = None
+    ens = wf = None
     if cfg.model is not None:
         spec = cfg.model
         if (seed is not None and spec.variant == "random"
@@ -425,21 +408,25 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
                                   dict(spec.params, seed=int(seed)))
         ens = build_model(spec)
         if cfg.task["name"] != "verify":
-            _check_task_dimensions(cfg, ens, opts.budget)
+            wf = _check_task_dimensions(cfg, ens, opts.budget)
 
     os.makedirs(out_dir, exist_ok=True)
-    report = _RUNNERS[cfg.task["name"]](cfg, ens, out_dir, opts)
+    report = _RUNNERS[cfg.task["name"]](cfg, ens, wf, out_dir, opts)
     _write_json(os.path.join(out_dir, "report.json"), report.to_json())
     report.files.append("report.json")
     return report
 
 
 def _check_task_dimensions(cfg: ExperimentConfig, ens: ChainEnsemble,
-                           budget: int) -> None:
-    """Point sets and count vectors must fit the built model.
+                           budget: int) -> WindowFamily | None:
+    """Windows, point sets, count vectors and extremes floor and k must fit
+    the built model.
 
-    A kernel dump writes (M P)^2 CSV rows; more than ``budget`` is refused.
+    Returns the window family of a janossy or gap task, None for the other
+    tasks.  A kernel dump writes (M P)^2 CSV rows; more than ``budget`` is
+    refused.
     """
+    name = cfg.task["name"]
     if cfg.task.get("dump_kernel"):
         rows = (ens.floors * ens.space.size) ** 2
         if rows > budget:
@@ -450,17 +437,27 @@ def _check_task_dimensions(cfg: ExperimentConfig, ens: ChainEnsemble,
                 f"count vector {vec!r} needs {ens.floors} entries "
                 f"in 0..{ens.n}"
             )
-    for key in ("point_sets",):
-        for ps in cfg.task.get(key, []) or []:
-            for l, x in _as_points(ps):
-                if not 1 <= l <= ens.floors:
-                    raise ConfigError(
-                        f"point floor {l} outside 1..{ens.floors}"
-                    )
-                if not 0 <= x < ens.space.size:
-                    raise ConfigError(
-                        f"point node {x} outside 0..{ens.space.size - 1}"
-                    )
+    if name == "extremes":
+        if not 1 <= cfg.task.get("floor", 1) <= ens.floors:
+            raise ConfigError(f"'floor' must lie in 1..{ens.floors}")
+        if not 1 <= cfg.task.get("k", 1) <= ens.n:
+            raise ConfigError(f"'k' must lie in 1..{ens.n}")
+    wf = None
+    if name in ("janossy", "gap"):
+        try:
+            wf = ens.check_windows(
+                window_family_from_json(ens.space, cfg.windows_doc))
+        except ValueError as exc:
+            raise ConfigError(f"bad windows section: {exc}") from exc
+    for ps in cfg.task.get("point_sets", []) or []:
+        try:
+            if name == "janossy":
+                ens.check_window_points(wf, _as_points(ps))
+            else:
+                ens.check_points(_as_points(ps))
+        except ValueError as exc:
+            raise ConfigError(f"bad point set {ps!r}: {exc}") from exc
+    return wf
 
 
 def main(argv=None) -> int:

@@ -53,7 +53,7 @@ from .chain_ensemble import (
     rcond_gate,
 )
 from .errors import BudgetExceededError
-from .kernels import KIND_JANOSSY, BlockKernel, check_points, kernel_from_tables
+from .kernels import KIND_JANOSSY, BlockKernel, kernel_from_tables, pair_index
 from .measure_space import Window, WindowFamily
 from .oracle import DEFAULT_BUDGET, IMAG_RESIDUE
 
@@ -69,11 +69,13 @@ class JanossyKernel:
 
     ``const`` is the probability that every window is empty; Janossy
     densities are ``const`` times determinants of ``kernel`` values.
+    ``gram`` is the complement pairing matrix A^c the kernel inverts.
     """
 
     kernel: BlockKernel
     windows: WindowFamily
     const: complex
+    gram: np.ndarray
 
     @property
     def ensemble(self) -> ChainEnsemble:
@@ -120,7 +122,8 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
         "complement pairing matrix", detail=f"windows: {wf.describe()}",
     )
     const = _det_ratio(tables.gram, ensemble.tables.gram)
-    return JanossyKernel(kernel=kernel, windows=wf, const=const)
+    return JanossyKernel(kernel=kernel, windows=wf, const=const,
+                         gram=tables.gram)
 
 
 def janossy_density(jk: JanossyKernel, points) -> complex:
@@ -129,25 +132,10 @@ def janossy_density(jk: JanossyKernel, points) -> complex:
     The density (against the product of node measures) of observing
     particles of floor l exactly at the floor-l points inside window I_l
     and nowhere else inside I_l, jointly over all floors.  The empty list
-    gives const(I).
+    gives const(I), as the 0 x 0 determinant is 1.
     """
-    ens = jk.ensemble
-    pts = check_points(ens, points)
-    counts = [0] * ens.floors
-    for floor, node in pts:
-        if not jk.windows.window(floor).mask[node]:
-            raise ValueError(
-                f"point (floor {floor}, node {node}) lies outside its window"
-            )
-        counts[floor - 1] += 1
-    for l, c in enumerate(counts, start=1):
-        if c > ens.n:
-            raise ValueError(
-                f"{c} points on floor {l} but only {ens.n} particles"
-            )
-    if not pts:
-        return jk.const
-    return complex(jk.const * np.linalg.det(jk.kernel.matrix_at(pts)))
+    pts = jk.ensemble.check_window_points(jk.windows, points)
+    return complex(jk.const * np.linalg.det(jk.kernel.blocks[pair_index(pts)]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,4 +297,4 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     kernel = BlockKernel(ensemble=ensemble, blocks=blocks,
                          kind=KIND_BIORTHOGONAL, warnings=warns)
     const = _det_ratio(a_comp, ensemble.tables.gram)
-    return JanossyKernel(kernel=kernel, windows=wf, const=const)
+    return JanossyKernel(kernel=kernel, windows=wf, const=const, gram=a_comp)

@@ -62,12 +62,7 @@ class BlockKernel:
 
     def value(self, l: int, x: int, m: int, y: int) -> complex:
         """Kernel value at (floor l, node x; floor m, node y)."""
-        self.ensemble.check_floor(l)
-        self.ensemble.check_floor(m)
-        P = self.size
-        for node in (x, y):
-            if not 0 <= int(node) < P:
-                raise ValueError(f"node index {node} outside 0..{P - 1}")
+        (l, x), (m, y) = self.ensemble.check_points([(l, x), (m, y)])
         return complex(self.blocks[l - 1, m - 1, x, y])
 
     def block(self, l: int, m: int) -> np.ndarray:
@@ -77,28 +72,13 @@ class BlockKernel:
 
     def matrix_at(self, points) -> np.ndarray:
         """Square matrix of kernel values at a list of (floor, node) points."""
-        pts = check_points(self.ensemble, points)
+        pts = self.ensemble.check_points(points)
         k = len(pts)
         out = np.empty((k, k), dtype=np.complex128)
         for i, (li, xi) in enumerate(pts):
             for j, (lj, xj) in enumerate(pts):
                 out[i, j] = self.blocks[li - 1, lj - 1, xi, xj]
         return out
-
-
-def check_points(ensemble: ChainEnsemble, points) -> list[tuple[int, int]]:
-    """Validate a list of (floor, node-index) pairs against an ensemble."""
-    out = []
-    P = ensemble.space.size
-    for p in points:
-        if len(p) != 2:
-            raise ValueError(f"point {p!r} is not a (floor, node) pair")
-        floor, node = int(p[0]), int(p[1])
-        ensemble.check_floor(floor)
-        if not 0 <= node < P:
-            raise ValueError(f"node index {node} outside 0..{P - 1}")
-        out.append((floor, node))
-    return out
 
 
 def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,

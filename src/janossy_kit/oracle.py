@@ -58,23 +58,20 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(mats)
 
 
-def _grid_flat_indices(domains: Sequence[np.ndarray], base: int) -> np.ndarray:
-    """Flat tuple-space indices of the grid product of per-slot domains."""
+def _grid(domains, weighted, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat tuple-space indices and node-weight products of a slot grid.
+
+    Slot j ranges over ``domains[j]``; its node weight enters the product
+    only when ``weighted[j]``.
+    """
     idx = np.zeros(1, dtype=np.int64)
-    for d in domains:
-        d = np.asarray(d, dtype=np.int64)
-        idx = (idx[:, None] * base + d[None, :]).reshape(-1)
-    return idx
-
-
-def _grid_weights(domains, weighted, w: np.ndarray) -> np.ndarray:
-    """Product of node weights over the weighted slots of the grid."""
     acc = np.ones(1, dtype=float)
     for d, use in zip(domains, weighted):
-        part = w[np.asarray(d, dtype=np.int64)] if use else \
-            np.ones(len(d), dtype=float)
+        d = np.asarray(d, dtype=np.int64)
+        part = w[d] if use else np.ones(d.size, dtype=float)
+        idx = (idx[:, None] * w.size + d[None, :]).reshape(-1)
         acc = (acc[:, None] * part[None, :]).reshape(-1)
-    return acc
+    return idx, acc
 
 
 class EnumeratedDistribution:
@@ -170,12 +167,10 @@ class EnumeratedDistribution:
         weight enters the product (fixed evaluation points do not).  This is
         the plain configuration sum, folded floor by floor.
         """
-        P = self.ensemble.space.size
         M = self.ensemble.floors
         w = self.ensemble.space.weights
-        sel = [_grid_flat_indices(slot_domains[l], P) for l in range(M)]
-        wv = [_grid_weights(slot_domains[l], slot_weighted[l], w)
-              for l in range(M)]
+        sel, wv = zip(*(_grid(d, u, w)
+                        for d, u in zip(slot_domains, slot_weighted)))
         if any(s.size == 0 for s in sel):
             return 0.0 + 0.0j
         u = self.det_f[sel[0]] * wv[0]
@@ -195,17 +190,10 @@ def enumerate_density(ensemble: ChainEnsemble,
     return EnumeratedDistribution(ensemble, budget)
 
 
-def _group_points(ensemble: ChainEnsemble, points) -> list[list[int]]:
-    """Per-floor fixed node lists from (floor, node) pairs, validated."""
+def _group_points(ensemble: ChainEnsemble, pts) -> list[list[int]]:
+    """Per-floor fixed node lists from validated (floor, node) pairs."""
     per_floor: list[list[int]] = [[] for _ in range(ensemble.floors)]
-    P = ensemble.space.size
-    for p in points:
-        if len(p) != 2:
-            raise ValueError(f"point {p!r} is not a (floor, node) pair")
-        floor, node = int(p[0]), int(p[1])
-        ensemble.check_floor(floor)
-        if not 0 <= node < P:
-            raise ValueError(f"node index {node} outside 0..{P - 1}")
+    for floor, node in pts:
         per_floor[floor - 1].append(node)
     for l, fixed in enumerate(per_floor, start=1):
         if len(fixed) > ensemble.n:
@@ -215,26 +203,37 @@ def _group_points(ensemble: ChainEnsemble, points) -> list[list[int]]:
     return per_floor
 
 
-def brute_correlation(dist: EnumeratedDistribution, points) -> complex:
-    """Correlation density at (floor, node) points by direct summation.
+def _fixed_point_sum(dist: EnumeratedDistribution, per_floor,
+                     free) -> complex:
+    """Density at fixed nodes, every other slot summed over a free domain.
 
-    Fixes the listed nodes in the leading coordinate slots of their floors,
-    sums the density over all remaining coordinates, and multiplies by the
-    ordered-tuple count n!/(n-k_l)! per floor.  Node weights of the fixed
-    points are not included: the value is a density against them.
+    Fixes each floor's listed nodes in its leading coordinate slots, sums
+    the normalized density over the remaining slots of floor l, each
+    ranging over ``free[l-1]``, and multiplies by the ordered-tuple count
+    n!/(n-k_l)! per floor.  Node weights of the fixed points are not
+    included: the value is a density against them.
     """
-    ens = dist.ensemble
-    per_floor = _group_points(ens, points)
-    n, M, P = ens.n, ens.floors, ens.space.size
-    allnodes = np.arange(P, dtype=np.int64)
+    n = dist.ensemble.n
     domains, weighted, factor = [], [], 1.0
-    for fixed in per_floor:
+    for fixed, nodes in zip(per_floor, free):
         k = len(fixed)
         domains.append([np.array([x], dtype=np.int64) for x in fixed]
-                       + [allnodes] * (n - k))
+                       + [nodes] * (n - k))
         weighted.append([False] * k + [True] * (n - k))
         factor *= math.factorial(n) / math.factorial(n - k)
     return complex(factor * dist.folded_sum(domains, weighted) / dist.z_det)
+
+
+def brute_correlation(dist: EnumeratedDistribution, points) -> complex:
+    """Correlation density at (floor, node) points by direct summation.
+
+    The free coordinates of every floor range over all nodes; see
+    _fixed_point_sum.
+    """
+    ens = dist.ensemble
+    allnodes = np.arange(ens.space.size, dtype=np.int64)
+    return _fixed_point_sum(dist, _group_points(ens, ens.check_points(points)),
+                            [allnodes] * ens.floors)
 
 
 def brute_janossy(dist: EnumeratedDistribution, windows: WindowFamily,
@@ -248,23 +247,9 @@ def brute_janossy(dist: EnumeratedDistribution, windows: WindowFamily,
     """
     ens = dist.ensemble
     wf = ens.check_windows(windows)
-    per_floor = _group_points(ens, points)
-    for l, fixed in enumerate(per_floor, start=1):
-        mask = wf.window(l).mask
-        for x in fixed:
-            if not mask[x]:
-                raise ValueError(f"point (floor {l}, node {x}) lies outside "
-                                 f"its window")
-    n = ens.n
-    domains, weighted, factor = [], [], 1.0
-    for l, fixed in enumerate(per_floor, start=1):
-        k = len(fixed)
-        outside = np.flatnonzero(~wf.window(l).mask).astype(np.int64)
-        domains.append([np.array([x], dtype=np.int64) for x in fixed]
-                       + [outside] * (n - k))
-        weighted.append([False] * k + [True] * (n - k))
-        factor *= math.factorial(n) / math.factorial(n - k)
-    return complex(factor * dist.folded_sum(domains, weighted) / dist.z_det)
+    per_floor = _group_points(ens, ens.check_window_points(wf, points))
+    return _fixed_point_sum(dist, per_floor,
+                            [np.flatnonzero(m) for m in wf.complement_masks()])
 
 
 def brute_count_probability(dist: EnumeratedDistribution,

@@ -24,12 +24,13 @@ import numpy as np
 from .chain_ensemble import ChainEnsemble, marginal_ensemble, partition_function
 from .errors import SingularOperatorError
 from .janossy import (
-    complement_tables,
+    JanossyKernel,
     count_distribution,
     janossy_density,
     janossy_kernel_explicit,
 )
 from .kernels import (
+    RestrictedOperator,
     complex_pair,
     correlation_function,
     correlation_kernel,
@@ -39,7 +40,7 @@ from .kernels import (
     resolvent_kernel,
     restrict,
 )
-from .measure_space import WindowFamily, make_discrete
+from .measure_space import WindowFamily
 from .models import build_random
 from .oracle import (
     DEFAULT_BUDGET,
@@ -161,17 +162,54 @@ def _all_pass(records: list) -> bool:
     return all(r["status"] in ("pass", "expected-error") for r in records)
 
 
-def _finish(suite: str, instances: int, seed: int, tolerance: float,
-            records: list) -> SuiteReport:
-    passed = _all_pass(records)
-    max_abs = max((r["abs_error"] for r in records
-                   if r["status"] != "expected-error"), default=0.0)
-    max_rel = max((r["rel_error"] for r in records
-                   if r["status"] != "expected-error"), default=0.0)
-    return SuiteReport(suite=suite, instances=instances, seed=seed,
-                       tolerance=tolerance, passed=passed,
-                       max_abs_error=max_abs, max_rel_error=max_rel,
-                       records=records)
+def _worst(pairs):
+    """The (oracle, closed form) pair farthest apart, by |a - b|.
+
+    The first such pair on ties; None when there are no pairs.
+    """
+    return max(pairs, key=lambda p: abs(p[0] - p[1]), default=None)
+
+
+SUITES: dict = {}
+
+
+def _suite(name: str):
+    """Register a per-instance record function as the suite ``name``.
+
+    The function maps ``(instance, seed, budget, tolerance)`` to its list
+    of records.  The registered suite runs it on instances 0..instances-1,
+    on a thread pool when ``threads`` > 1, and collects the records in
+    instance order, so reports do not depend on the thread count.
+    """
+    tol = TOLERANCES[name]
+
+    def register(instance_records):
+        def run(instances: int = DEFAULT_INSTANCES, seed: int = DEFAULT_SEED,
+                budget: int = DEFAULT_BUDGET, threads: int = 1) -> SuiteReport:
+            def worker(i: int) -> list[dict]:
+                return instance_records(i, seed, budget, tol)
+
+            if threads <= 1 or instances <= 1:
+                nested = [worker(i) for i in range(instances)]
+            else:
+                with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+                    nested = list(pool.map(worker, range(instances)))
+            records = [r for chunk in nested for r in chunk]
+            compared = [r for r in records if r["status"] != "expected-error"]
+            return SuiteReport(
+                suite=name, instances=instances, seed=seed, tolerance=tol,
+                passed=_all_pass(records),
+                max_abs_error=max((r["abs_error"] for r in compared),
+                                  default=0.0),
+                max_rel_error=max((r["rel_error"] for r in compared),
+                                  default=0.0),
+                records=records)
+
+        run.__name__ = instance_records.__name__
+        run.__doc__ = instance_records.__doc__
+        SUITES[name] = run
+        return run
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +243,9 @@ def draw_ensemble(seed: int, index: int, floors: int | None = None):
     return ens, desc, rng
 
 
-def draw_conditioned_windows(ens: ChainEnsemble, rng: np.random.Generator,
-                             attempts: int = 64) -> WindowFamily | None:
+def draw_conditioned_windows(
+        ens: ChainEnsemble, rng: np.random.Generator, attempts: int = 64
+) -> tuple[WindowFamily, JanossyKernel, RestrictedOperator] | None:
     """Random windows conditioned on well-posed restricted inversions.
 
     A floor whose draw would leave fewer than n complement nodes gets an
@@ -214,8 +253,10 @@ def draw_conditioned_windows(ens: ChainEnsemble, rng: np.random.Generator,
     complement to support the rank-n pairing, so such draws lie outside its
     domain rather than being hard instances of it.  A draw is kept only when
     the complement pairing matrix and Id minus the restricted kernel both
-    have condition number at most the gate.  Returns None when every attempt
-    fails (recorded by callers as a skip).
+    have condition number at most the gate.  Returns the accepted windows
+    with their closed-form Janossy kernel and the correlation kernel
+    restricted to them, or None when every attempt fails (recorded by
+    callers as a skip).
     """
     kernel = correlation_kernel(ens)
     P = ens.space.size
@@ -227,187 +268,136 @@ def draw_conditioned_windows(ens: ChainEnsemble, rng: np.random.Generator,
                 mask = np.zeros(P, dtype=bool)
             masks.append(mask)
         wf = WindowFamily(tuple(ens.space.window(m) for m in masks))
-        if np.linalg.cond(complement_tables(ens, wf).gram) > WINDOW_COND_GATE:
+        try:
+            jk = janossy_kernel_explicit(ens, wf)
+        except SingularOperatorError:
+            continue
+        if np.linalg.cond(jk.gram) > WINDOW_COND_GATE:
             continue
         op = restrict(kernel, wf)
         if op.size:
             t = np.eye(op.size, dtype=np.complex128) - op.matrix
             if np.linalg.cond(t) > WINDOW_COND_GATE:
                 continue
-        return wf
+        return wf, jk, op
     return None
 
 
-def _map_instances(worker, count: int, threads: int) -> list:
-    indices = list(range(count))
-    if threads <= 1 or count <= 1:
-        return [worker(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(worker, indices))
+def count_vectors(n: int, floors: int, total_max: int):
+    """All per-floor count vectors with entries <= n and total in
+    1..total_max."""
+    return [v for v in itertools.product(range(min(n, total_max) + 1),
+                                         repeat=floors)
+            if 1 <= sum(v) <= total_max]
+
+
+def point_sets(counts, nodes):
+    """Every ordered assignment of nodes realizing a count vector.
+
+    Floor l contributes ``counts[l-1]`` (floor, node) points, each node
+    drawn from ``nodes[l-1]``; yields one flat point list per assignment.
+    """
+    per_floor = [[[(l, int(x)) for x in tup]
+                  for tup in itertools.product(allowed, repeat=k)]
+                 for l, (k, allowed) in enumerate(zip(counts, nodes), start=1)]
+    for combo in itertools.product(*per_floor):
+        yield [p for chunk in combo for p in chunk]
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: one function per suite, from (instance, seed, budget, tolerance)
+# to that instance's records
 # ---------------------------------------------------------------------------
 
-def verify_heine(instances: int = DEFAULT_INSTANCES, seed: int = DEFAULT_SEED,
-                 budget: int = DEFAULT_BUDGET, threads: int = 1) -> SuiteReport:
+@_suite("heine")
+def verify_heine(i: int, seed: int, budget: int, tol: float) -> list[dict]:
     """(1/n!) sum_tuples det psi det chi prod(w) against det of pairings."""
-    tol = TOLERANCES["heine"]
-
-    def worker(i: int) -> dict:
-        rng = np.random.default_rng((seed, i, 7))
-        P = int(rng.integers(2, 6))
-        n = min(int(rng.integers(1, 4)), P)
-        w = rng.uniform(0.2, 1.2, P)
-        psi = rng.uniform(-1.0, 1.0, (n, P))
-        chi = rng.uniform(-1.0, 1.0, (n, P))
-        lhs = 0.0
-        for tup in itertools.product(range(P), repeat=n):
-            idx = list(tup)
-            lhs += (np.linalg.det(psi[:, idx]) * np.linalg.det(chi[:, idx])
-                    * np.prod(w[idx]))
-        lhs /= float(math.factorial(n))
-        return _record(i, {"nodes": P, "functions": n}, "pairing identity",
-                       lhs, np.linalg.det((psi * w[None, :]) @ chi.T), tol)
-
-    records = _map_instances(worker, instances, threads)
-    return _finish("heine", instances, seed, tol, records)
+    rng = np.random.default_rng((seed, i, 7))
+    P = int(rng.integers(2, 6))
+    n = min(int(rng.integers(1, 4)), P)
+    w = rng.uniform(0.2, 1.2, P)
+    psi = rng.uniform(-1.0, 1.0, (n, P))
+    chi = rng.uniform(-1.0, 1.0, (n, P))
+    lhs = 0.0
+    for tup in itertools.product(range(P), repeat=n):
+        idx = list(tup)
+        lhs += (np.linalg.det(psi[:, idx]) * np.linalg.det(chi[:, idx])
+                * np.prod(w[idx]))
+    lhs /= float(math.factorial(n))
+    return [_record(i, {"nodes": P, "functions": n}, "pairing identity",
+                    lhs, np.linalg.det((psi * w[None, :]) @ chi.T), tol)]
 
 
-def verify_partition(instances: int = DEFAULT_INSTANCES,
-                     seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
-                     threads: int = 1) -> SuiteReport:
+@_suite("partition")
+def verify_partition(i: int, seed: int, budget: int,
+                     tol: float) -> list[dict]:
     """Raw configuration sum against (n!)^M det A, relative error."""
-    tol = TOLERANCES["partition"]
-
-    def worker(i: int) -> dict:
-        ens, desc, _ = draw_ensemble(seed, i)
-        dist = enumerate_density(ens, budget=budget)
-        return _record(i, desc, "partition function", dist.z_raw,
-                       partition_function(ens), tol, relative=True)
-
-    records = _map_instances(worker, instances, threads)
-    return _finish("partition", instances, seed, tol, records)
+    ens, desc, _ = draw_ensemble(seed, i)
+    dist = enumerate_density(ens, budget=budget)
+    return [_record(i, desc, "partition function", dist.z_raw,
+                    partition_function(ens), tol, relative=True)]
 
 
-def count_vectors(n: int, floors: int, total_max: int, total_min: int = 1):
-    """All per-floor count vectors with entries <= n and bounded total."""
-    out = []
-    for v in itertools.product(range(min(n, total_max) + 1), repeat=floors):
-        if total_min <= sum(v) <= total_max:
-            out.append(v)
+@_suite("correlations")
+def verify_correlations(i: int, seed: int, budget: int,
+                        tol: float) -> list[dict]:
+    """Kernel determinants against brute correlation sums, all point sets
+    with at most three points."""
+    ens, desc, _ = draw_ensemble(seed, i)
+    dist = enumerate_density(ens, budget=budget)
+    kernel = correlation_kernel(ens)
+    allnodes = [range(ens.space.size)] * ens.floors
+    pairs = [(brute_correlation(dist, points),
+              correlation_function(kernel, points))
+             for counts in count_vectors(ens.n, ens.floors, 3)
+             for points in point_sets(counts, allnodes)]
+    return [_record(i, dict(desc, point_sets=len(pairs)),
+                    "correlation determinants (worst point set)",
+                    *_worst(pairs), tol)]
+
+
+@_suite("janossy")
+def verify_janossy(i: int, seed: int, budget: int, tol: float) -> list[dict]:
+    """Janossy closed forms against brute sums: gaps, densities on every
+    in-window point set with at most two points, counts."""
+    ens, desc, rng = draw_ensemble(seed, i)
+    drawn = draw_conditioned_windows(ens, rng)
+    if drawn is None:
+        return [_note(i, desc, "window conditioning")]
+    wf, jk, op = drawn
+    desc = dict(desc, windows=[w.count for w in wf.windows])
+    dist = enumerate_density(ens, budget=budget)
+    # gap probability: three routes pairwise
+    gap_fred = fredholm_det(op)
+    gap_brute = brute_count_probability(dist, wf, [0] * ens.floors)
+    out = [_record(i, desc, "gap probability (fredholm vs brute)",
+                   gap_brute, gap_fred, tol),
+           _record(i, desc, "gap probability (const vs fredholm)",
+                   gap_fred, jk.const, tol)]
+    inside = [w.node_indices.tolist() for w in wf.windows]
+    worst = _worst((brute_janossy(dist, wf, points),
+                    janossy_density(jk, points))
+                   for counts in count_vectors(ens.n, ens.floors, 2)
+                   for points in point_sets(counts, inside))
+    if worst is not None:
+        out.append(_record(i, desc, "janossy densities (worst point set)",
+                           *worst, tol))
+    # count probabilities: every count vector against the oracle
+    law = count_distribution(ens, wf)
+    worst = _worst((brute_count_probability(dist, wf, counts), law[counts])
+                   for counts in itertools.product(range(ens.n + 1),
+                                                   repeat=ens.floors))
+    out.append(_record(i, desc, "count probabilities (worst count "
+                       "vector, generating function vs brute)", *worst, tol))
+    # closure holds by construction: the entries sum to p(1) = 1
+    out.append(_record(i, desc, "count closure", 1.0, law.sum(), tol,
+                       scale=10.0))
     return out
 
 
-def _all_point_sets(ens: ChainEnsemble, counts) -> list[list[tuple[int, int]]]:
-    """Every ordered assignment of nodes realizing a count vector."""
-    P = ens.space.size
-    per_floor = []
-    for l, k in enumerate(counts, start=1):
-        per_floor.append(
-            [[(l, x) for x in tup]
-             for tup in itertools.product(range(P), repeat=k)]
-        )
-    sets = []
-    for combo in itertools.product(*per_floor):
-        sets.append([p for chunk in combo for p in chunk])
-    return sets
-
-
-def verify_correlations(instances: int = DEFAULT_INSTANCES,
-                        seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
-                        threads: int = 1, total_max: int = 3) -> SuiteReport:
-    """Kernel determinants against brute correlation sums, all point sets."""
-    tol = TOLERANCES["correlations"]
-
-    def worker(i: int) -> dict:
-        ens, desc, _ = draw_ensemble(seed, i)
-        dist = enumerate_density(ens, budget=budget)
-        kernel = correlation_kernel(ens)
-        worst = 0.0
-        worst_pair = (0.0 + 0.0j, 0.0 + 0.0j)
-        checked = 0
-        for counts in count_vectors(ens.n, ens.floors, total_max):
-            for points in _all_point_sets(ens, counts):
-                det_form = correlation_function(kernel, points)
-                brute = brute_correlation(dist, points)
-                err = abs(det_form - brute)
-                checked += 1
-                if err > worst:
-                    worst, worst_pair = err, (brute, det_form)
-        desc = dict(desc, point_sets=checked)
-        return _record(i, desc, "correlation determinants (worst point set)",
-                       worst_pair[0], worst_pair[1], tol)
-
-    records = _map_instances(worker, instances, threads)
-    return _finish("correlations", instances, seed, tol, records)
-
-
-def verify_janossy(instances: int = DEFAULT_INSTANCES,
-                   seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
-                   threads: int = 1, total_max: int = 2) -> SuiteReport:
-    """Janossy closed forms against brute sums: densities, gaps, counts."""
-    tol = TOLERANCES["janossy"]
-
-    def worker(i: int) -> list[dict]:
-        ens, desc, rng = draw_ensemble(seed, i)
-        wf = draw_conditioned_windows(ens, rng)
-        if wf is None:
-            return [_note(i, desc, "window conditioning")]
-        desc = dict(desc, windows=[w.count for w in wf.windows])
-        dist = enumerate_density(ens, budget=budget)
-        kernel = correlation_kernel(ens)
-        jk = janossy_kernel_explicit(ens, wf)
-        out = []
-        # gap probability: three routes pairwise
-        gap_fred = fredholm_det(restrict(kernel, wf))
-        gap_brute = brute_count_probability(dist, wf, [0] * ens.floors)
-        out.append(_record(i, desc, "gap probability (fredholm vs brute)",
-                           gap_brute, gap_fred, tol))
-        out.append(_record(i, desc, "gap probability (const vs fredholm)",
-                           gap_fred, jk.const, tol))
-        # densities on every in-window point set with small total
-        worst, pair = -1.0, (0.0 + 0.0j, 0.0 + 0.0j)
-        for counts in count_vectors(ens.n, ens.floors, total_max):
-            per_floor = [
-                [[(l, int(x)) for x in tup] for tup in
-                 itertools.product(wf.window(l).node_indices.tolist(), repeat=k)]
-                for l, k in enumerate(counts, start=1)
-            ]
-            for combo in itertools.product(*per_floor):
-                points = [p for chunk in combo for p in chunk]
-                a = brute_janossy(dist, wf, points)
-                b = janossy_density(jk, points)
-                err = abs(a - b)
-                if err > worst:
-                    worst, pair = err, (a, b)
-        if worst >= 0.0:
-            out.append(_record(i, desc, "janossy densities (worst point set)",
-                               pair[0], pair[1], tol))
-        # count probabilities: every count vector against the oracle
-        law = count_distribution(ens, wf)
-        worst, pair = -1.0, (0.0 + 0.0j, 0.0 + 0.0j)
-        for counts in itertools.product(range(ens.n + 1), repeat=ens.floors):
-            a, b = brute_count_probability(dist, wf, counts), law[counts]
-            if abs(a - b) > worst:
-                worst, pair = abs(a - b), (a, b)
-        out.append(_record(i, desc, "count probabilities (worst count "
-                           "vector, generating function vs brute)",
-                           pair[0], pair[1], tol))
-        # closure holds by construction: the entries sum to p(1) = 1
-        out.append(_record(i, desc, "count closure", 1.0, law.sum(), tol,
-                           scale=10.0))
-        return out
-
-    nested = _map_instances(worker, instances, threads)
-    records = [r for chunk in nested for r in chunk]
-    return _finish("janossy", instances, seed, tol, records)
-
-
-def verify_resolvent(instances: int = DEFAULT_INSTANCES,
-                   seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
-                   threads: int = 1) -> SuiteReport:
+@_suite("resolvent")
+def verify_resolvent(i: int, seed: int, budget: int,
+                     tol: float) -> list[dict]:
     """Closed-form window kernel against the resolvent of the restriction.
 
     Instance 0 deliberately uses full windows, where the construction must
@@ -415,122 +405,84 @@ def verify_resolvent(instances: int = DEFAULT_INSTANCES,
     expected error.  Other instances condition their window draw on
     well-posed inversions.
     """
-    tol = TOLERANCES["resolvent"]
-
-    def worker(i: int) -> dict:
-        ens, desc, rng = draw_ensemble(seed, i)
-        kernel = correlation_kernel(ens)
-        if i == 0:
-            wf = WindowFamily(tuple(ens.space.full_window()
-                                    for _ in range(ens.floors)))
-            try:
-                janossy_kernel_explicit(ens, wf)
-                status = "fail"
-            except SingularOperatorError:
-                status = "expected-error"
-            return _note(i, dict(desc, windows="full"), "full windows reject",
-                         status)
-        wf = draw_conditioned_windows(ens, rng)
-        if wf is None:
-            return _note(i, desc, "window conditioning")
-        desc = dict(desc, windows=[w.count for w in wf.windows])
-        jk = janossy_kernel_explicit(ens, wf)
-        res = resolvent_kernel(kernel, wf)
-        idx = pair_index(wf.points())
-        a, b = res.blocks[idx], jk.kernel.blocks[idx]
-        scale, pair = 1.0, (0.0 + 0.0j, 0.0 + 0.0j)
-        if a.size:
-            pos = np.unravel_index(int(np.abs(a - b).argmax()), a.shape)
-            scale, pair = 1.0 + float(np.abs(a).max()), (a[pos], b[pos])
-        return _record(i, desc, "window kernel (resolvent vs closed form)",
-                       pair[0], pair[1], tol, scale=scale)
-
-    records = _map_instances(worker, instances, threads)
-    return _finish("resolvent", instances, seed, tol, records)
+    ens, desc, rng = draw_ensemble(seed, i)
+    if i == 0:
+        wf = WindowFamily(tuple(ens.space.full_window()
+                                for _ in range(ens.floors)))
+        try:
+            janossy_kernel_explicit(ens, wf)
+            status = "fail"
+        except SingularOperatorError:
+            status = "expected-error"
+        return [_note(i, dict(desc, windows="full"), "full windows reject",
+                      status)]
+    drawn = draw_conditioned_windows(ens, rng)
+    if drawn is None:
+        return [_note(i, desc, "window conditioning")]
+    wf, jk, op = drawn
+    desc = dict(desc, windows=[w.count for w in wf.windows])
+    res = resolvent_kernel(op.kernel, wf)
+    idx = pair_index(op.index)
+    a, b = res.blocks[idx], jk.kernel.blocks[idx]
+    scale, pair = 1.0, (0.0 + 0.0j, 0.0 + 0.0j)
+    if a.size:
+        pos = np.unravel_index(int(np.abs(a - b).argmax()), a.shape)
+        scale, pair = 1.0 + float(np.abs(a).max()), (a[pos], b[pos])
+    return [_record(i, desc, "window kernel (resolvent vs closed form)",
+                    pair[0], pair[1], tol, scale=scale)]
 
 
-def verify_dyson_mehta(instances: int = DEFAULT_INSTANCES,
-                       seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
-                       threads: int = 1) -> SuiteReport:
+@_suite("dyson-mehta")
+def verify_dyson_mehta(i: int, seed: int, budget: int,
+                       tol: float) -> list[dict]:
     """Reproducing-identity residuals per floor pair, scaled by max(1, max|W|).
 
     One record per floor pair (k, m), carrying the intermediate floor l
     with the largest residual; see kernels.dyson_mehta_check.
     """
-    tol = TOLERANCES["dyson-mehta"]
-
-    def worker(i: int) -> list[dict]:
-        ens, desc, _ = draw_ensemble(seed, i)
-        residual, scale = dyson_mehta_check(correlation_kernel(ens))
-        out = []
-        for k in range(1, ens.floors + 1):
-            for m in range(1, ens.floors + 1):
-                l = int(residual[k - 1, :, m - 1].argmax())
-                out.append(_record(i, dict(desc, worst_l=l + 1),
-                                   f"reproducing identity k={k} m={m}",
-                                   0.0, residual[k - 1, l, m - 1], tol,
-                                   scale=scale))
-        return out
-
-    nested = _map_instances(worker, instances, threads)
-    records = [r for chunk in nested for r in chunk]
-    return _finish("dyson-mehta", instances, seed, tol, records)
+    ens, desc, _ = draw_ensemble(seed, i)
+    residual, scale = dyson_mehta_check(correlation_kernel(ens))
+    out = []
+    for k in range(1, ens.floors + 1):
+        for m in range(1, ens.floors + 1):
+            l = int(residual[k - 1, :, m - 1].argmax())
+            out.append(_record(i, dict(desc, worst_l=l + 1),
+                               f"reproducing identity k={k} m={m}",
+                               0.0, residual[k - 1, l, m - 1], tol,
+                               scale=scale))
+    return out
 
 
-def verify_marginal(instances: int = DEFAULT_INSTANCES,
-                    seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
-                    threads: int = 1) -> SuiteReport:
+@_suite("marginal")
+def verify_marginal(i: int, seed: int, budget: int, tol: float) -> list[dict]:
     """Marginal-chain correlations against the parent chain, M = 3."""
-    tol = TOLERANCES["marginal"]
-
-    def worker(i: int) -> list[dict]:
-        ens, desc, rng = draw_ensemble(seed, i, floors=3)
-        kernel = correlation_kernel(ens)
-        P = ens.space.size
-        out = []
-        subsets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
-        for floors in subsets:
-            marg = marginal_ensemble(ens, list(floors))
-            km = correlation_kernel(marg)
-            gram_err = float(np.abs(marg.tables.gram - ens.tables.gram).max())
-            worst, pair = -1.0, (0.0 + 0.0j, 0.0 + 0.0j)
-            # one-point values on every floor and node
-            for j, parent_floor in enumerate(floors, start=1):
-                for x in range(P):
-                    a = correlation_function(kernel, [(parent_floor, x)])
-                    b = correlation_function(km, [(j, x)])
-                    if abs(a - b) > worst:
-                        worst, pair = abs(a - b), (a, b)
-            # one cross-floor pair when available
-            if len(floors) == 2:
-                x, y = int(rng.integers(P)), int(rng.integers(P))
-                a = correlation_function(
-                    kernel, [(floors[0], x), (floors[1], y)])
-                b = correlation_function(km, [(1, x), (2, y)])
-                if abs(a - b) > worst:
-                    worst, pair = abs(a - b), (a, b)
-            d = dict(desc, floors_kept=list(floors), gram_error=gram_err)
-            # relative above unit scale, absolute below: one-point values of
-            # signed ensembles may pass near zero, where a pure ratio lies
-            scale = max(abs(complex(pair[0])), abs(complex(pair[1])), 1.0)
-            out.append(_record(i, d, f"marginal correlations {floors}",
-                               pair[0], pair[1], tol, scale=scale))
-        return out
-
-    nested = _map_instances(worker, instances, threads)
-    records = [r for chunk in nested for r in chunk]
-    return _finish("marginal", instances, seed, tol, records)
-
-
-SUITES = {
-    "heine": verify_heine,
-    "partition": verify_partition,
-    "correlations": verify_correlations,
-    "janossy": verify_janossy,
-    "resolvent": verify_resolvent,
-    "dyson-mehta": verify_dyson_mehta,
-    "marginal": verify_marginal,
-}
+    ens, desc, rng = draw_ensemble(seed, i, floors=3)
+    kernel = correlation_kernel(ens)
+    P = ens.space.size
+    out = []
+    for floors in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]:
+        marg = marginal_ensemble(ens, list(floors))
+        km = correlation_kernel(marg)
+        gram_err = float(np.abs(marg.tables.gram - ens.tables.gram).max())
+        # one-point values on every floor and node
+        pairs = [(correlation_function(kernel, [(parent_floor, x)]),
+                  correlation_function(km, [(j, x)]))
+                 for j, parent_floor in enumerate(floors, start=1)
+                 for x in range(P)]
+        # one cross-floor pair when available
+        if len(floors) == 2:
+            x, y = int(rng.integers(P)), int(rng.integers(P))
+            pairs.append((
+                correlation_function(kernel, [(floors[0], x), (floors[1], y)]),
+                correlation_function(km, [(1, x), (2, y)])))
+        a, b = _worst(pairs)
+        d = dict(desc, floors_kept=list(floors), gram_error=gram_err)
+        # relative above unit scale, absolute below: one-point values of
+        # signed ensembles may pass near zero, where a pure ratio lies
+        scale = max(abs(complex(a)), abs(complex(b)), 1.0)
+        out.append(_record(i, d, f"marginal correlations {floors}", a, b, tol,
+                           scale=scale))
+    return out
 
 
 def verify_suite(name: str, instances: int = DEFAULT_INSTANCES,

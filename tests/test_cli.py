@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,15 @@ EXTREMES_CONFIG = {
     "output": {"formats": ["json", "csv"]},
 }
 
+JANOSSY_CONFIG = {
+    "model": {"variant": "random", "seed": 20240901, "nodes": 5,
+              "particles": 2, "floors": 2},
+    "windows": [{"mask": [True, True, False, False, False]},
+                {"mask": [False, False, False, True, True]}],
+    "task": {"name": "janossy", "point_sets": [[[1, 0]], [[1, 0], [2, 4]]],
+             "counts": [[0, 0], [1, 1]]},
+}
+
 VERIFY_CONFIG = {
     "task": {"name": "verify", "suite": "heine", "instances": 4, "seed": 2},
 }
@@ -46,6 +56,10 @@ def write_config(tmp_path, doc, name="config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def read_json(out_dir, name="report.json") -> dict:
+    return json.loads(Path(out_dir, name).read_text())
 
 
 def run(tmp_path, doc, *args, out="out") -> tuple[int, str]:
@@ -58,25 +72,25 @@ def run(tmp_path, doc, *args, out="out") -> tuple[int, str]:
 def test_gap_task_end_to_end(tmp_path, capsys):
     code, out_dir = run(tmp_path, GAP_CONFIG)
     assert code == 0
-    report = json.load(open(os.path.join(out_dir, "report.json")))
+    report = read_json(out_dir)
     assert report["schema"] == "jk-report-1"
     assert report["task"] == "gap"
     assert report["results"]["route_abs_difference"] < 1e-10
     # timings are printed, never stored
     assert "wall" in capsys.readouterr().out
-    assert "wall" not in open(os.path.join(out_dir, "report.json")).read()
+    assert "wall" not in Path(out_dir, "report.json").read_text()
 
 
 def test_correlations_task_writes_tagged_csv(tmp_path):
     code, out_dir = run(tmp_path, CORR_CONFIG)
     assert code == 0
-    csv_text = open(os.path.join(out_dir, "correlations.csv")).read()
+    csv_text = Path(out_dir, "correlations.csv").read_text()
     assert csv_text.startswith("# jk-csv-1 correlations")
-    kernel_text = open(os.path.join(out_dir, "kernel.csv")).read()
+    kernel_text = Path(out_dir, "kernel.csv").read_text()
     assert kernel_text.startswith("# jk-csv-1 kernel")
-    kernel_doc = json.load(open(os.path.join(out_dir, "kernel.json")))
+    kernel_doc = read_json(out_dir, "kernel.json")
     assert kernel_doc["schema"] == "jk-kernel-1"
-    report = json.load(open(os.path.join(out_dir, "report.json")))
+    report = read_json(out_dir)
     assert sorted(report["files"]) == ["correlations.csv", "kernel.csv",
                                        "kernel.json"]
 
@@ -84,10 +98,10 @@ def test_correlations_task_writes_tagged_csv(tmp_path):
 def test_extremes_task_curve_is_monotone(tmp_path):
     code, out_dir = run(tmp_path, EXTREMES_CONFIG)
     assert code == 0
-    report = json.load(open(os.path.join(out_dir, "report.json")))
+    report = read_json(out_dir)
     cdfs = [p["cdf"] for p in report["results"]["points"]]
     assert all(b >= a - 1e-12 for a, b in zip(cdfs, cdfs[1:]))
-    lines = open(os.path.join(out_dir, "extremes.csv")).read().splitlines()
+    lines = Path(out_dir, "extremes.csv").read_text().splitlines()
     assert lines[0].startswith("# jk-csv-1 extremes")
     assert lines[1] == "s,prob_ge,cdf,p_count_0"
 
@@ -97,7 +111,7 @@ def test_verify_task_prints_pass_lines(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("heine instance") == 4
-    report = json.load(open(os.path.join(out_dir, "report.json")))
+    report = read_json(out_dir)
     assert report["results"]["suite"] == "heine"
     assert report["passed"] is True
 
@@ -109,9 +123,9 @@ def test_reruns_are_byte_identical(tmp_path):
                       out="third")
     assert code1 == code2 == code3 == 0
     for name in ("report.json", "extremes.csv"):
-        first = open(os.path.join(out1, name), "rb").read()
-        assert first == open(os.path.join(out2, name), "rb").read()
-        assert first == open(os.path.join(out3, name), "rb").read()
+        first = Path(out1, name).read_bytes()
+        assert first == Path(out2, name).read_bytes()
+        assert first == Path(out3, name).read_bytes()
 
 
 def test_malformed_json_exits_2_without_output_dir(tmp_path):
@@ -139,6 +153,26 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     {"task": {"name": "verify", "suite": "mystery"}},
     {"model": {"variant": "random", "seed": 1},
      "task": {"name": "correlations", "point_sets": [[[1, 0]]]}},
+    # windows and janossy points are checked against the model up front
+    dict(JANOSSY_CONFIG, windows=JANOSSY_CONFIG["windows"][:1]),
+    dict(JANOSSY_CONFIG, task=dict(JANOSSY_CONFIG["task"],
+                                   point_sets=[[[1, 1], [1, 2], [1, 3]]])),
+    dict(JANOSSY_CONFIG, task=dict(JANOSSY_CONFIG["task"],
+                                   point_sets=[[[1, 0], [1, 1], [1, 1]]])),
+    dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"], k=3)),
+    dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"], floor=2)),
+    # JSON booleans are not integers or numbers
+    dict(VERIFY_CONFIG, task=dict(VERIFY_CONFIG["task"], instances=True)),
+    dict(VERIFY_CONFIG, task=dict(VERIFY_CONFIG["task"], seed=False)),
+    dict(VERIFY_CONFIG, tolerances={"verify": True}),
+    dict(CORR_CONFIG, task=dict(CORR_CONFIG["task"],
+                                point_sets=[[[True, False]]])),
+    dict(JANOSSY_CONFIG, task=dict(JANOSSY_CONFIG["task"],
+                                   counts=[[True, 0]])),
+    dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"], floor=True)),
+    dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"], k=True)),
+    dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"],
+                                    thresholds=[0.0, True])),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)
@@ -186,7 +220,7 @@ def test_tolerance_override_exits_1_but_writes_report(tmp_path):
            "tolerances": {"verify": 1e-30}}
     code, out_dir = run(tmp_path, doc)
     assert code == 1
-    report = json.load(open(os.path.join(out_dir, "report.json")))
+    report = read_json(out_dir)
     assert report["passed"] is False
 
 
@@ -195,8 +229,7 @@ def test_partition_override_judges_relative_error(tmp_path):
                     "seed": 2}}
     code, out_dir = run(tmp_path, doc, out="plain")
     assert code == 0
-    records = json.load(open(os.path.join(out_dir, "report.json"))
-                        )["results"]["records"]
+    records = read_json(out_dir)["results"]["records"]
     max_abs = max(r["abs_error"] for r in records)
     max_rel = max(r["rel_error"] for r in records)
     assert max_abs < max_rel
@@ -205,8 +238,7 @@ def test_partition_override_judges_relative_error(tmp_path):
     code, out_dir = run(tmp_path, dict(doc, tolerances={"partition": tol}),
                         out="tight")
     assert code == 1
-    results = json.load(open(os.path.join(out_dir, "report.json"))
-                        )["results"]
+    results = read_json(out_dir)["results"]
     assert results["tolerance"] == tol
     failed = [r for r in results["records"] if r["status"] == "fail"]
     assert failed
@@ -231,8 +263,7 @@ def test_override_keeps_a_failed_probe_failing(tmp_path, monkeypatch):
            "tolerances": {"resolvent": 1.0}}
     code, out_dir = run(tmp_path, doc)
     assert code == 1
-    first = json.load(open(os.path.join(out_dir, "report.json"))
-                      )["results"]["records"][0]
+    first = read_json(out_dir)["results"]["records"][0]
     assert first["quantity"] == "full windows reject"
     assert first["status"] == "fail"
     assert first["judged_error"] is None
@@ -258,8 +289,7 @@ def test_janossy_count_law_respects_the_budget(tmp_path, capsys):
     code, out_dir = run(tmp_path, JANOSSY_SIX_FLOORS, "--budget",
                         str(3 ** 6), out="fits")
     assert code == 0
-    results = json.load(open(os.path.join(out_dir, "report.json"))
-                        )["results"]
+    results = read_json(out_dir)["results"]
     rows = results["count_probabilities"]
     assert [r["counts"] for r in rows] == JANOSSY_SIX_FLOORS["task"]["counts"]
     assert rows[0]["probability"] == pytest.approx(
@@ -277,7 +307,7 @@ def test_kernel_dump_respects_the_budget(tmp_path, capsys):
     assert not os.path.exists(out_dir)
     code, out_dir = run(tmp_path, CORR_CONFIG, "--budget", "64", out="fits")
     assert code == 0
-    lines = open(os.path.join(out_dir, "kernel.csv")).read().splitlines()
+    lines = Path(out_dir, "kernel.csv").read_text().splitlines()
     assert len(lines) == 2 + 64
 
 
@@ -297,9 +327,9 @@ def test_seed_flag_overrides_verify_seed(tmp_path):
     code_b, out_b = run(tmp_path, doc, "--seed", "2", out="b")
     code_c, out_c = run(tmp_path, doc, "--seed", "99", out="c")
     assert code_a == code_b == code_c == 0
-    ra = json.load(open(os.path.join(out_a, "report.json")))
-    rb = json.load(open(os.path.join(out_b, "report.json")))
-    rc = json.load(open(os.path.join(out_c, "report.json")))
+    ra = read_json(out_a)
+    rb = read_json(out_b)
+    rc = read_json(out_c)
     assert ra["results"]["records"] == rb["results"]["records"]
     assert ra["results"]["records"] != rc["results"]["records"]
 

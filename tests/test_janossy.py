@@ -289,3 +289,22 @@ def test_correlation_kernel_matches_hermite_projection():
                       * np.exp(-x * x / 2.0) / norm)
     projection = hermite.T @ hermite
     assert np.max(np.abs(kernel - projection)) < 1e-8
+
+
+def test_kth_extreme_at_k_equal_n_with_twenty_particles():
+    """The n-th largest of n = 20 particles is the smallest: its curve is
+    the law of the count above s, closed at every point, nondecreasing,
+    with Pr(no particle above s) the Fredholm gap probability."""
+    n = 20
+    ens = build_unitary([0.0, 0.0, 0.5], n, make_quadrature((-10.0, 10.0), 80))
+    kernel = correlation_kernel(ens)
+    curve = kth_extreme_distribution(ens, 1, n, np.linspace(-9.0, 9.0, 19))
+    for pt in curve:
+        assert len(pt.count_probs) == n + 1
+        assert sum(pt.count_probs) == pytest.approx(1.0, abs=1e-12)
+        assert pt.prob_ge == pytest.approx(pt.count_probs[n], abs=1e-12)
+        window = ens.space.window_from_intervals([(pt.s, None)])
+        gap = fredholm_det(restrict(kernel, WindowFamily((window,))))
+        assert pt.count_probs[0] == pytest.approx(gap.real, abs=1e-12)
+    cdfs = [pt.cdf for pt in curve]
+    assert all(b >= a - 1e-12 for a, b in zip(cdfs, cdfs[1:]))

@@ -18,7 +18,6 @@ from janossy_kit.kernels import (
     CSV_SCHEMA,
     JSON_SCHEMA,
     atomic_open,
-    check_points,
     correlation_function,
     correlation_kernel,
     dyson_mehta_check,
@@ -50,10 +49,10 @@ def test_kernel_block_layout_and_value_agree():
 
 def test_check_points_validates_floors_and_nodes():
     ens = build_random(2, 4, 2, 2)
-    assert check_points(ens, [(1, 0), (2, 3)]) == [(1, 0), (2, 3)]
+    assert ens.check_points([(1, 0), (2, 3)]) == [(1, 0), (2, 3)]
     for bad in ([(0, 0)], [(3, 0)], [(1, -1)], [(1, 4)]):
         with pytest.raises(ValueError):
-            check_points(ens, bad)
+            ens.check_points(bad)
 
 
 def test_correlation_determinants_match_brute_enumeration():

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from janossy_kit import janossy, verify
 from janossy_kit.verify import (
     SUITES,
+    _worst,
     draw_ensemble,
     verify_suite,
 )
@@ -35,9 +38,51 @@ def test_suite_reports_are_deterministic_across_reruns():
 
 
 def test_thread_count_does_not_change_report_bytes():
-    a = verify_suite("janossy", instances=8, seed=3, threads=1).to_json()
-    b = verify_suite("janossy", instances=8, seed=3, threads=4).to_json()
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    for name in sorted(SUITES):
+        a = verify_suite(name, instances=4, seed=3, threads=1).to_json()
+        b = verify_suite(name, instances=4, seed=3, threads=3).to_json()
+        assert (json.dumps(a, sort_keys=True)
+                == json.dumps(b, sort_keys=True)), name
+
+
+def test_worst_pair_is_the_first_farthest_apart():
+    assert _worst([]) is None
+    assert _worst(iter(())) is None
+    # ties go to the first pair
+    assert _worst([(1.0, 1.0), (0.0, 2.0), (3.0, 1.0)]) == (0.0, 2.0)
+    assert _worst([(1j, -1j), (2.0, 0.0)]) == (1j, -1j)
+    # distance is the complex modulus, not the real-part gap
+    assert _worst([(0.0, 1.5), (1j, 1 + 2j)]) == (0.0, 1.5)
+    assert _worst([(0.0, 1.4), (1j, 1 + 2j)]) == (1j, 1 + 2j)
+    assert _worst([(0.0, 0.5), (1j, -1j)]) == (1j, -1j)
+
+
+def test_janossy_suite_builds_each_accepted_complement_once(monkeypatch):
+    """Every accepted window draw has its complement tables built exactly
+    once: the suite reuses the Janossy kernel the draw was gated on."""
+    builds, accepted = [], []
+    build = janossy.build_tables
+    draw = verify.draw_conditioned_windows
+
+    def counting_build(f, phi, g, floor_weights):
+        builds.append((f, [np.array(w) for w in floor_weights]))
+        return build(f, phi, g, floor_weights)
+
+    def recording_draw(ens, rng):
+        drawn = draw(ens, rng)
+        if drawn is not None:
+            accepted.append((ens, drawn[0]))
+        return drawn
+
+    monkeypatch.setattr(janossy, "build_tables", counting_build)
+    monkeypatch.setattr(verify, "draw_conditioned_windows", recording_draw)
+    assert verify_suite("janossy", instances=10, seed=1234).passed
+    assert len(accepted) == 10
+    for ens, wf in accepted:
+        weights = [ens.space.weights * m for m in wf.complement_masks()]
+        same = [ws for f, ws in builds if f is ens.f
+                and all(np.array_equal(a, b) for a, b in zip(ws, weights))]
+        assert len(same) == 1
 
 
 def test_different_seeds_draw_different_instances():
