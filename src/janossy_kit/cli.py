@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -49,6 +50,7 @@ from .janossy import (
 )
 from .kernels import (
     CSV_SCHEMA,
+    KIND_JANOSSY,
     atomic_open,
     complex_pair,
     correlation_function,
@@ -59,7 +61,7 @@ from .kernels import (
     restrict,
 )
 from .measure_space import WindowFamily, window_family_from_json
-from .models import ChainModelSpec, build_model
+from .models import ChainModelSpec, _is_int, build_model
 from .oracle import DEFAULT_BUDGET
 from .verify import SUITES, verify_suite
 
@@ -130,8 +132,9 @@ class ExperimentConfig:
         if not isinstance(tolerances, dict):
             raise ConfigError("'tolerances' must be an object")
         for key, val in tolerances.items():
-            if not (_is_int(val) or isinstance(val, float)) or val <= 0:
-                raise ConfigError(f"tolerance {key!r} must be positive")
+            if not _is_number(val) or val <= 0:
+                raise ConfigError(
+                    f"tolerance {key!r} must be a positive finite number")
 
         _validate_task(name, task)
         return ExperimentConfig(task=task, model=model,
@@ -167,8 +170,9 @@ def _validate_task(name: str, task: dict) -> None:
             raise ConfigError("'k' must be an integer")
         grid = task.get("thresholds")
         if (not isinstance(grid, list) or not grid
-                or not all(_is_int(s) or isinstance(s, float) for s in grid)):
-            raise ConfigError("extremes task needs a numeric 'thresholds' list")
+                or not all(_is_number(s) for s in grid)):
+            raise ConfigError(
+                "extremes task needs a list of finite numeric 'thresholds'")
     elif name == "verify":
         suite = task.get("suite")
         if suite not in SUITES:
@@ -180,9 +184,9 @@ def _validate_task(name: str, task: dict) -> None:
                 raise ConfigError(f"'{key}' must be a nonnegative integer")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; booleans are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans, NaN and infinities are not."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _check_point_list(ps) -> None:
@@ -294,7 +298,7 @@ def _task_janossy(cfg: ExperimentConfig, ens: ChainEnsemble,
                                "probability": real_probability(
                                    law[tuple(vec)])})
     results = {
-        "kind": jk.kernel.kind,
+        "kind": KIND_JANOSSY,
         "windows": wf.to_json(),
         "all_empty_probability": complex_pair(jk.const),
         "densities": densities,

@@ -17,7 +17,10 @@ window:
 The same object equals the resolvent K_I (Id - K_I)^{-1} of the restricted
 correlation kernel; the kernels module computes that route and the two are
 cross-checked in the verify suites.  const(I) equals det(A^c)/det(A), the
-ratio of complement to full pairing determinants.
+ratio of complement to full pairing determinants, so it needs only the
+pairing sweep with complement weights, O(M n P^2).  The chain products
+g^c_{l,m} and the M^2 P^2 kernel L are built the first time the kernel is
+read, and never when only const(I) is asked for.
 
 Window-count probabilities come from the counting identity
 
@@ -37,6 +40,7 @@ tiny tail probabilities carry no relative accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,21 +73,25 @@ class JanossyKernel:
 
     ``const`` is the probability that every window is empty; Janossy
     densities are ``const`` times determinants of ``kernel`` values.
-    ``gram`` is the complement pairing matrix A^c the kernel inverts.
+    ``gram`` is the complement pairing matrix A^c the kernel inverts and
+    ``warnings`` are its rcond-gate warnings.  ``const`` and ``gram`` come
+    from the pairing sweep; ``kernel`` is built from the complement tables
+    the first time it is read.
     """
 
-    kernel: BlockKernel
+    ensemble: ChainEnsemble
     windows: WindowFamily
     const: complex
     gram: np.ndarray
+    warnings: tuple[str, ...]
 
-    @property
-    def ensemble(self) -> ChainEnsemble:
-        return self.kernel.ensemble
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return self.kernel.warnings
+    @functools.cached_property
+    def kernel(self) -> BlockKernel:
+        return kernel_from_tables(
+            self.ensemble, complement_tables(self.ensemble, self.windows),
+            KIND_JANOSSY, "complement pairing matrix",
+            detail=f"windows: {self.windows.describe()}",
+        )
 
 
 def complement_tables(ensemble: ChainEnsemble,
@@ -111,19 +119,22 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
                             windows: WindowFamily) -> JanossyKernel:
     """Closed-form Janossy kernel of a window family.
 
-    Raises SingularOperatorError naming the windows when the complement
-    pairing matrix is numerically singular, which happens in particular
-    when some window covers every node of the space.
+    ``const`` and ``gram`` come from the pairing sweep; the kernel is built
+    on the first read of ``.kernel``.  Raises SingularOperatorError naming
+    the windows when the complement pairing matrix is numerically singular,
+    which happens in particular when some window covers every node of the
+    space.
     """
     wf = ensemble.check_windows(windows)
-    tables = complement_tables(ensemble, wf)
-    kernel = kernel_from_tables(
-        ensemble, tables, KIND_JANOSSY,
-        "complement pairing matrix", detail=f"windows: {wf.describe()}",
-    )
-    const = _det_ratio(tables.gram, ensemble.tables.gram)
-    return JanossyKernel(kernel=kernel, windows=wf, const=const,
-                         gram=tables.gram)
+    w = ensemble.space.weights
+    left, right = pairing_halves(
+        ensemble, [w * m for m in wf.complement_masks()], ensemble.floors)
+    gram = left @ right.T
+    _, warns = rcond_gate(gram, "complement pairing matrix",
+                          detail=f"windows: {wf.describe()}")
+    return JanossyKernel(ensemble=ensemble, windows=wf,
+                         const=_det_ratio(gram, ensemble.tables.gram),
+                         gram=gram, warnings=warns)
 
 
 def janossy_density(jk: JanossyKernel, points) -> complex:
@@ -294,7 +305,10 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     phi_t = scipy.linalg.solve_triangular(up, ensemble.phi, trans="T",
                                           lower=False)
     blocks = (phi_t.T @ f_t)[None, None, :, :].astype(np.complex128)
-    kernel = BlockKernel(ensemble=ensemble, blocks=blocks,
-                         kind=KIND_BIORTHOGONAL, warnings=warns)
-    const = _det_ratio(a_comp, ensemble.tables.gram)
-    return JanossyKernel(kernel=kernel, windows=wf, const=const, gram=a_comp)
+    jk = JanossyKernel(ensemble=ensemble, windows=wf,
+                       const=_det_ratio(a_comp, ensemble.tables.gram),
+                       gram=a_comp, warnings=warns)
+    # an instance attribute takes precedence over the cached property
+    jk.kernel = BlockKernel(ensemble=ensemble, blocks=blocks,
+                            kind=KIND_BIORTHOGONAL, warnings=warns)
+    return jk

@@ -177,20 +177,20 @@ def fredholm_det(op: RestrictedOperator) -> complex:
     return complex(sign * np.exp(logdet))
 
 
-def resolvent_kernel(kernel: BlockKernel, windows: WindowFamily) -> BlockKernel:
-    """Resolvent K_I (Id - K_I)^{-1} of the restriction, as a block kernel.
+def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:
+    """Resolvent K_I (Id - K_I)^{-1} of a restriction, as a block kernel.
 
     The returned blocks are zero outside the windows.  A single LU
     factorization of Id - K_I is reused for every right-hand side.  Raises
     SingularOperatorError when Id - K_I is numerically singular (e.g. full
     windows on a discrete space, where some window surely holds particles).
     """
+    kernel = op.kernel
     if kernel.kind != KIND_CORRELATION:
         raise ValueError(
             f"resolvent_kernel needs a correlation kernel, got {kernel.kind!r}"
         )
     ens = kernel.ensemble
-    op = restrict(kernel, windows)
     blocks = np.zeros_like(kernel.blocks)
     warns: tuple[str, ...] = ()
     if op.size:

@@ -205,6 +205,11 @@ class ChainModelSpec:
         return ChainModelSpec(variant=variant, params=params)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(params: dict, *names: str) -> list:
     missing = [k for k in names if k not in params]
     if missing:
@@ -212,22 +217,30 @@ def _require(params: dict, *names: str) -> list:
     return [params[k] for k in names]
 
 
+def _check_ints(params: dict, *names: str) -> None:
+    """Integer model fields, where present, must be JSON integers."""
+    bad = [k for k in names if k in params and not _is_int(params[k])]
+    if bad:
+        raise ConfigError(f"model fields must be integers: {', '.join(bad)}")
+
+
 def build_model(spec: ChainModelSpec) -> ChainEnsemble:
     """Instantiate the ensemble a model spec describes."""
     p = spec.params
+    _check_ints(p, "particles", "floors", "nodes", "seed", "order")
     try:
         if spec.variant == "unitary":
             potential, n, space_doc = _require(p, "potential", "particles", "space")
-            return build_unitary(potential, int(n),
+            return build_unitary(potential, n,
                                  DiscretizedSpace.from_json(space_doc))
         if spec.variant == "coupled-chain":
             n, floors, pots, coups, space_doc = _require(
                 p, "particles", "floors", "potentials", "couplings", "space")
-            return build_coupled_chain(int(n), int(floors), pots, coups,
+            return build_coupled_chain(n, floors, pots, coups,
                                        DiscretizedSpace.from_json(space_doc))
         if spec.variant == "karlin-mcgregor":
             times, start, end = _require(p, "times", "start", "end")
-            order = int(p.get("order", KM_DEFAULT_ORDER))
+            order = p.get("order", KM_DEFAULT_ORDER)
             space = (DiscretizedSpace.from_json(p["space"])
                      if "space" in p else None)
             return build_karlin_mcgregor(times, start, end,
@@ -236,7 +249,7 @@ def build_model(spec: ChainModelSpec) -> ChainEnsemble:
         if spec.variant == "random":
             seed, nodes, n, floors = _require(
                 p, "seed", "nodes", "particles", "floors")
-            return build_random(int(seed), int(nodes), int(n), int(floors))
+            return build_random(seed, nodes, n, floors)
         if spec.variant == "explicit":
             space_doc, f, phi = _require(p, "space", "f", "phi")
             space = DiscretizedSpace.from_json(space_doc)

@@ -421,7 +421,7 @@ def verify_resolvent(i: int, seed: int, budget: int,
         return [_note(i, desc, "window conditioning")]
     wf, jk, op = drawn
     desc = dict(desc, windows=[w.count for w in wf.windows])
-    res = resolvent_kernel(op.kernel, wf)
+    res = resolvent_kernel(op)
     idx = pair_index(op.index)
     a, b = res.blocks[idx], jk.kernel.blocks[idx]
     scale, pair = 1.0, (0.0 + 0.0j, 0.0 + 0.0j)

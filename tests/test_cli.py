@@ -173,6 +173,27 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"], k=True)),
     dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"],
                                     thresholds=[0.0, True])),
+    # tolerances and thresholds must be finite
+    dict(VERIFY_CONFIG, tolerances={"verify": float("nan")}),
+    dict(VERIFY_CONFIG, tolerances={"heine": float("inf")}),
+    dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"],
+                                    thresholds=[0.0, float("nan")])),
+    dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"],
+                                    thresholds=[float("-inf"), 0.0])),
+    # integer model fields must be JSON integers
+    dict(GAP_CONFIG, model=dict(GAP_CONFIG["model"], particles=True)),
+    dict(GAP_CONFIG, model=dict(GAP_CONFIG["model"], particles=2.7)),
+    dict(GAP_CONFIG, model=dict(GAP_CONFIG["model"], floors=2.0)),
+    dict(GAP_CONFIG, model=dict(GAP_CONFIG["model"], nodes=4.0)),
+    dict(GAP_CONFIG, model=dict(GAP_CONFIG["model"], seed=31.5)),
+    dict(EXTREMES_CONFIG, model=dict(EXTREMES_CONFIG["model"],
+                                     particles=2.0)),
+    {"model": {"variant": "karlin-mcgregor", "times": [0.0, 0.5, 1.0],
+               "start": [0.0], "end": [0.0], "order": 16.5},
+     "task": {"name": "correlations", "point_sets": [[[1, 0]]]}},
+    {"model": {"variant": "karlin-mcgregor", "times": [0.0, 0.5, 1.0],
+               "start": [0.0], "end": [0.0], "particles": True},
+     "task": {"name": "correlations", "point_sets": [[[1, 0]]]}},
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)
@@ -267,6 +288,23 @@ def test_override_keeps_a_failed_probe_failing(tmp_path, monkeypatch):
     assert first["quantity"] == "full windows reject"
     assert first["status"] == "fail"
     assert first["judged_error"] is None
+
+
+def test_counts_only_janossy_task_builds_no_complement_tables(
+        tmp_path, complement_builds):
+    """The all-empty probability and the count law need no Janossy kernel:
+    only a density builds the complement tables."""
+    counts_only = dict(JANOSSY_CONFIG, task=dict(JANOSSY_CONFIG["task"],
+                                                 point_sets=[]))
+    code, out_dir = run(tmp_path, counts_only, out="counts")
+    assert code == 0
+    results = read_json(out_dir)["results"]
+    assert results["kind"] == "janossy-explicit"
+    assert len(results["count_probabilities"]) == 2
+    assert complement_builds == []
+    code, _ = run(tmp_path, JANOSSY_CONFIG, out="densities")
+    assert code == 0
+    assert len(complement_builds) == 1
 
 
 JANOSSY_SIX_FLOORS = {

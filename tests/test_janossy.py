@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from janossy_kit.chain_ensemble import marginal_ensemble
+from janossy_kit.chain_ensemble import ChainEnsemble, marginal_ensemble
 from janossy_kit import janossy
 from janossy_kit.errors import BudgetExceededError, SingularOperatorError
 from janossy_kit.janossy import (
@@ -22,7 +22,11 @@ from janossy_kit.janossy import (
     kth_extreme_distribution,
 )
 from janossy_kit.kernels import correlation_kernel, fredholm_det, restrict
-from janossy_kit.measure_space import WindowFamily, make_quadrature
+from janossy_kit.measure_space import (
+    WindowFamily,
+    make_discrete,
+    make_quadrature,
+)
 from janossy_kit.models import (
     build_coupled_chain,
     build_random,
@@ -84,6 +88,63 @@ def test_janossy_kernel_rejects_full_windows():
     with pytest.raises(SingularOperatorError) as err:
         janossy_kernel_explicit(ens, wf)
     assert "complement" in str(err.value)
+
+
+def test_janossy_kernel_is_built_on_first_read_only(complement_builds):
+    builds = complement_builds
+    ens, wf = windows_2x4()
+    jk = janossy_kernel_explicit(ens, wf)
+    assert len(builds) == 0
+    kernel = jk.kernel
+    assert len(builds) == 1
+    assert jk.kernel is kernel
+    assert len(builds) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), P=st.integers(2, 7),
+       n=st.integers(1, 3), M=st.integers(1, 4), data=st.data())
+def test_sweep_gram_is_the_complement_tables_gram(seed, P, n, M, data):
+    """A^c from the pairing sweep equals the complement tables' gram bit
+    for bit, and const is its determinant ratio to A."""
+    assume(n <= P)
+    ens = build_random(seed, P, n, M)
+    masks = [data.draw(st.lists(st.booleans(), min_size=P, max_size=P))
+             for _ in range(M)]
+    wf = WindowFamily(tuple(ens.space.window(m) for m in masks))
+    try:
+        jk = janossy_kernel_explicit(ens, wf)
+    except SingularOperatorError:
+        return
+    gram = janossy.complement_tables(ens, wf).gram
+    assert np.array_equal(jk.gram, gram)
+    assert jk.const == janossy._det_ratio(gram, ens.tables.gram)
+
+
+def test_full_windows_raise_before_anything_is_built(complement_builds):
+    ens = build_random(12, 4, 2, 2)
+    wf = WindowFamily(tuple(ens.space.full_window() for _ in range(2)))
+    with pytest.raises(SingularOperatorError,
+                       match=r"^complement pairing matrix is numerically "
+                             r"singular .*; windows: "):
+        janossy_kernel_explicit(ens, wf)
+    assert complement_builds == []
+
+
+def test_ill_conditioned_complement_keeps_its_warning():
+    """Nearly dependent rows on the window complement: the complement gate
+    warns, with the same line the kernel assembly's gate gives."""
+    space = make_discrete([0.0, 1.0, 2.0, 3.0], [1.0] * 4)
+    f = [[1.0, 1.0, 0.0, 1.0], [1.0, 1.0 + 1e-8, 1.0, 0.0]]
+    phi = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
+    ens = ChainEnsemble(space, f, phi)
+    wf = WindowFamily((space.window([False, False, True, True]),))
+    jk = janossy_kernel_explicit(ens, wf)
+    rcond = 1.0 / np.linalg.cond(janossy.complement_tables(ens, wf).gram)
+    assert jk.warnings == (
+        f"complement pairing matrix: rcond {rcond:.3e} below warning "
+        f"threshold 1e-06",)
+    assert jk.kernel.warnings == jk.warnings
 
 
 def test_count_probability_matches_brute_and_closes():

@@ -167,7 +167,7 @@ def test_window_points_index_restriction_and_resolvent(seed, P, n, M, data):
             expect = sqrtw[x] * kernel.value(l, x, m, y) * sqrtw[y]
             assert abs(op.matrix[i, j] - expect) <= 1e-14 * abs(expect)
     try:
-        res = resolvent_kernel(kernel, wf)
+        res = resolvent_kernel(op)
     except SingularOperatorError:
         return
     inside = np.zeros(res.blocks.shape, dtype=bool)
@@ -197,7 +197,7 @@ def test_resolvent_matches_explicit_window_kernel():
     kernel = correlation_kernel(ens)
     wf = WindowFamily((ens.space.window([True, True, False, False, False]),
                        ens.space.window([False, False, False, True, True])))
-    res = resolvent_kernel(kernel, wf)
+    res = resolvent_kernel(restrict(kernel, wf))
     jk = janossy_kernel_explicit(ens, wf)
     for l in (1, 2):
         il = wf.window(l).node_indices
@@ -213,7 +213,7 @@ def test_resolvent_of_empty_windows_is_the_zero_operator():
     ens = build_random(12, 4, 2, 2)
     kernel = correlation_kernel(ens)
     wf = WindowFamily(tuple(ens.space.empty_window() for _ in range(2)))
-    res = resolvent_kernel(kernel, wf)
+    res = resolvent_kernel(restrict(kernel, wf))
     assert np.all(res.blocks == 0)
 
 
@@ -224,14 +224,14 @@ def test_resolvent_rejects_singular_restriction():
     kernel = correlation_kernel(ens)
     wf = WindowFamily((ens.space.full_window(),))
     with pytest.raises(SingularOperatorError):
-        resolvent_kernel(kernel, wf)
+        resolvent_kernel(restrict(kernel, wf))
 
 
 def test_correlation_function_requires_correlation_kind():
     ens = build_random(12, 4, 2, 2)
     kernel = correlation_kernel(ens)
     wf = WindowFamily(tuple(ens.space.empty_window() for _ in range(2)))
-    res = resolvent_kernel(kernel, wf)
+    res = resolvent_kernel(restrict(kernel, wf))
     with pytest.raises(ValueError):
         correlation_function(res, [(1, 0)])
 
