@@ -45,9 +45,6 @@ from .measure_space import DiscretizedSpace, WindowFamily
 HARD_RCOND = 1e-12
 WARN_RCOND = 1e-6
 
-# Construction-time gate on the pairing matrix condition number.
-DEFAULT_COND_LIMIT = 1e12
-
 
 def rcond_gate(matrix: np.ndarray, name: str,
                detail: str = "") -> tuple[float, tuple[str, ...]]:
@@ -89,18 +86,16 @@ class ChainEnsemble:
     g : sequence of array_like, each (P, P)
         Adjacent-floor transfer kernels; ``len(g) = M - 1``.  An empty
         sequence gives a single-floor ensemble.
-    cond_limit : float
-        Construction fails if the pairing matrix condition number exceeds
-        this bound.
 
     Notes
     -----
     Input arrays are promoted to complex128.  ``n`` must be at least 1: a
     floor with no particles has no determinant structure to speak of.
+    Construction passes the pairing matrix through ``rcond_gate`` once;
+    ``gram_cond`` and ``warnings`` keep what the gate returned.
     """
 
-    def __init__(self, space: DiscretizedSpace, f, phi, g=(),
-                 cond_limit: float = DEFAULT_COND_LIMIT):
+    def __init__(self, space: DiscretizedSpace, f, phi, g=()):
         if not isinstance(space, DiscretizedSpace):
             raise ValueError("space must be a DiscretizedSpace")
         self.space = space
@@ -122,19 +117,11 @@ class ChainEnsemble:
         )
         self.n = n
         self.floors = len(self.g) + 1
-        self.cond_limit = float(cond_limit)
 
         self._tables = build_tables(self.f, self.phi, self.g,
                                     [space.weights] * self.floors)
-        a = self._tables.gram
-        cond = float(np.linalg.cond(a))
-        if not np.isfinite(cond) or cond > self.cond_limit:
-            raise SingularOperatorError(
-                "pairing matrix", 1.0 / cond if cond > 0 else 0.0,
-                detail=f"condition number {cond:.3e} exceeds limit "
-                       f"{self.cond_limit:.1e}",
-            )
-        self.gram_cond = cond
+        self.gram_cond, self.warnings = rcond_gate(self._tables.gram,
+                                                   "pairing matrix")
 
     # convenience -----------------------------------------------------------
 
@@ -173,6 +160,16 @@ class ChainEnsemble:
                 raise ValueError(f"node index {node} outside 0..{P - 1}")
             out.append((floor, node))
         return out
+
+    def check_counts(self, counts) -> list[int]:
+        """Validate a count vector: one integer in 0..n per floor."""
+        counts = list(counts)
+        if len(counts) != self.floors:
+            raise ValueError(f"need {self.floors} counts, got {len(counts)}")
+        if not all(isinstance(c, (int, np.integer)) and 0 <= c <= self.n
+                   for c in counts):
+            raise ValueError(f"counts must be integers in 0..{self.n}")
+        return [int(c) for c in counts]
 
     def check_window_points(self, wf: WindowFamily,
                             points) -> list[tuple[int, int]]:
@@ -365,5 +362,4 @@ def marginal_ensemble(ensemble: ChainEnsemble, floors: Sequence[int]) -> ChainEn
     f_new = t.left[first - 1].T
     phi_new = t.right[last - 1].T
     g_new = [t.chain[(a, b)] for a, b in zip(floors, floors[1:])]
-    return ChainEnsemble(ensemble.space, f_new, phi_new, g_new,
-                         cond_limit=ensemble.cond_limit)
+    return ChainEnsemble(ensemble.space, f_new, phi_new, g_new)

@@ -60,8 +60,8 @@ from .kernels import (
     kernel_to_json,
     restrict,
 )
-from .measure_space import WindowFamily, window_family_from_json
-from .models import ChainModelSpec, _is_int, build_model
+from .measure_space import WindowFamily, _is_int, window_family_from_json
+from .models import ChainModelSpec, build_model
 from .oracle import DEFAULT_BUDGET
 from .verify import SUITES, verify_suite
 
@@ -160,8 +160,7 @@ def _validate_task(name: str, task: dict) -> None:
         if not isinstance(counts, list):
             raise ConfigError("'counts' must be a list of count vectors")
         for vec in counts:
-            if not isinstance(vec, list) or not all(
-                    _is_int(k) and k >= 0 for k in vec):
+            if not isinstance(vec, list) or not all(map(_is_int, vec)):
                 raise ConfigError(f"bad count vector {vec!r}")
     elif name == "extremes":
         if not _is_int(task.get("floor", 1)):
@@ -436,11 +435,10 @@ def _check_task_dimensions(cfg: ExperimentConfig, ens: ChainEnsemble,
         if rows > budget:
             raise BudgetExceededError(rows, budget)
     for vec in cfg.task.get("counts", []) or []:
-        if len(vec) != ens.floors or any(k > ens.n for k in vec):
-            raise ConfigError(
-                f"count vector {vec!r} needs {ens.floors} entries "
-                f"in 0..{ens.n}"
-            )
+        try:
+            ens.check_counts(vec)
+        except ValueError as exc:
+            raise ConfigError(f"bad count vector {vec!r}: {exc}") from exc
     if name == "extremes":
         if not 1 <= cfg.task.get("floor", 1) <= ens.floors:
             raise ConfigError(f"'floor' must lie in 1..{ens.floors}")

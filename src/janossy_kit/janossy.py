@@ -73,8 +73,9 @@ class JanossyKernel:
 
     ``const`` is the probability that every window is empty; Janossy
     densities are ``const`` times determinants of ``kernel`` values.
-    ``gram`` is the complement pairing matrix A^c the kernel inverts and
-    ``warnings`` are its rcond-gate warnings.  ``const`` and ``gram`` come
+    ``gram`` is the complement pairing matrix A^c the kernel inverts;
+    ``gram_cond`` and ``warnings`` are its condition number and warning
+    lines from the one rcond gate it passed.  ``const`` and ``gram`` come
     from the pairing sweep; ``kernel`` is built from the complement tables
     the first time it is read.
     """
@@ -83,15 +84,14 @@ class JanossyKernel:
     windows: WindowFamily
     const: complex
     gram: np.ndarray
+    gram_cond: float
     warnings: tuple[str, ...]
 
     @functools.cached_property
     def kernel(self) -> BlockKernel:
         return kernel_from_tables(
             self.ensemble, complement_tables(self.ensemble, self.windows),
-            KIND_JANOSSY, "complement pairing matrix",
-            detail=f"windows: {self.windows.describe()}",
-        )
+            KIND_JANOSSY, self.warnings)
 
 
 def complement_tables(ensemble: ChainEnsemble,
@@ -101,9 +101,8 @@ def complement_tables(ensemble: ChainEnsemble,
     The complement pairing matrix A^c is the ``gram`` of the result.
     """
     wf = ensemble.check_windows(windows)
-    w = ensemble.space.weights
     return build_tables(ensemble.f, ensemble.phi, ensemble.g,
-                        [w * m for m in wf.complement_masks()])
+                        wf.complement_weights())
 
 
 def _det_ratio(num: np.ndarray, den: np.ndarray) -> complex:
@@ -126,15 +125,14 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
     space.
     """
     wf = ensemble.check_windows(windows)
-    w = ensemble.space.weights
-    left, right = pairing_halves(
-        ensemble, [w * m for m in wf.complement_masks()], ensemble.floors)
+    left, right = pairing_halves(ensemble, wf.complement_weights(),
+                                 ensemble.floors)
     gram = left @ right.T
-    _, warns = rcond_gate(gram, "complement pairing matrix",
-                          detail=f"windows: {wf.describe()}")
+    cond, warns = rcond_gate(gram, "complement pairing matrix",
+                             detail=f"windows: {wf.describe()}")
     return JanossyKernel(ensemble=ensemble, windows=wf,
                          const=_det_ratio(gram, ensemble.tables.gram),
-                         gram=gram, warnings=warns)
+                         gram=gram, gram_cond=cond, warnings=warns)
 
 
 def janossy_density(jk: JanossyKernel, points) -> complex:
@@ -218,11 +216,7 @@ def count_probability(ensemble: ChainEnsemble, windows: WindowFamily,
     One entry of count_distribution.  Summing over all count vectors in
     {0..n}^M returns 1.
     """
-    counts = [int(c) for c in counts]
-    if len(counts) != ensemble.floors:
-        raise ValueError(f"need {ensemble.floors} counts, got {len(counts)}")
-    if any(c < 0 or c > ensemble.n for c in counts):
-        raise ValueError(f"counts must lie in 0..{ensemble.n}")
+    counts = ensemble.check_counts(counts)
     law = count_distribution(ensemble, windows)
     return real_probability(law[tuple(counts)])
 
@@ -292,9 +286,9 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     if window.space is not ensemble.space:
         raise ValueError("window lives on a different space")
     wf = WindowFamily((window,))
-    wc = ensemble.space.weights * (~window.mask)
+    (wc,) = wf.complement_weights()
     a_comp = (ensemble.f * wc[None, :]) @ ensemble.phi.T
-    _, warns = rcond_gate(
+    cond, warns = rcond_gate(
         a_comp, "pairing matrix on window complement",
         detail=f"window keeps {window.count}/{ensemble.space.size} nodes",
     )
@@ -307,7 +301,7 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     blocks = (phi_t.T @ f_t)[None, None, :, :].astype(np.complex128)
     jk = JanossyKernel(ensemble=ensemble, windows=wf,
                        const=_det_ratio(a_comp, ensemble.tables.gram),
-                       gram=a_comp, warnings=warns)
+                       gram=a_comp, gram_cond=cond, warnings=warns)
     # an instance attribute takes precedence over the cached property
     jk.kernel = BlockKernel(ensemble=ensemble, blocks=blocks,
                             kind=KIND_BIORTHOGONAL, warnings=warns)

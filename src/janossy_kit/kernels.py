@@ -82,10 +82,11 @@ class BlockKernel:
 
 
 def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,
-                       kind: str, name: str, detail: str = "") -> BlockKernel:
-    """Assemble -g_{l,m} + right @ inv(gram) @ left^T from any table set."""
+                       kind: str, warnings: tuple[str, ...]) -> BlockKernel:
+    """Assemble -g_{l,m} + right @ inv(gram) @ left^T from any table set.
+
+    ``tables.gram`` must have passed ``rcond_gate``, giving ``warnings``."""
     M, P = tables.floors, ensemble.space.size
-    _, warns = rcond_gate(tables.gram, name, detail)
     inv = np.linalg.inv(tables.gram)
     blocks = np.empty((M, M, P, P), dtype=np.complex128)
     for l in range(1, M + 1):
@@ -97,13 +98,13 @@ def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,
                 block = block - gl
             blocks[l - 1, m - 1] = block
     return BlockKernel(ensemble=ensemble, blocks=blocks, kind=kind,
-                       warnings=warns)
+                       warnings=warnings)
 
 
 def correlation_kernel(ensemble: ChainEnsemble) -> BlockKernel:
     """Block kernel whose determinants give the correlation functions."""
     return kernel_from_tables(ensemble, ensemble.tables, KIND_CORRELATION,
-                              "pairing matrix")
+                              ensemble.warnings)
 
 
 def correlation_function(kernel: BlockKernel, points) -> complex:

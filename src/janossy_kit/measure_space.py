@@ -27,6 +27,11 @@ KIND_QUADRATURE = "quadrature"
 _INF = float("inf")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -158,7 +163,9 @@ class DiscretizedSpace:
                 interval, order = doc["interval"], doc["order"]
             except KeyError as exc:
                 raise ValueError(f"quadrature space document lacks {exc}") from exc
-            return make_quadrature(tuple(interval), int(order))
+            if not _is_int(order):
+                raise ValueError(f"quadrature order {order!r} is not an integer")
+            return make_quadrature(tuple(interval), order)
         raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -275,6 +282,11 @@ class WindowFamily:
 
     def complement_masks(self) -> list[np.ndarray]:
         return [~w.mask for w in self.windows]
+
+    def complement_weights(self) -> list[np.ndarray]:
+        """Per-floor weights of integration over the window complements."""
+        w = self.space.weights
+        return [w * m for m in self.complement_masks()]
 
     def points(self) -> tuple[tuple[int, int], ...]:
         """The (floor, node) pairs inside the windows, floor-major.

@@ -21,9 +21,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain_ensemble import DEFAULT_COND_LIMIT, ChainEnsemble
+from .chain_ensemble import ChainEnsemble
 from .errors import ConfigError
-from .measure_space import DiscretizedSpace, make_discrete, make_quadrature
+from .measure_space import (
+    DiscretizedSpace,
+    _is_int,
+    make_discrete,
+    make_quadrature,
+)
 
 ORTHONORMALIZE_ABOVE = 8
 KM_DEFAULT_ORDER = 120
@@ -156,8 +161,7 @@ def build_karlin_mcgregor(times: Sequence[float], start: Sequence[float],
     return ChainEnsemble(space, f, phi, g)
 
 
-def build_random(seed: int, nodes: int, n: int, floors: int,
-                 cond_limit: float = DEFAULT_COND_LIMIT) -> ChainEnsemble:
+def build_random(seed: int, nodes: int, n: int, floors: int) -> ChainEnsemble:
     """Seeded random ensemble on a discrete space, for cross-checks.
 
     Node positions are 0..P-1; masses and every function/transfer entry are
@@ -175,7 +179,7 @@ def build_random(seed: int, nodes: int, n: int, floors: int,
     f = rng.uniform(0.2, 1.2, (n, nodes))
     phi = rng.uniform(0.2, 1.2, (n, nodes))
     g = [rng.uniform(0.2, 1.2, (nodes, nodes)) for _ in range(floors - 1)]
-    return ChainEnsemble(space, f, phi, g, cond_limit=cond_limit)
+    return ChainEnsemble(space, f, phi, g)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +207,6 @@ class ChainModelSpec:
             )
         params = {k: v for k, v in doc.items() if k != "variant"}
         return ChainModelSpec(variant=variant, params=params)
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; booleans are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(params: dict, *names: str) -> list:

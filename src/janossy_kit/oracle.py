@@ -262,12 +262,8 @@ def brute_count_probability(dist: EnumeratedDistribution,
     """
     ens = dist.ensemble
     wf = ens.check_windows(windows)
-    counts = [int(c) for c in counts]
+    counts = ens.check_counts(counts)
     n = ens.n
-    if len(counts) != ens.floors:
-        raise ValueError(f"need {ens.floors} counts, got {len(counts)}")
-    if any(c < 0 or c > n for c in counts):
-        raise ValueError(f"counts must lie in 0..{n}")
     domains, weighted, factor = [], [], 1.0
     for l, k in enumerate(counts, start=1):
         inside = wf.window(l).node_indices.astype(np.int64)

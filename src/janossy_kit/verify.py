@@ -272,7 +272,7 @@ def draw_conditioned_windows(
             jk = janossy_kernel_explicit(ens, wf)
         except SingularOperatorError:
             continue
-        if np.linalg.cond(jk.gram) > WINDOW_COND_GATE:
+        if jk.gram_cond > WINDOW_COND_GATE:
             continue
         op = restrict(kernel, wf)
         if op.size:

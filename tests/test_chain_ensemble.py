@@ -25,6 +25,7 @@ from janossy_kit.chain_ensemble import (
 )
 from janossy_kit.errors import SingularOperatorError
 from janossy_kit.janossy import complement_tables
+from janossy_kit.kernels import correlation_kernel
 from janossy_kit.measure_space import WindowFamily, make_discrete
 from janossy_kit.models import build_random
 
@@ -178,15 +179,18 @@ def test_constructor_rejects_nonfinite_and_singular():
         ChainEnsemble(space, f, phi)
 
 
-def test_cond_limit_is_enforced_and_reported():
-    space = make_discrete([0.0, 1.0, 2.0], [1.0] * 3)
-    f = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-4]])
-    phi = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-4]])
-    ens = ChainEnsemble(space, f, phi)
-    assert ens.gram_cond > 1e6
-    with pytest.raises(SingularOperatorError) as err:
-        ChainEnsemble(space, f, phi, cond_limit=1e6)
-    assert "condition" in str(err.value)
+def test_pairing_matrix_gate_refuses_or_warns():
+    """The pairing matrix A = diag(1, d) has condition number 1/d: the one
+    rcond gate refuses d = 1e-14 and passes d = 1e-8 with one warning,
+    which the correlation kernel carries unchanged."""
+    space = make_discrete([0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(SingularOperatorError,
+                       match=r"^pairing matrix is numerically singular"):
+        ChainEnsemble(space, np.diag([1.0, 1e-14]), np.eye(2))
+    ens = ChainEnsemble(space, np.diag([1.0, 1e-8]), np.eye(2))
+    assert ens.gram_cond == pytest.approx(1e8)
+    assert len(ens.warnings) == 1
+    assert ens.warnings == correlation_kernel(ens).warnings
 
 
 def test_marginal_ensemble_preserves_gram_and_drops_floors():

@@ -194,6 +194,14 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     {"model": {"variant": "karlin-mcgregor", "times": [0.0, 0.5, 1.0],
                "start": [0.0], "end": [0.0], "particles": True},
      "task": {"name": "correlations", "point_sets": [[[1, 0]]]}},
+    # a quadrature space's order must be a JSON integer (one particle, so
+    # a truncated one- or two-node rule would still build)
+    dict(EXTREMES_CONFIG, model=dict(
+        EXTREMES_CONFIG["model"], particles=1,
+        space=dict(EXTREMES_CONFIG["model"]["space"], order=True))),
+    dict(EXTREMES_CONFIG, model=dict(
+        EXTREMES_CONFIG["model"], particles=1,
+        space=dict(EXTREMES_CONFIG["model"]["space"], order=2.7))),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)

@@ -133,7 +133,7 @@ def test_full_windows_raise_before_anything_is_built(complement_builds):
 
 def test_ill_conditioned_complement_keeps_its_warning():
     """Nearly dependent rows on the window complement: the complement gate
-    warns, with the same line the kernel assembly's gate gives."""
+    warns, and the kernel built later carries the same line."""
     space = make_discrete([0.0, 1.0, 2.0, 3.0], [1.0] * 4)
     f = [[1.0, 1.0, 0.0, 1.0], [1.0, 1.0 + 1e-8, 1.0, 0.0]]
     phi = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
@@ -145,6 +145,25 @@ def test_ill_conditioned_complement_keeps_its_warning():
         f"complement pairing matrix: rcond {rcond:.3e} below warning "
         f"threshold 1e-06",)
     assert jk.kernel.warnings == jk.warnings
+
+
+def test_each_pairing_matrix_is_gated_once(monkeypatch):
+    """One condition number for A (ensemble plus correlation kernel) and
+    one for A^c (closed-form Janossy kernel plus its first read)."""
+    calls = []
+    cond = np.linalg.cond
+
+    def counting(a, *args):
+        calls.append(a.shape)
+        return cond(a, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    ens, wf = windows_2x4()
+    correlation_kernel(ens)
+    assert calls == [(2, 2)]
+    calls.clear()
+    janossy_kernel_explicit(ens, wf).kernel
+    assert calls == [(2, 2)]
 
 
 def test_count_probability_matches_brute_and_closes():
@@ -238,13 +257,16 @@ def test_count_distribution_on_many_floors_matches_marginals(monkeypatch):
 
 
 def test_count_probability_validates_count_vector():
+    """Two floors of two particles: a short vector, a negative entry, an
+    entry above n and a non-integer entry are refused by the closed form
+    and by the oracle alike."""
     ens, wf = windows_2x4()
-    with pytest.raises(ValueError):
-        count_probability(ens, wf, (1,))
-    with pytest.raises(ValueError):
-        count_probability(ens, wf, (3, 0))
-    with pytest.raises(ValueError):
-        count_probability(ens, wf, (-1, 0))
+    dist = enumerate_density(ens)
+    for counts in [(1,), (-1, 0), (3, 0), (1.5, 0)]:
+        with pytest.raises(ValueError, match="counts"):
+            count_probability(ens, wf, counts)
+        with pytest.raises(ValueError, match="counts"):
+            brute_count_probability(dist, wf, counts)
 
 
 def gaussian_ensemble(n=2, order=48):
