@@ -336,11 +336,11 @@ def right_convolve(ensemble: ChainEnsemble, s: int, l: int) -> np.ndarray:
 
 
 def partition_function(ensemble: ChainEnsemble) -> complex:
-    """Total unnormalized mass ``(n!)^M det A`` of the chain density."""
-    a = ensemble.tables.gram
-    return complex(
-        math.factorial(ensemble.n) ** ensemble.floors * np.linalg.det(a)
-    )
+    """Mass ``(n!)^M det A`` of the chain density; FloatingPointError
+    when it overflows float64."""
+    with np.errstate(over="raise"):
+        return complex(math.factorial(ensemble.n) ** ensemble.floors
+                       * np.linalg.det(ensemble.tables.gram))
 
 
 def marginal_ensemble(ensemble: ChainEnsemble, floors: Sequence[int]) -> ChainEnsemble:

@@ -46,7 +46,6 @@ from .janossy import (
     janossy_density,
     janossy_kernel_explicit,
     kth_extreme_distribution,
-    real_probability,
 )
 from .kernels import (
     CSV_SCHEMA,
@@ -62,7 +61,7 @@ from .kernels import (
 )
 from .measure_space import WindowFamily, _is_int, window_family_from_json
 from .models import ChainModelSpec, build_model
-from .oracle import DEFAULT_BUDGET
+from .oracle import DEFAULT_BUDGET, real_probability
 from .verify import SUITES, verify_suite
 
 REPORT_SCHEMA = "jk-report-1"

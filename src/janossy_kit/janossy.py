@@ -59,7 +59,7 @@ from .chain_ensemble import (
 from .errors import BudgetExceededError
 from .kernels import KIND_JANOSSY, BlockKernel, kernel_from_tables, pair_index
 from .measure_space import Window, WindowFamily
-from .oracle import DEFAULT_BUDGET, IMAG_RESIDUE
+from .oracle import DEFAULT_BUDGET, real_probability
 
 KIND_BIORTHOGONAL = "janossy-biorthogonal"
 
@@ -193,20 +193,6 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     law = np.zeros((n + 1,) * M, dtype=np.complex128)
     law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
     return law / values.size
-
-
-def real_probability(value) -> float:
-    """A count probability as a float, after the imaginary-residue check.
-
-    Raises ArithmeticError when the imaginary part exceeds IMAG_RESIDUE
-    relative to max(1, |real part|).
-    """
-    value = complex(value)
-    if abs(value.imag) > IMAG_RESIDUE * max(1.0, abs(value.real)):
-        raise ArithmeticError(
-            f"count probability has imaginary residue {value.imag:.3e}"
-        )
-    return float(value.real)
 
 
 def count_probability(ensemble: ChainEnsemble, windows: WindowFamily,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -141,6 +142,13 @@ class RestrictedOperator:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def gate(self) -> tuple[float, tuple[str, ...]]:
+        """``rcond_gate`` of a non-empty Id - K_I, run on the first read."""
+        return rcond_gate(np.eye(self.size, dtype=np.complex128) - self.matrix,
+                          "Id - restricted kernel",
+                          detail=f"windows: {self.windows.describe()}")
+
 
 def pair_index(points) -> tuple[np.ndarray, ...]:
     """Broadcast index of every pair of (floor, node) points into blocks.
@@ -195,10 +203,8 @@ def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:
     blocks = np.zeros_like(kernel.blocks)
     warns: tuple[str, ...] = ()
     if op.size:
-        t = np.eye(op.size, dtype=np.complex128) - op.matrix
-        _, warns = rcond_gate(t, "Id - restricted kernel",
-                              detail=f"windows: {op.windows.describe()}")
-        lu = scipy.linalg.lu_factor(t)
+        _, warns = op.gate
+        lu = scipy.linalg.lu_factor(np.eye(op.size) - op.matrix)
         # L (Id - K) = K  =>  (Id - K)^T L^T = K^T
         lmat = scipy.linalg.lu_solve(lu, op.matrix.T, trans=1).T
         l, m, x, y = pair_index(op.index)

@@ -7,10 +7,12 @@ sampled arrays.
 
 Potentials are accepted either as callables ``V(x) -> array`` or as
 polynomial coefficient lists in ascending order (``[0, 0, 1]`` is x^2).
-For more than 8 functions per floor the raw monomial columns are recombined
-into a discretely orthonormalized basis with the same span; spans determine
-every probabilistic output, so only the (recomputed) overall normalization
-differs.
+Every polynomial basis is the rows p_k(x) exp(-V(x)/2), k < n, of the
+orthonormal polynomials of exp(-V) on the space's nodes and weights, from
+the discretized Stieltjes recurrence (Gautschi 2004, section 2.2), times
+the geometric mean of the monic norms: det[f_i(x_j)] stays the weighted
+monomial determinant, so the partition function is the true normalization,
+and one floor's pairing matrix is a multiple of the identity.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain_ensemble import ChainEnsemble
-from .errors import ConfigError
+from .chain_ensemble import HARD_RCOND, ChainEnsemble
+from .errors import ConfigError, SingularOperatorError
 from .measure_space import (
     DiscretizedSpace,
     _is_int,
@@ -30,7 +32,6 @@ from .measure_space import (
     make_quadrature,
 )
 
-ORTHONORMALIZE_ABOVE = 8
 KM_DEFAULT_ORDER = 120
 KM_PADDING_SIGMAS = 6.0
 
@@ -47,34 +48,40 @@ def as_potential(spec) -> Potential:
     return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 
 
-def _weighted_monomials(space: DiscretizedSpace, n: int,
-                        potential: Potential) -> np.ndarray:
-    """Rows x^{j-1} exp(-V(x)/2), j = 1..n, recombined when n is large."""
-    x = space.nodes
-    half = np.exp(-0.5 * np.asarray(potential(x), dtype=float))
-    rows = np.vander(x, n, increasing=True).T * half[None, :]
-    if n > ORTHONORMALIZE_ABOVE:
-        sqrtw = np.sqrt(space.weights)
-        q, _ = np.linalg.qr((rows * sqrtw[None, :]).T)
-        rows = (q / sqrtw[:, None]).T
-    return rows
+def _orthonormal_rows(space: DiscretizedSpace, n: int,
+                      potential: Potential) -> np.ndarray:
+    """Rows p_k(x) exp(-V(x)/2), k < n, scaled to the monomial determinant.
+
+    Step k orthogonalizes v = x p_{k-1} exp(-V/2) (exp(-V/2) at k = 0)
+    against the two rows before; what is left has norm^2 beta_k, and the
+    monic norms are ||pi_k||^2 = beta_0 ... beta_k.  Keeping less than
+    HARD_RCOND of |v| loses a dimension: SingularOperatorError.
+    """
+    x, w = space.nodes, space.weights
+    rows = np.zeros((n + 1, x.size))  # rows[-1] is the zero row p_{-1}
+    v = u = np.exp(-0.5 * np.asarray(potential(x), dtype=float))
+    log_norms = 0.0
+    for k in range(n):
+        nu, beta = float(w @ (v * v)), float(w @ (u * u))
+        rcond = math.sqrt(beta / nu) if nu > 0 else 0.0
+        if not rcond >= HARD_RCOND:
+            raise SingularOperatorError(
+                "orthogonal polynomial recurrence", rcond,
+                f"step {k} of {n} on {x.size} nodes")
+        rows[k] = u / math.sqrt(beta)
+        log_norms += 0.5 * (n - k) * math.log(beta)
+        v = x * rows[k]
+        u = v - (w @ (v * rows[k])) * rows[k] - math.sqrt(beta) * rows[k - 1]
+    return rows[:n] * math.exp(log_norms / n)
 
 
 def build_unitary(potential, n: int, space: DiscretizedSpace) -> ChainEnsemble:
-    """Single floor with rows = columns = x^{j-1} exp(-V(x)/2).
+    """Single floor with rows = columns = p_k(x) exp(-V(x)/2), k < n.
 
     The associated density is proportional to the squared Vandermonde times
-    exp(-sum V(x_i)).
+    exp(-sum V(x_i)): the one-floor coupled chain.
     """
-    if n < 1:
-        raise ValueError("need at least one particle")
-    if space.kind == "quadrature" and space.order is not None and n > space.order:
-        raise ValueError(
-            f"{n} particles on an order-{space.order} rule leaves the "
-            f"pairing matrix rank-deficient"
-        )
-    rows = _weighted_monomials(space, n, as_potential(potential))
-    return ChainEnsemble(space, rows, rows, ())
+    return build_coupled_chain(n, 1, [potential], [], space)
 
 
 def build_coupled_chain(n: int, floors: int, potentials: Sequence,
@@ -88,8 +95,8 @@ def build_coupled_chain(n: int, floors: int, potentials: Sequence,
     exp(-V_M/2); each interior potential attaches wholly to the transfer
     kernel on its left, so the product of factors reproduces the weight.
     """
-    if n < 1:
-        raise ValueError("need at least one particle")
+    if not 1 <= n <= space.size:
+        raise ValueError(f"need 1 to {space.size} particles, got {n}")
     if floors < 1:
         raise ValueError("need at least one floor")
     if len(potentials) != floors:
@@ -98,8 +105,8 @@ def build_coupled_chain(n: int, floors: int, potentials: Sequence,
         raise ValueError(f"need {floors - 1} couplings, got {len(couplings)}")
     pots = [as_potential(p) for p in potentials]
     x = space.nodes
-    f = _weighted_monomials(space, n, pots[0])
-    phi = _weighted_monomials(space, n, pots[-1])
+    f = _orthonormal_rows(space, n, pots[0])
+    phi = _orthonormal_rows(space, n, pots[-1])
     g = []
     for l in range(1, floors):
         block = np.exp(float(couplings[l - 1]) * np.outer(x, x))

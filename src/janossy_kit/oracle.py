@@ -38,6 +38,17 @@ DEFAULT_BUDGET = 10 ** 6
 IMAG_RESIDUE = 1e-10
 
 
+def real_probability(value) -> float:
+    """A probability as a float; ArithmeticError when its imaginary part
+    exceeds IMAG_RESIDUE relative to max(1, |real part|)."""
+    value = complex(value)
+    if abs(value.imag) > IMAG_RESIDUE * max(1.0, abs(value.real)):
+        raise ArithmeticError(
+            f"probability has imaginary residue {value.imag:.3e}"
+        )
+    return float(value.real)
+
+
 def _batch_det(mats: np.ndarray) -> np.ndarray:
     """Determinants over the last two axes; cofactor forms for n <= 3."""
     n = mats.shape[-1]
@@ -311,9 +322,4 @@ def quad_oracle_m1(ensemble: ChainEnsemble, s: float, k: int) -> float:
     allnodes = np.arange(P, dtype=np.int64)
     total = region_sum([allnodes] * n)
     part = math.comb(n, k) * region_sum([above] * k + [below] * (n - k))
-    value = part / total
-    if abs(value.imag) > IMAG_RESIDUE * max(1.0, abs(value.real)):
-        raise ArithmeticError(
-            f"oracle value has imaginary residue {value.imag:.3e}"
-        )
-    return float(value.real)
+    return real_probability(part / total)

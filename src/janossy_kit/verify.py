@@ -253,7 +253,8 @@ def draw_conditioned_windows(
     complement to support the rank-n pairing, so such draws lie outside its
     domain rather than being hard instances of it.  A draw is kept only when
     the complement pairing matrix and Id minus the restricted kernel both
-    have condition number at most the gate.  Returns the accepted windows
+    pass their rcond gate with condition number at most the gate (the
+    second is the operator's cached ``gate``).  Returns the accepted windows
     with their closed-form Janossy kernel and the correlation kernel
     restricted to them, or None when every attempt fails (recorded by
     callers as a skip).
@@ -275,10 +276,11 @@ def draw_conditioned_windows(
         if jk.gram_cond > WINDOW_COND_GATE:
             continue
         op = restrict(kernel, wf)
-        if op.size:
-            t = np.eye(op.size, dtype=np.complex128) - op.matrix
-            if np.linalg.cond(t) > WINDOW_COND_GATE:
+        try:
+            if op.size and op.gate[0] > WINDOW_COND_GATE:
                 continue
+        except SingularOperatorError:
+            continue
         return wf, jk, op
     return None
 

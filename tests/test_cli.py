@@ -230,6 +230,21 @@ def test_singular_model_exits_3(tmp_path):
     assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
 
+def test_partition_function_overflow_exits_3(tmp_path, capsys):
+    """n = 40 under weight exp(-x^2): the normalization exceeds float64."""
+    doc = {
+        "model": {"variant": "unitary", "potential": [0.0, 0.0, 1.0],
+                  "particles": 40,
+                  "space": {"kind": "quadrature", "interval": [-14.0, 14.0],
+                            "order": 240}},
+        "task": {"name": "correlations", "point_sets": [[[1, 120]]]},
+    }
+    code, out_dir = run(tmp_path, doc)
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+
 def test_imaginary_residue_exits_3(tmp_path, monkeypatch, capsys):
     exact = janossy.count_distribution
 

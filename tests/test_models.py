@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from janossy_kit.chain_ensemble import ChainEnsemble, partition_function
-from janossy_kit.errors import ConfigError
+from janossy_kit.errors import ConfigError, SingularOperatorError
 from janossy_kit.kernels import correlation_kernel
 from janossy_kit.measure_space import make_discrete, make_quadrature
 from janossy_kit.models import (
@@ -83,6 +83,82 @@ def test_large_unitary_basis_is_orthonormalized_for_stability():
     kernel = correlation_kernel(ens)
     rho = np.array([kernel.value(1, x, 1, x).real for x in range(space.size)])
     assert complex(space.integrate(rho)).real == pytest.approx(12.0, abs=1e-8)
+
+
+def hermite_functions(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows h_k(x), k < n, orthonormal in L^2(dx), by their own recurrence."""
+    h = np.zeros((n, x.size))
+    h[0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
+    for k in range(n - 1):
+        h[k + 1] = math.sqrt(2.0 / (k + 1)) * x * h[k]
+        if k:
+            h[k + 1] -= math.sqrt(k / (k + 1)) * h[k - 1]
+    return h
+
+
+def mehler_kernel(tau: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k exp(-k tau) h_k(x) h_k(y) in closed form (Mehler's formula)."""
+    q = math.exp(-tau)
+    x, y = x[:, None], y[None, :]
+    return (np.exp(-((1 + q * q) * (x * x + y * y) - 4 * q * x * y)
+                   / (2 * (1 - q * q)))
+            / math.sqrt(math.pi * (1 - q * q)))
+
+
+@pytest.mark.parametrize("n", [24, 40, 60])
+def test_gue_kernel_is_the_hermite_kernel_at_large_n(n):
+    """Weight exp(-x^2): the kernel is sum_{k<n} h_k(x) h_k(y) to 1e-12."""
+    space = make_quadrature((-14.0, 14.0), 240)
+    kernel = correlation_kernel(build_unitary([0.0, 0.0, 1.0], n, space))
+    h = hermite_functions(space.nodes, n)
+    assert np.max(np.abs(kernel.blocks[0, 0] - h.T @ h)) < 1e-12
+
+
+def test_unitary_partition_function_is_mehtas_integral():
+    """V = x^2/2: the integral of the squared Vandermonde against
+    exp(-sum x_i^2/2) is (2 pi)^(n/2) prod_{k=1..n} k!."""
+    n = 12
+    ens = build_unitary([0.0, 0.0, 0.5], n,
+                        make_quadrature((-12.0, 12.0), 120))
+    mehta = ((2.0 * math.pi) ** (n / 2)
+             * math.prod(math.factorial(k) for k in range(1, n + 1)))
+    z = partition_function(ens)
+    assert abs(z - mehta) / mehta < 1e-10
+
+
+def test_unitary_weight_on_too_few_nodes_is_singular():
+    """exp(-V/2) underflows on all nodes but x = 0: no second polynomial."""
+    space = make_discrete(np.arange(5.0), np.ones(5))
+    with pytest.raises(SingularOperatorError):
+        build_unitary([0.0, 0.0, 1e4], 3, space)
+
+
+def test_coupled_chain_rejects_more_particles_than_nodes():
+    space = make_discrete(np.arange(4.0), np.ones(4))
+    with pytest.raises(ValueError):
+        build_coupled_chain(5, 2, [[0.0, 0.0, 0.5]] * 2, [0.1], space)
+
+
+def test_stationary_dyson_brownian_motion_is_the_extended_hermite_kernel():
+    """f = phi = the first n Hermite functions, Mehler transfers between
+    the times: every block is sum_{k<n} exp(-k (t_m - t_l)) h_k(x) h_k(y)
+    minus the Mehler kernel from t_l to t_m when l < m."""
+    n, times = 4, (0.0, 0.3, 0.7, 1.0)
+    space = make_quadrature((-9.0, 9.0), 120)
+    x = space.nodes
+    h = hermite_functions(x, n)
+    ens = ChainEnsemble(space, h, h, [mehler_kernel(b - a, x, x)
+                                      for a, b in zip(times, times[1:])])
+    blocks = correlation_kernel(ens).blocks
+    ref = np.empty_like(blocks)
+    for l, tl in enumerate(times):
+        for m, tm in enumerate(times):
+            decay = np.exp(-np.arange(n) * (tm - tl))
+            ref[l, m] = (h.T * decay) @ h
+            if l < m:
+                ref[l, m] -= mehler_kernel(tm - tl, x, x)
+    scale = max(1.0, float(np.abs(ref).max()))
+    assert np.max(np.abs(blocks - ref)) / scale < 1e-10
 
 
 def test_coupled_chain_partition_function_against_closed_form():
