@@ -63,8 +63,9 @@ def rcond_gate(matrix: np.ndarray, name: str,
     return cond, ()
 
 
-def _as_complex_matrix(a, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.complex128)
+def _as_matrix(a, name: str, shape: tuple[int, ...],
+               dtype: np.dtype) -> np.ndarray:
+    out = np.ascontiguousarray(a, dtype=dtype)
     if out.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -89,7 +90,10 @@ class ChainEnsemble:
 
     Notes
     -----
-    Input arrays are promoted to complex128.  ``n`` must be at least 1: a
+    Inputs keep their arithmetic: they are stored as float64 when ``f``,
+    ``phi`` and every ``g`` are real (every built-in model) and as
+    complex128 when any of them is complex; every table and kernel built
+    from the ensemble follows that ``dtype``.  ``n`` must be at least 1: a
     floor with no particles has no determinant structure to speak of.
     Construction passes the pairing matrix through ``rcond_gate`` once;
     ``gram_cond`` and ``warnings`` keep what the gate returned.
@@ -100,7 +104,10 @@ class ChainEnsemble:
             raise ValueError("space must be a DiscretizedSpace")
         self.space = space
         P = space.size
-        f = np.asarray(f, dtype=np.complex128)
+        f, phi, g = np.asarray(f), np.asarray(phi), [np.asarray(a) for a in g]
+        # two dtypes only: LAPACK has no extended-precision routines
+        kind = np.result_type(f, phi, *g, np.float64).kind
+        dtype = np.complex128 if kind == "c" else np.float64
         if f.ndim != 2 or f.shape[1] != P:
             raise ValueError(f"f must have shape (n, {P}), got {f.shape}")
         n = f.shape[0]
@@ -110,11 +117,10 @@ class ChainEnsemble:
             raise ValueError(
                 f"{n} functions cannot be independent on {P} nodes"
             )
-        self.f = _as_complex_matrix(f, "f", (n, P))
-        self.phi = _as_complex_matrix(phi, "phi", (n, P))
-        self.g = tuple(
-            _as_complex_matrix(gl, f"g[{i}]", (P, P)) for i, gl in enumerate(g)
-        )
+        self.f = _as_matrix(f, "f", (n, P), dtype)
+        self.phi = _as_matrix(phi, "phi", (n, P), dtype)
+        self.g = tuple(_as_matrix(gl, f"g[{i}]", (P, P), dtype)
+                       for i, gl in enumerate(g))
         self.n = n
         self.floors = len(self.g) + 1
 
@@ -124,6 +130,11 @@ class ChainEnsemble:
                                                    "pairing matrix")
 
     # convenience -----------------------------------------------------------
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 or complex128: the arithmetic of every table and kernel."""
+        return self.f.dtype
 
     @property
     def nodes(self) -> np.ndarray:
@@ -317,7 +328,7 @@ def chain_convolve(ensemble: ChainEnsemble, l: int, m: int) -> np.ndarray:
     m = ensemble.check_floor(m, "target floor")
     if m <= l:
         P = ensemble.space.size
-        return np.zeros((P, P), dtype=np.complex128)
+        return np.zeros((P, P), dtype=ensemble.dtype)
     return ensemble.tables.chain[(l, m)].copy()
 
 

@@ -18,9 +18,14 @@ The same object equals the resolvent K_I (Id - K_I)^{-1} of the restricted
 correlation kernel; the kernels module computes that route and the two are
 cross-checked in the verify suites.  const(I) equals det(A^c)/det(A), the
 ratio of complement to full pairing determinants, so it needs only the
-pairing sweep with complement weights, O(M n P^2).  The chain products
+pairing sweep with complement weights, O(M n P^2).  Both matrices are
+first multiplied by one power of two that brings |det A| near 1; that is
+exact, and keeps the rounding of the two log-determinants, whose difference
+gives the ratio, from growing with |log det A|.  The chain products
 g^c_{l,m} and the M^2 P^2 kernel L are built the first time the kernel is
-read, and never when only const(I) is asked for.
+read, and never when only const(I) is asked for.  Kernels keep the
+ensemble's dtype (float64 for real models); const(I) and densities are
+returned as Python complex numbers.
 
 Window-count probabilities come from the counting identity
 
@@ -30,10 +35,12 @@ where A(z) is the pairing matrix with the floor-l integration taken against
 w * (1 - (1 - z_l) chi_{I_l}): the node weights, times z_l inside the
 window.  det A(z) is a polynomial of degree at most min(n, |I_l|) in z_l,
 so evaluating it on min(n, |I_l|) + 1 roots of unity per floor and
-inverting with one FFT gives every count probability at once.  No inverse
-of A^c appears, so the route stays finite for degenerate window families
-(for example a window covering the whole space, where A^c = 0); that is
-what lets the extreme-value curves sweep s across the entire axis.  The
+inverting with one FFT gives every count probability at once.  The grid
+ratios use the same power-of-two scaling, and the grid is complex whatever
+the ensemble's dtype.  No inverse of A^c appears, so the route stays
+finite for degenerate window families (for example a window covering the
+whole space, where A^c = 0); that is what lets the extreme-value curves
+sweep s across the entire axis.  The
 FFT error is absolute, about eps * max|det A(z) / det A| over the grid, so
 tiny tail probabilities carry no relative accuracy.
 """
@@ -105,10 +112,22 @@ def complement_tables(ensemble: ChainEnsemble,
                         wf.complement_weights())
 
 
+def _unit_scale(a: np.ndarray) -> float:
+    """Power of two c with |det(c a)| within a factor 2^(n/2) of 1.
+
+    Multiplying by c is exact, and the log-determinants of c-scaled
+    matrices stay small, so the difference of two of them carries no
+    rounding from the size of det a.
+    """
+    _, logdet = np.linalg.slogdet(a)
+    return math.ldexp(1.0, -round(logdet / (a.shape[-1] * math.log(2.0))))
+
+
 def _det_ratio(num: np.ndarray, den: np.ndarray) -> complex:
-    """det(num)/det(den) via log-determinants, safe for tiny values."""
-    s1, l1 = np.linalg.slogdet(num)
-    s2, l2 = np.linalg.slogdet(den)
+    """det(num)/det(den) via log-determinants of the unit-scaled matrices."""
+    c = _unit_scale(den)
+    s1, l1 = np.linalg.slogdet(num * c)
+    s2, l2 = np.linalg.slogdet(den * c)
     if s1 == 0:
         return 0.0 + 0.0j
     return complex(s1 / s2 * np.exp(l1 - l2))
@@ -183,12 +202,13 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     left = left.reshape(-1, w.size)
     right = right.reshape(-1, w.size).T
     n_left, n_right = left.shape[0] // n, right.shape[1] // n
-    s_a, l_a = np.linalg.slogdet(ensemble.tables.gram)
+    c = _unit_scale(ensemble.tables.gram)
+    s_a, l_a = np.linalg.slogdet(ensemble.tables.gram * c)
     values = np.empty((n_left, n_right), dtype=np.complex128)
     step = max(1, CHUNK_ENTRIES // (n_right * n * n))
     for a in range(0, n_left, step):
         block = (left[a * n:(a + step) * n] @ right).reshape(-1, n, n_right, n)
-        s_z, l_z = np.linalg.slogdet(block.transpose(0, 2, 1, 3))
+        s_z, l_z = np.linalg.slogdet(block.transpose(0, 2, 1, 3) * c)
         values[a:a + step] = s_z / s_a * np.exp(l_z - l_a)
     law = np.zeros((n + 1,) * M, dtype=np.complex128)
     law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
@@ -284,7 +304,7 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     # rows of phi_t: phitilde_i = sum_m [U^{-1}]_{mi} phi_m
     phi_t = scipy.linalg.solve_triangular(up, ensemble.phi, trans="T",
                                           lower=False)
-    blocks = (phi_t.T @ f_t)[None, None, :, :].astype(np.complex128)
+    blocks = (phi_t.T @ f_t)[None, None, :, :]
     jk = JanossyKernel(ensemble=ensemble, windows=wf,
                        const=_det_ratio(a_comp, ensemble.tables.gram),
                        gram=a_comp, gram_cond=cond, warnings=warns)

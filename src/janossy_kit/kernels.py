@@ -15,6 +15,12 @@ Restriction symmetrizes with sqrt-weights, so operator products and
 determinants become plain matrix products and determinants.  The sqrt-weight
 scaling never leaks out of this module: kernel values are always reported in
 the unscaled convention above.
+
+Blocks, restrictions and resolvents keep the ensemble's dtype: float64 for
+real models, so a Fredholm determinant is a real LU, and complex128 only for
+complex inputs.  Scalar results (correlation functions, Fredholm
+determinants) are Python complex numbers either way, and exports write every
+value as [re, im].
 """
 
 from __future__ import annotations
@@ -73,13 +79,7 @@ class BlockKernel:
 
     def matrix_at(self, points) -> np.ndarray:
         """Square matrix of kernel values at a list of (floor, node) points."""
-        pts = self.ensemble.check_points(points)
-        k = len(pts)
-        out = np.empty((k, k), dtype=np.complex128)
-        for i, (li, xi) in enumerate(pts):
-            for j, (lj, xj) in enumerate(pts):
-                out[i, j] = self.blocks[li - 1, lj - 1, xi, xj]
-        return out
+        return self.blocks[pair_index(self.ensemble.check_points(points))]
 
 
 def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,
@@ -89,7 +89,7 @@ def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,
     ``tables.gram`` must have passed ``rcond_gate``, giving ``warnings``."""
     M, P = tables.floors, ensemble.space.size
     inv = np.linalg.inv(tables.gram)
-    blocks = np.empty((M, M, P, P), dtype=np.complex128)
+    blocks = np.empty((M, M, P, P), dtype=tables.gram.dtype)
     for l in range(1, M + 1):
         lead = tables.right[l - 1] @ inv
         for m in range(1, M + 1):
@@ -145,8 +145,8 @@ class RestrictedOperator:
     @functools.cached_property
     def gate(self) -> tuple[float, tuple[str, ...]]:
         """``rcond_gate`` of a non-empty Id - K_I, run on the first read."""
-        return rcond_gate(np.eye(self.size, dtype=np.complex128) - self.matrix,
-                          "Id - restricted kernel",
+        eye = np.eye(self.size, dtype=self.matrix.dtype)
+        return rcond_gate(eye - self.matrix, "Id - restricted kernel",
                           detail=f"windows: {self.windows.describe()}")
 
 
@@ -167,9 +167,15 @@ def restrict(kernel: BlockKernel, windows: WindowFamily) -> RestrictedOperator:
     ens = kernel.ensemble
     wf = ens.check_windows(windows)
     index = wf.points()
-    l, m, x, y = pair_index(index)
-    sqrtw = np.sqrt(ens.space.weights)
-    matrix = kernel.blocks[l, m, x, y] * (sqrtw[x] * sqrtw[y])
+    pts = np.asarray(index, dtype=np.intp).reshape(-1, 2)
+    floor, node = pts[:, 0] - 1, pts[:, 1]
+    # blocks[l, m, x, y] sits at ((l M + m) P + x) P + y of the flat blocks
+    M, P = kernel.floors, kernel.size
+    row = (floor * (M * P) + node) * P
+    col = floor * (P * P) + node
+    sw = np.sqrt(ens.space.weights)[node]
+    matrix = (kernel.blocks.ravel()[row[:, None] + col[None, :]]
+              * (sw[:, None] * sw[None, :]))
     return RestrictedOperator(kernel=kernel, windows=wf, matrix=matrix,
                               index=index)
 
@@ -181,7 +187,7 @@ def fredholm_det(op: RestrictedOperator) -> complex:
     the family contains no particle of its class.  Exact for discrete
     spaces; quadrature-converged otherwise.  The empty restriction gives 1.
     """
-    t = np.eye(op.size, dtype=np.complex128) - op.matrix
+    t = np.eye(op.size, dtype=op.matrix.dtype) - op.matrix
     sign, logdet = np.linalg.slogdet(t)
     return complex(sign * np.exp(logdet))
 

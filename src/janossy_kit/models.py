@@ -48,6 +48,7 @@ def as_potential(spec) -> Potential:
     return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 
 
+@np.errstate(over="raise")
 def _orthonormal_rows(space: DiscretizedSpace, n: int,
                       potential: Potential) -> np.ndarray:
     """Rows p_k(x) exp(-V(x)/2), k < n, scaled to the monomial determinant.
@@ -55,7 +56,8 @@ def _orthonormal_rows(space: DiscretizedSpace, n: int,
     Step k orthogonalizes v = x p_{k-1} exp(-V/2) (exp(-V/2) at k = 0)
     against the two rows before; what is left has norm^2 beta_k, and the
     monic norms are ||pi_k||^2 = beta_0 ... beta_k.  Keeping less than
-    HARD_RCOND of |v| loses a dimension: SingularOperatorError.
+    HARD_RCOND of |v| loses a dimension: SingularOperatorError.  A weight
+    exp(-V/2), or its square, beyond float64 is FloatingPointError.
     """
     x, w = space.nodes, space.weights
     rows = np.zeros((n + 1, x.size))  # rows[-1] is the zero row p_{-1}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,37 @@ def test_partition_function_overflow_exits_3(tmp_path, capsys):
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+
+def test_weight_overflow_exits_3_under_a_runtime_warning_filter(tmp_path,
+                                                                capsys):
+    """V = -x^2 on (-30, 30): the square of exp(-V/2) exceeds float64.
+    With RuntimeWarning raised as an error, as CI runs the example configs,
+    the run still ends in exit 3 and writes nothing."""
+    doc = {
+        "model": {"variant": "unitary", "potential": [0.0, 0.0, -1.0],
+                  "particles": 2,
+                  "space": {"kind": "quadrature", "interval": [-30.0, 30.0],
+                            "order": 60}},
+        "windows": [{"intervals": [[1.0, None]]}],
+        "task": {"name": "gap"},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out_dir = run(tmp_path, doc)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+
+def test_gue_gap_routes_agree_to_rounding(tmp_path):
+    """docs/configs/gue-gap.json: log det A is about 1270, and the ratio
+    route still agrees with the Fredholm determinant to 1e-14."""
+    config = Path(__file__).parent.parent / "docs" / "configs" / "gue-gap.json"
+    code, out_dir = run(tmp_path, json.loads(config.read_text()))
+    assert code == 0
+    assert read_json(out_dir)["results"]["route_abs_difference"] < 1e-14
 
 
 def test_imaginary_residue_exits_3(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from janossy_kit.chain_ensemble import ChainEnsemble, marginal_ensemble
+from janossy_kit.chain_ensemble import (
+    ChainEnsemble,
+    marginal_ensemble,
+    partition_function,
+)
 from janossy_kit import janossy
 from janossy_kit.errors import BudgetExceededError, SingularOperatorError
 from janossy_kit.janossy import (
@@ -21,7 +25,12 @@ from janossy_kit.janossy import (
     janossy_kernel_explicit,
     kth_extreme_distribution,
 )
-from janossy_kit.kernels import correlation_kernel, fredholm_det, restrict
+from janossy_kit.kernels import (
+    correlation_function,
+    correlation_kernel,
+    fredholm_det,
+    restrict,
+)
 from janossy_kit.measure_space import (
     WindowFamily,
     make_discrete,
@@ -391,3 +400,55 @@ def test_kth_extreme_at_k_equal_n_with_twenty_particles():
         assert pt.count_probs[0] == pytest.approx(gap.real, abs=1e-12)
     cdfs = [pt.cdf for pt in curve]
     assert all(b >= a - 1e-12 for a, b in zip(cdfs, cdfs[1:]))
+
+
+def gauged(ens: ChainEnsemble, theta: np.ndarray) -> ChainEnsemble:
+    """The ensemble with floor-l phases e^{i theta_l(x)} attached.
+
+    f carries e^{i theta_1}, g_l(x, y) carries e^{-i theta_l(x) +
+    i theta_{l+1}(y)} and phi carries e^{-i theta_M}: every phase of the
+    chain density cancels, so no probability changes, while the kernel
+    becomes D_l^{-1} K D_m with D_l = diag(e^{i theta_l}).
+    """
+    u = np.exp(1j * theta)
+    g = [gl * u[l].conj()[:, None] * u[l + 1][None, :]
+         for l, gl in enumerate(ens.g)]
+    return ChainEnsemble(ens.space, ens.f * u[0], ens.phi * u[-1].conj(), g)
+
+
+def test_complex_gauge_runs_complex_and_changes_no_probability():
+    """A complex-gauged random ensemble stays complex128 throughout and
+    matches the real one to 1e-12 scaled on every gauge-free quantity.
+
+    The two differ by rounding of order cond(A) eps, so the draw is a
+    well-conditioned one."""
+    ens = build_random(27, 5, 2, 3)
+    assert ens.gram_cond < 1e3
+    theta = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (3, 5))
+    cplx = gauged(ens, theta)
+    wf = WindowFamily((ens.space.window([True, False, False, True, False]),
+                       ens.space.window([False, True, False, False, False]),
+                       ens.space.window([False, False, True, False, True])))
+    k_real, k_cplx = correlation_kernel(ens), correlation_kernel(cplx)
+    jk_real, jk_cplx = (janossy_kernel_explicit(e, wf) for e in (ens, cplx))
+    assert ens.dtype == np.float64 and cplx.dtype == np.complex128
+    assert k_cplx.blocks.dtype == jk_cplx.kernel.blocks.dtype == np.complex128
+    assert np.abs(k_cplx.blocks.imag).max() > 0.1
+
+    pairs = [(partition_function(ens), partition_function(cplx)),
+             (fredholm_det(restrict(k_real, wf)),
+              fredholm_det(restrict(k_cplx, wf))),
+             (jk_real.const, jk_cplx.const)]
+    all_points = list(itertools.product(range(1, 4), range(5)))
+    for points in itertools.combinations(all_points, 2):
+        pairs.append((correlation_function(k_real, points),
+                      correlation_function(k_cplx, points)))
+    inside = [(l, x) for l, win in enumerate(wf.windows, start=1)
+              for x in win.node_indices]
+    for points in itertools.combinations(inside, 2):
+        pairs.append((janossy_density(jk_real, points),
+                      janossy_density(jk_cplx, points)))
+    pairs.extend(zip(count_distribution(ens, wf).ravel(),
+                     count_distribution(cplx, wf).ravel()))
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))

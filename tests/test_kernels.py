@@ -24,11 +24,21 @@ from janossy_kit.kernels import (
     export_kernel_csv,
     fredholm_det,
     kernel_to_json,
+    pair_index,
     resolvent_kernel,
     restrict,
 )
-from janossy_kit.measure_space import WindowFamily, make_discrete
-from janossy_kit.models import build_random
+from janossy_kit.measure_space import (
+    WindowFamily,
+    make_discrete,
+    make_quadrature,
+)
+from janossy_kit.models import (
+    build_coupled_chain,
+    build_karlin_mcgregor,
+    build_random,
+    build_unitary,
+)
 from janossy_kit.oracle import brute_correlation, enumerate_density
 
 
@@ -274,3 +284,52 @@ def test_kernel_json_layout():
     val = doc["blocks"][0][1][0][2]
     assert complex(val[0], val[1]) == kernel.value(1, 0, 2, 2)
     json.dumps(doc)  # must be serializable as-is
+
+
+def test_restrict_gathers_the_blocks_at_the_pair_index():
+    """The flat gather equals the (floor, node) pair gather, bit for bit."""
+    ens = build_random(9, 5, 2, 3)
+    kernel = correlation_kernel(ens)
+    wf = WindowFamily((ens.space.window([True, False, True, False, True]),
+                       ens.space.window([False, True, False, False, False]),
+                       ens.space.window([False, False, True, True, False])))
+    op = restrict(kernel, wf)
+    nodes = np.array([x for _, x in op.index])
+    sw = np.sqrt(ens.space.weights)[nodes]
+    expect = kernel.blocks[pair_index(op.index)] * (sw[:, None] * sw[None, :])
+    assert op.matrix.dtype == expect.dtype
+    assert np.array_equal(op.matrix, expect)
+
+
+REAL_MODELS = {
+    "unitary": lambda: build_unitary([0.0, 0.0, 0.5], 3,
+                                     make_quadrature((-6.0, 6.0), 40)),
+    "coupled-chain": lambda: build_coupled_chain(
+        2, 3, [[0.0, 0.0, 0.5]] * 3, [0.3, 0.2],
+        make_quadrature((-5.0, 5.0), 30)),
+    "karlin-mcgregor": lambda: build_karlin_mcgregor(
+        [0.0, 0.3, 0.6, 1.0], [-1.0, 1.0], [-1.0, 1.0], order=30),
+    "random": lambda: build_random(9, 6, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_MODELS))
+def test_real_models_stay_float64(name):
+    """Tables, kernels, restrictions and resolvents of a real model are
+    float64; none of them is promoted to complex."""
+    ens = REAL_MODELS[name]()
+    P = ens.space.size
+    upper = ens.space.window(np.arange(P) >= P - P // 3)
+    wf = WindowFamily((upper,) * ens.floors)
+    kernel = correlation_kernel(ens)
+    op = restrict(kernel, wf)
+    arrays = {
+        "tables.gram": ens.tables.gram,
+        "correlation kernel": kernel.blocks,
+        "restriction": op.matrix,
+        "resolvent": resolvent_kernel(op).blocks,
+        "janossy kernel": janossy_kernel_explicit(ens, wf).kernel.blocks,
+    }
+    assert ens.dtype == np.float64
+    assert {k: a.dtype for k, a in arrays.items()} == dict.fromkeys(
+        arrays, np.dtype(np.float64))
