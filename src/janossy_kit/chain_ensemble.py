@@ -21,6 +21,10 @@ iterated convolutions of these ingredients, so the ensemble eagerly caches
 * the pairing (Gram) matrix ``A[j,k] = f_j * g_{1,M} * phi_k`` with all M
   floor integrations applied.
 
+Each is a sweep of the one chain recurrence ``x <- (x W_l) g_l`` (``_sweep``,
+W_l the floor-l weights) from g_l, from f or, through the transposed
+transfers, from phi; ``pairing_halves`` meets a left and a right sweep.
+
 Floor and function indices are 1-based in every public signature, matching
 the transfer-chain conventions (``f_j * g_{1,1} = f_j``,
 ``g_{M,M} * phi_s = phi_s``); node indices are 0-based positions into
@@ -31,13 +35,14 @@ need no locking.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularOperatorError
-from .measure_space import DiscretizedSpace, WindowFamily
+from .measure_space import DiscretizedSpace, WindowFamily, _is_int
 
 # Reciprocal-condition thresholds shared by every inversion in the package:
 # below HARD_RCOND the operation refuses to proceed, between the two values
@@ -150,26 +155,29 @@ class ChainEnsemble:
         return self._tables
 
     def check_floor(self, floor: int, what: str = "floor") -> int:
-        if not isinstance(floor, (int, np.integer)) or not 1 <= floor <= self.floors:
-            raise ValueError(f"{what} {floor} outside 1..{self.floors}")
+        if not _is_int(floor) or not 1 <= floor <= self.floors:
+            raise ValueError(f"{what} {floor!r} is not an integer in "
+                             f"1..{self.floors}")
         return int(floor)
 
     def check_function(self, j: int) -> int:
-        if not isinstance(j, (int, np.integer)) or not 1 <= j <= self.n:
-            raise ValueError(f"function index {j} outside 1..{self.n}")
+        if not _is_int(j) or not 1 <= j <= self.n:
+            raise ValueError(f"function index {j!r} is not an integer in "
+                             f"1..{self.n}")
         return int(j)
 
     def check_points(self, points) -> list[tuple[int, int]]:
-        """Validate a list of (floor, node-index) pairs."""
+        """Validate a list of (floor, node-index) pairs of integers."""
         out = []
         P = self.space.size
         for p in points:
             if len(p) != 2:
                 raise ValueError(f"point {p!r} is not a (floor, node) pair")
-            floor, node = self.check_floor(int(p[0])), int(p[1])
-            if not 0 <= node < P:
-                raise ValueError(f"node index {node} outside 0..{P - 1}")
-            out.append((floor, node))
+            floor, node = self.check_floor(p[0]), p[1]
+            if not _is_int(node) or not 0 <= node < P:
+                raise ValueError(f"node index {node!r} is not an integer in "
+                                 f"0..{P - 1}")
+            out.append((floor, int(node)))
         return out
 
     def check_counts(self, counts) -> list[int]:
@@ -177,8 +185,7 @@ class ChainEnsemble:
         counts = list(counts)
         if len(counts) != self.floors:
             raise ValueError(f"need {self.floors} counts, got {len(counts)}")
-        if not all(isinstance(c, (int, np.integer)) and 0 <= c <= self.n
-                   for c in counts):
+        if not all(_is_int(c) and 0 <= c <= self.n for c in counts):
             raise ValueError(f"counts must be integers in 0..{self.n}")
         return [int(c) for c in counts]
 
@@ -232,6 +239,20 @@ class ConvolutionTables:
     gram: np.ndarray
 
 
+def _sweep(start: np.ndarray, transfers: Sequence[np.ndarray],
+           weights: Sequence[np.ndarray]):
+    """Yield ``start``, then ``x = (x * w) @ t`` for each step in turn.
+
+    The one chain recurrence: ``w`` integrates the floor ``x`` sits on and
+    ``t`` carries it to the next floor.
+    """
+    x = start
+    yield x
+    for t, w in zip(transfers, weights, strict=True):
+        x = (x * w) @ t
+        yield x
+
+
 def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
                  floor_weights: Sequence[np.ndarray]) -> ConvolutionTables:
     """Compute every chain convolution once, under per-floor weights.
@@ -250,68 +271,40 @@ def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
     if len(floor_weights) != M:
         raise ValueError(f"need {M} weight vectors, got {len(floor_weights)}")
     wm = floor_weights
-
-    # chain kernels g_{l,m}: iterate right from each starting floor
-    chain: dict[tuple[int, int], np.ndarray] = {}
-    for l in range(1, M):
-        block = g[l - 1]
-        chain[(l, l + 1)] = block
-        for m in range(l + 2, M + 1):
-            # integrate out floor m-1 between the accumulated block and the
-            # next adjacent kernel
-            block = (block * wm[m - 2][None, :]) @ g[m - 2]
-            chain[(l, m)] = block
-
-    # left convolutions f_j * g_{1,m}, floors 1..m-1 integrated out
-    left = [f.T.copy()]
-    v = f * wm[0][None, :]
-    for m in range(2, M + 1):
-        left.append((v @ g[m - 2]).T)
-        if m < M:
-            v = (left[-1].T) * wm[m - 1][None, :]
-    # right convolutions g_{l,M} * phi_s, floors l+1..M integrated out
-    right = [phi.T.copy()]
-    u = phi * wm[M - 1][None, :]
-    for l in range(M - 1, 0, -1):
-        right.append((u @ g[l - 1].T).T)
-        if l > 1:
-            u = (right[-1].T) * wm[l - 1][None, :]
-    right.reverse()
-
-    gram = (left[M - 1].T * wm[M - 1][None, :]) @ phi.T
-
+    # g_{l,m} for m = l+1..M, swept right from floor l
+    chain = {(l, m): block
+             for l in range(1, M)
+             for m, block in enumerate(_sweep(g[l - 1], g[l:], wm[l:M - 1]),
+                                       start=l + 1)}
+    # f_j * g_{1,m} for m = 1..M; one more step pairs floor M with phi
+    *left, gram = _sweep(f, [*g, phi.T], wm)
+    right = list(_sweep(phi, [t.T for t in reversed(g)], wm[1:][::-1]))
     return ConvolutionTables(
-        floors=M, n=n, chain=chain, left=tuple(left), right=tuple(right),
-        gram=gram,
+        floors=M, n=n, chain=chain, left=tuple(x.T for x in left),
+        right=tuple(y.T for y in reversed(right)), gram=gram,
     )
 
 
 def pairing_halves(ensemble: ChainEnsemble,
                    floor_weights: Sequence[np.ndarray],
                    split: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairing matrix ``f W_1 g_1 W_2 ... g_{M-1} W_M phi^T`` cut after a floor.
+    """Pairing matrix ``f W_1 g_1 W_2 ... g_{M-1} W_M phi^T`` cut at a floor.
 
-    Returns ``(left, right)`` with ``left = f W_1 g_1 ... W_split g_split``
-    (no transfer when ``split`` is M) and ``right = phi W_M g_{M-1}^T ...
-    W_{split+1}``, so the pairing matrix is ``left @ right^T``.  Only
-    sweeps run, so this is the cheap route when nothing but the pairing
-    matrix is needed.  ``floor_weights[l-1]`` has shape ``batch + (P,)``;
-    the batch axes broadcast within each half, so a batch axis only one
-    half carries costs the other half nothing.
+    Returns ``(left, right)`` with ``left = f W_1 g_1 ... g_{split-1}
+    W_split`` and ``right = phi W_M g_{M-1}^T ... W_{split+1} g_split^T``,
+    so the pairing matrix is ``left @ right^T`` for every split in 1..M.
+    Only sweeps run, so this is the cheap route when nothing but the
+    pairing matrix is needed.  ``floor_weights[l-1]`` has shape ``batch +
+    (P,)``; the batch axes broadcast within each half, so a batch axis only
+    one half carries costs the other half nothing.
     """
-    M = ensemble.floors
     w = [np.asarray(x)[..., None, :] for x in floor_weights]
-    left = ensemble.f * w[0]
-    for l in range(2, split + 1):
-        left = (left @ ensemble.g[l - 2]) * w[l - 1]
-    if split < M:
-        left = left @ ensemble.g[split - 1]
-    right = ensemble.phi
-    for l in range(M, split, -1):
-        if l < M:
-            right = right @ ensemble.g[l - 1].T
-        right = right * w[l - 1]
-    return left, right
+    g = ensemble.g
+    # keep only the last value of each sweep: batch arrays can be large
+    left = deque(_sweep(ensemble.f, g[:split - 1], w[:split - 1]), 1).pop()
+    right = deque(_sweep(ensemble.phi, [t.T for t in reversed(g[split - 1:])],
+                         w[split:][::-1]), 1).pop()
+    return left * w[split - 1], right
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from .kernels import (
 from .measure_space import WindowFamily, _is_int, window_family_from_json
 from .models import ChainModelSpec, build_model
 from .oracle import DEFAULT_BUDGET, real_probability
-from .verify import SUITES, verify_suite
+from .verify import DEFAULT_INSTANCES, DEFAULT_SEED, SUITES, verify_suite
 
 REPORT_SCHEMA = "jk-report-1"
 
@@ -359,8 +359,8 @@ def _task_verify(cfg: ExperimentConfig, ens: ChainEnsemble | None,
                  opts) -> RunReport:
     task = cfg.task
     suite = task["suite"]
-    seed = opts.seed if opts.seed is not None else task.get("seed", 1234)
-    instances = int(task.get("instances", 50))
+    seed = task.get("seed", DEFAULT_SEED) if opts.seed is None else opts.seed
+    instances = int(task.get("instances", DEFAULT_INSTANCES))
     rep = verify_suite(suite, instances=instances, seed=int(seed),
                        budget=opts.budget, threads=opts.threads)
     tol_override = cfg.tolerances.get(suite, cfg.tolerances.get("verify"))
@@ -395,8 +395,11 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
                    threads: int = 1, budget: int = DEFAULT_BUDGET) -> RunReport:
     """Validate, run, and write one experiment; returns the report.
 
-    Raises ConfigError before creating `out_dir` when the config is invalid.
+    Raises ConfigError before creating `out_dir` when the config or the
+    seed is invalid.
     """
+    if seed is not None and (not _is_int(seed) or seed < 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     cfg = ExperimentConfig.from_json(config_doc)
     opts = _Options(seed=seed, threads=max(1, int(threads)),
                     budget=int(budget))
@@ -487,6 +490,9 @@ def main(argv=None) -> int:
         return 2
     if args.budget < 1:
         print("error: --budget must be at least 1", file=sys.stderr)
+        return 2
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
         return 2
 
     try:

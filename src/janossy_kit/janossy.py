@@ -64,8 +64,8 @@ from .chain_ensemble import (
     rcond_gate,
 )
 from .errors import BudgetExceededError
-from .kernels import KIND_JANOSSY, BlockKernel, kernel_from_tables, pair_index
-from .measure_space import Window, WindowFamily
+from .kernels import KIND_JANOSSY, BlockKernel, kernel_from_tables
+from .measure_space import Window, WindowFamily, _is_int
 from .oracle import DEFAULT_BUDGET, real_probability
 
 KIND_BIORTHOGONAL = "janossy-biorthogonal"
@@ -163,7 +163,7 @@ def janossy_density(jk: JanossyKernel, points) -> complex:
     gives const(I), as the 0 x 0 determinant is 1.
     """
     pts = jk.ensemble.check_window_points(jk.windows, points)
-    return complex(jk.const * np.linalg.det(jk.kernel.blocks[pair_index(pts)]))
+    return complex(jk.const * np.linalg.det(jk.kernel.matrix_at(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +251,8 @@ def kth_extreme_distribution(ensemble: ChainEnsemble, floor: int, k: int,
     complement.  Output order follows the grid.
     """
     floor = ensemble.check_floor(floor)
-    k = int(k)
-    if not 1 <= k <= ensemble.n:
-        raise ValueError(f"k must lie in 1..{ensemble.n}")
+    if not _is_int(k) or not 1 <= k <= ensemble.n:
+        raise ValueError(f"k {k!r} is not an integer in 1..{ensemble.n}")
     marg = marginal_ensemble(ensemble, [floor])
     space = marg.space
 
@@ -304,11 +303,10 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     # rows of phi_t: phitilde_i = sum_m [U^{-1}]_{mi} phi_m
     phi_t = scipy.linalg.solve_triangular(up, ensemble.phi, trans="T",
                                           lower=False)
-    blocks = (phi_t.T @ f_t)[None, None, :, :]
     jk = JanossyKernel(ensemble=ensemble, windows=wf,
                        const=_det_ratio(a_comp, ensemble.tables.gram),
                        gram=a_comp, gram_cond=cond, warnings=warns)
     # an instance attribute takes precedence over the cached property
-    jk.kernel = BlockKernel(ensemble=ensemble, blocks=blocks,
+    jk.kernel = BlockKernel(ensemble=ensemble, matrix=phi_t.T @ f_t,
                             kind=KIND_BIORTHOGONAL, warnings=warns)
     return jk

@@ -11,6 +11,12 @@ restricted to a family of windows gives the probability that every window is
 empty; and the resolvent K_I (Id - K_I)^{-1} of the restriction reproduces
 the Janossy kernel computed in closed form by the janossy module.
 
+K is stored as one operator on M copies of the space, an (M P, M P) matrix
+K = -G + R A^{-1} L^T: R and L stack every floor's right and left
+convolutions, G holds the g_{l,m}, and point (floor l, node x) is row
+(l-1) P + x (``rows``).  Point matrices, restrictions and resolvents
+gather or scatter the rows of their points.
+
 Restriction symmetrizes with sqrt-weights, so operator products and
 determinants become plain matrix products and determinants.  The sqrt-weight
 scaling never leaks out of this module: kernel values are always reported in
@@ -28,7 +34,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -46,31 +51,36 @@ CSV_SCHEMA = "jk-csv-1"
 JSON_SCHEMA = "jk-kernel-1"
 
 
+def rows(points, size: int) -> np.ndarray:
+    """Kernel-matrix row (l-1) P + x of each (floor l, node x); P = size."""
+    pts = np.asarray(points, dtype=np.intp).reshape(-1, 2)
+    return (pts[:, 0] - 1) * size + pts[:, 1]
+
+
 @dataclass(eq=False)
 class BlockKernel:
-    """Kernel values for every floor pair, sampled on the space nodes.
+    """A kernel on M copies of the space, as one (M P, M P) matrix.
 
-    ``blocks[l-1, m-1, x, y]`` is the kernel value at (floor l, node x;
-    floor m, node y).  ``kind`` records the construction route.
+    Point (floor l, node x) is row and column (l-1) P + x (``rows``), so
+    ``matrix[(l-1) P + x, (m-1) P + y]`` is the kernel value at (floor l,
+    node x; floor m, node y), and so is ``blocks[l-1, m-1, x, y]``.
+    ``kind`` records the construction route.
     """
 
     ensemble: ChainEnsemble
-    blocks: np.ndarray
+    matrix: np.ndarray
     kind: str
     warnings: tuple[str, ...] = ()
 
     @property
-    def floors(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.blocks.shape[2]
+    def blocks(self) -> np.ndarray:
+        """(M, M, P, P) view of ``matrix``; writes go through to it."""
+        M, P = self.ensemble.floors, self.ensemble.space.size
+        return self.matrix.reshape(M, P, M, P).transpose(0, 2, 1, 3)
 
     def value(self, l: int, x: int, m: int, y: int) -> complex:
         """Kernel value at (floor l, node x; floor m, node y)."""
-        (l, x), (m, y) = self.ensemble.check_points([(l, x), (m, y)])
-        return complex(self.blocks[l - 1, m - 1, x, y])
+        return complex(self.matrix_at([(l, x), (m, y)])[0, 1])
 
     def block(self, l: int, m: int) -> np.ndarray:
         self.ensemble.check_floor(l)
@@ -79,27 +89,25 @@ class BlockKernel:
 
     def matrix_at(self, points) -> np.ndarray:
         """Square matrix of kernel values at a list of (floor, node) points."""
-        return self.blocks[pair_index(self.ensemble.check_points(points))]
+        r = rows(self.ensemble.check_points(points), self.ensemble.space.size)
+        return self.matrix.take(r[:, None] * self.matrix.shape[1] + r)
 
 
 def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,
                        kind: str, warnings: tuple[str, ...]) -> BlockKernel:
-    """Assemble -g_{l,m} + right @ inv(gram) @ left^T from any table set.
+    """Assemble -G + R inv(gram) L^T from any table set.
 
-    ``tables.gram`` must have passed ``rcond_gate``, giving ``warnings``."""
-    M, P = tables.floors, ensemble.space.size
-    inv = np.linalg.inv(tables.gram)
-    blocks = np.empty((M, M, P, P), dtype=tables.gram.dtype)
-    for l in range(1, M + 1):
-        lead = tables.right[l - 1] @ inv
-        for m in range(1, M + 1):
-            block = lead @ tables.left[m - 1].T
-            gl = tables.chain.get((l, m))
-            if gl is not None:
-                block = block - gl
-            blocks[l - 1, m - 1] = block
-    return BlockKernel(ensemble=ensemble, blocks=blocks, kind=kind,
-                       warnings=warnings)
+    R and L stack the right and left tables of every floor, and G holds
+    the chain blocks g_{l,m}, l < m.  ``tables.gram`` must have passed
+    ``rcond_gate``, giving ``warnings``.
+    """
+    matrix = ((np.concatenate(tables.right) @ np.linalg.inv(tables.gram))
+              @ np.concatenate(tables.left).T)
+    kernel = BlockKernel(ensemble=ensemble, matrix=matrix, kind=kind,
+                         warnings=warnings)
+    for (l, m), g in tables.chain.items():
+        kernel.blocks[l - 1, m - 1] -= g
+    return kernel
 
 
 def correlation_kernel(ensemble: ChainEnsemble) -> BlockKernel:
@@ -150,32 +158,15 @@ class RestrictedOperator:
                           detail=f"windows: {self.windows.describe()}")
 
 
-def pair_index(points) -> tuple[np.ndarray, ...]:
-    """Broadcast index of every pair of (floor, node) points into blocks.
-
-    ``blocks[pair_index(points)][i, j]`` is the kernel value at
-    (points[i]; points[j]) for any ``BlockKernel.blocks``, and assigning
-    through the index scatters a matrix back into the blocks.
-    """
-    pts = np.asarray(points, dtype=np.intp).reshape(-1, 2)
-    floor, node = pts[:, 0] - 1, pts[:, 1]
-    return floor[:, None], floor[None, :], node[:, None], node[None, :]
-
-
 def restrict(kernel: BlockKernel, windows: WindowFamily) -> RestrictedOperator:
     """Restriction of a block kernel to the nodes of a window family."""
     ens = kernel.ensemble
     wf = ens.check_windows(windows)
-    index = wf.points()
-    pts = np.asarray(index, dtype=np.intp).reshape(-1, 2)
-    floor, node = pts[:, 0] - 1, pts[:, 1]
-    # blocks[l, m, x, y] sits at ((l M + m) P + x) P + y of the flat blocks
-    M, P = kernel.floors, kernel.size
-    row = (floor * (M * P) + node) * P
-    col = floor * (P * P) + node
-    sw = np.sqrt(ens.space.weights)[node]
-    matrix = (kernel.blocks.ravel()[row[:, None] + col[None, :]]
-              * (sw[:, None] * sw[None, :]))
+    index, P = wf.points(), ens.space.size
+    r = rows(index, P)
+    sw = np.sqrt(ens.space.weights)[r % P]
+    matrix = (kernel.matrix.take(r[:, None] * kernel.matrix.shape[1] + r)
+              * (sw[:, None] * sw))
     return RestrictedOperator(kernel=kernel, windows=wf, matrix=matrix,
                               index=index)
 
@@ -206,17 +197,17 @@ def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:
             f"resolvent_kernel needs a correlation kernel, got {kernel.kind!r}"
         )
     ens = kernel.ensemble
-    blocks = np.zeros_like(kernel.blocks)
+    matrix = np.zeros_like(kernel.matrix)
     warns: tuple[str, ...] = ()
     if op.size:
         _, warns = op.gate
         lu = scipy.linalg.lu_factor(np.eye(op.size) - op.matrix)
         # L (Id - K) = K  =>  (Id - K)^T L^T = K^T
         lmat = scipy.linalg.lu_solve(lu, op.matrix.T, trans=1).T
-        l, m, x, y = pair_index(op.index)
-        sqrtw = np.sqrt(ens.space.weights)
-        blocks[l, m, x, y] = lmat / (sqrtw[x] * sqrtw[y])
-    return BlockKernel(ensemble=ens, blocks=blocks, kind=KIND_RESOLVENT,
+        r = rows(op.index, ens.space.size)
+        sw = np.sqrt(ens.space.weights)[r % ens.space.size]
+        matrix[r[:, None], r] = lmat / (sw[:, None] * sw)
+    return BlockKernel(ensemble=ens, matrix=matrix, kind=KIND_RESOLVENT,
                        warnings=warns)
 
 
@@ -238,15 +229,16 @@ def dyson_mehta_check(kernel: BlockKernel) -> tuple[np.ndarray, float]:
     if kernel.kind != KIND_CORRELATION:
         raise ValueError("dyson_mehta_check needs a correlation kernel")
     ens = kernel.ensemble
-    proj = kernel.blocks.copy()
+    M, P, w = ens.floors, ens.space.size, ens.space.weights
+    proj = kernel.matrix.copy()
     for (l, m), g in ens.tables.chain.items():
-        proj[l - 1, m - 1] += g
-    w = ens.space.weights
-    M = ens.floors
+        proj.reshape(M, P, M, P)[l - 1, :, m - 1] += g
     residual = np.empty((M, M, M))
-    for k, l, m in itertools.product(range(M), repeat=3):
-        lhs = (proj[k, l] * w[None, :]) @ proj[l, m]
-        residual[k, l, m] = np.abs(lhs - proj[k, m]).max()
+    for l in range(M):
+        on_l = slice(l * P, (l + 1) * P)
+        lhs = (proj[:, on_l] * w) @ proj[on_l]
+        diff = np.abs(lhs - proj).reshape(M, P, M, P)
+        residual[:, l] = diff.max(axis=(1, 3))
     return residual, max(1.0, float(np.abs(proj).max()))
 
 
@@ -292,16 +284,14 @@ def export_kernel_csv(kernel: BlockKernel, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["floor_row", "node_row", "point_row",
                          "floor_col", "node_col", "point_col", "re", "im"])
-        M, P = ens.floors, ens.space.size
-        for l in range(1, M + 1):
-            for x in range(P):
-                for m in range(1, M + 1):
-                    for y in range(P):
-                        v = kernel.blocks[l - 1, m - 1, x, y]
-                        writer.writerow([l, x, repr(float(nodes[x])),
-                                         m, y, repr(float(nodes[y])),
-                                         repr(float(v.real)),
-                                         repr(float(v.imag))])
+        # (floor, node, position) of each matrix row and column, in order
+        points = [(l, x, repr(float(nodes[x])))
+                  for l in range(1, ens.floors + 1)
+                  for x in range(ens.space.size)]
+        for row_point, row in zip(points, kernel.matrix):
+            for col_point, v in zip(points, row):
+                writer.writerow([*row_point, *col_point, repr(float(v.real)),
+                                 repr(float(v.imag))])
 
 
 def kernel_to_json(kernel: BlockKernel) -> dict:

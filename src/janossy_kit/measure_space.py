@@ -28,8 +28,9 @@ _INF = float("inf")
 
 
 def _is_int(value) -> bool:
-    """A JSON integer; booleans are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int or NumPy integer; booleans are not integers here."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

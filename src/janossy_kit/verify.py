@@ -36,7 +36,6 @@ from .kernels import (
     correlation_kernel,
     dyson_mehta_check,
     fredholm_det,
-    pair_index,
     resolvent_kernel,
     restrict,
 )
@@ -424,8 +423,7 @@ def verify_resolvent(i: int, seed: int, budget: int,
     wf, jk, op = drawn
     desc = dict(desc, windows=[w.count for w in wf.windows])
     res = resolvent_kernel(op)
-    idx = pair_index(op.index)
-    a, b = res.blocks[idx], jk.kernel.blocks[idx]
+    a, b = res.matrix_at(op.index), jk.kernel.matrix_at(op.index)
     scale, pair = 1.0, (0.0 + 0.0j, 0.0 + 0.0j)
     if a.size:
         pos = np.unravel_index(int(np.abs(a - b).argmax()), a.shape)

@@ -20,6 +20,7 @@ from janossy_kit.chain_ensemble import (
     chain_convolve,
     left_convolve,
     marginal_ensemble,
+    pairing_halves,
     partition_function,
     right_convolve,
 )
@@ -92,6 +93,33 @@ def test_single_floor_gram_has_no_couplings():
     w = ens.space.weights
     expect = (ens.f * w[None, :]) @ ens.phi.T
     assert np.allclose(ens.tables.gram, expect, atol=1e-13)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_pairing_halves_give_the_gram_at_every_split(dtype):
+    """left @ right.T is A under the node weights and A^c under the
+    complement weights, at every split 1..M: a sweep that skips or repeats
+    a floor's weight or transfer gives another matrix."""
+    ens = small_ensemble(M=4)
+    if dtype == np.complex128:
+        phase = np.exp(2j * np.pi * np.random.default_rng(8).uniform(
+            size=(ens.floors + 1, ens.space.size)))
+        ens = ChainEnsemble(ens.space, ens.f * phase[0], ens.phi * phase[-1],
+                            [g * phase[l + 1] for l, g in enumerate(ens.g)])
+    masks = [[True, False, False, False], [False, True, True, False],
+             [False, False, False, True], [True, False, True, False]]
+    wf = WindowFamily(tuple(ens.space.window(m) for m in masks))
+    for weights, gram in [([ens.weights] * 4, ens.tables.gram),
+                          (wf.complement_weights(),
+                           complement_tables(ens, wf).gram)]:
+        assert gram.dtype == dtype
+        for split in range(1, 5):
+            left, right = pairing_halves(ens, weights, split)
+            assert left.shape == right.shape == (ens.n, ens.space.size)
+            got = left @ right.T
+            assert got.dtype == dtype
+            assert np.abs(got - gram).max() <= 1e-13 * np.abs(gram).max()
+        assert np.array_equal(got, gram)
 
 
 def test_complement_tables_restrict_each_integration():

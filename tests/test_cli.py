@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from janossy_kit import janossy, verify
-from janossy_kit.cli import main
+from janossy_kit.cli import main, run_experiment
+from janossy_kit.errors import ConfigError
 
 GAP_CONFIG = {
     "model": {"variant": "random", "seed": 31, "nodes": 4, "particles": 2,
@@ -425,6 +426,17 @@ def test_seed_flag_overrides_verify_seed(tmp_path):
     rc = read_json(out_c)
     assert ra["results"]["records"] == rb["results"]["records"]
     assert ra["results"]["records"] != rc["results"]["records"]
+
+
+def test_negative_seed_exits_2_without_output_dir(tmp_path):
+    code, out_dir = run(tmp_path, VERIFY_CONFIG, "--seed", "-1")
+    assert code == 2
+    assert not os.path.exists(out_dir)
+    out_dir = str(tmp_path / "direct")
+    for seed in (-1, 2.5, True):
+        with pytest.raises(ConfigError):
+            run_experiment(VERIFY_CONFIG, out_dir, seed=seed)
+    assert not os.path.exists(out_dir)
 
 
 def test_missing_config_file_exits_2(tmp_path):

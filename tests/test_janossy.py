@@ -335,6 +335,15 @@ def test_kth_extreme_validates_floor_and_k():
         kth_extreme_distribution(ens, 1, 3, [0.0])
 
 
+def test_kth_extreme_rejects_non_integer_k():
+    ens = gaussian_ensemble()
+    for k in (2.7, 1.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError):
+            kth_extreme_distribution(ens, 1, k, [0.0])
+    assert (kth_extreme_distribution(ens, 1, np.int64(2), [0.0])
+            == kth_extreme_distribution(ens, 1, 2, [0.0]))
+
+
 def test_kth_extreme_on_multi_floor_marginalizes():
     ens = build_random(6, 5, 2, 3)
     curve = kth_extreme_distribution(ens, 2, 1, [float(ens.space.nodes[2])])

@@ -24,9 +24,9 @@ from janossy_kit.kernels import (
     export_kernel_csv,
     fredholm_det,
     kernel_to_json,
-    pair_index,
     resolvent_kernel,
     restrict,
+    rows,
 )
 from janossy_kit.measure_space import (
     WindowFamily,
@@ -60,9 +60,15 @@ def test_kernel_block_layout_and_value_agree():
 def test_check_points_validates_floors_and_nodes():
     ens = build_random(2, 4, 2, 2)
     assert ens.check_points([(1, 0), (2, 3)]) == [(1, 0), (2, 3)]
-    for bad in ([(0, 0)], [(3, 0)], [(1, -1)], [(1, 4)]):
+    assert ens.check_points([(np.int64(2), np.int32(1))]) == [(2, 1)]
+    for bad in ([(0, 0)], [(3, 0)], [(1, -1)], [(1, 4)], [(1, 2.5)],
+                [(1.9, 0)], [(1.0, 0)], [(True, 0)], [(1, False)],
+                [(1, np.float64(2.0))]):
         with pytest.raises(ValueError):
             ens.check_points(bad)
+    kernel = correlation_kernel(ens)
+    with pytest.raises(ValueError):
+        correlation_function(kernel, [(1, 2.5)])
 
 
 def test_correlation_determinants_match_brute_enumeration():
@@ -286,19 +292,42 @@ def test_kernel_json_layout():
     json.dumps(doc)  # must be serializable as-is
 
 
-def test_restrict_gathers_the_blocks_at_the_pair_index():
-    """The flat gather equals the (floor, node) pair gather, bit for bit."""
+def test_restrict_matrix_at_and_resolvent_agree_through_rows():
+    """restrict and matrix_at gather, and the resolvent scatters, the rows
+    of the window points, bit for bit."""
     ens = build_random(9, 5, 2, 3)
     kernel = correlation_kernel(ens)
     wf = WindowFamily((ens.space.window([True, False, True, False, True]),
                        ens.space.window([False, True, False, False, False]),
                        ens.space.window([False, False, True, True, False])))
     op = restrict(kernel, wf)
-    nodes = np.array([x for _, x in op.index])
-    sw = np.sqrt(ens.space.weights)[nodes]
-    expect = kernel.blocks[pair_index(op.index)] * (sw[:, None] * sw[None, :])
+    r = rows(op.index, 5)
+    assert r.tolist() == [0, 2, 4, 6, 12, 13]
+    sw = np.sqrt(ens.space.weights)[r % 5]
+    expect = kernel.matrix[np.ix_(r, r)] * (sw[:, None] * sw[None, :])
     assert op.matrix.dtype == expect.dtype
     assert np.array_equal(op.matrix, expect)
+    assert np.array_equal(kernel.matrix_at(op.index),
+                          kernel.matrix[np.ix_(r, r)])
+    res = resolvent_kernel(op)
+    outside = np.ones(res.matrix.shape, dtype=bool)
+    outside[np.ix_(r, r)] = False
+    assert np.all(res.matrix[outside] == 0)
+    assert np.array_equal(res.matrix_at(op.index), res.matrix[np.ix_(r, r)])
+
+
+def test_blocks_is_a_write_through_view_of_the_matrix():
+    ens = build_random(2, 4, 2, 3)
+    kernel = correlation_kernel(ens)
+    blocks = kernel.blocks
+    assert blocks.shape == (3, 3, 4, 4)
+    assert np.shares_memory(blocks, kernel.matrix)
+    for l, x, m, y in [(1, 0, 1, 0), (1, 3, 3, 2), (3, 1, 2, 3)]:
+        assert blocks[l - 1, m - 1, x, y] == kernel.matrix[4 * (l - 1) + x,
+                                                          4 * (m - 1) + y]
+    kernel.blocks[2, 0, 1, 3] = 7.0
+    assert kernel.matrix[9, 3] == 7.0
+    assert kernel.value(3, 1, 1, 3) == 7.0
 
 
 REAL_MODELS = {
