@@ -64,6 +64,7 @@ from .oracle import (
     EnumeratedDistribution,
     brute_correlation,
     brute_count_probability,
+    brute_density_grid,
     brute_janossy,
     enumerate_density,
     quad_oracle_m1,
@@ -91,6 +92,7 @@ __all__ = [
     "biorthogonal_janossy_recipe",
     "brute_correlation",
     "brute_count_probability",
+    "brute_density_grid",
     "brute_janossy",
     "build_coupled_chain",
     "build_karlin_mcgregor",

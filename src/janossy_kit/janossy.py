@@ -245,10 +245,13 @@ def kth_extreme_distribution(ensemble: ChainEnsemble, floor: int, k: int,
                              s_grid: Sequence[float]) -> list[ExtremePoint]:
     """Distribution of the k-th largest floor-`floor` particle on a grid.
 
-    For each s the counting probabilities Pr(#particles >= s equals j),
-    j = 0..k, are computed on the single-floor marginal; then
-    Pr(kth largest >= s) = 1 - sum_{j<k} Pr(# = j) and the cdf is its
-    complement.  Output order follows the grid.
+    For each s the counting probabilities p_j = Pr(#particles >= s equals
+    j), j = 0..n, come from the law of the single-floor marginal, and
+    ``count_probs`` keeps j = 0..k.  The cdf Pr(kth largest < s) is
+    sum_{j<k} p_j and Pr(kth largest >= s) is sum_{j>=k} p_j, each summed
+    from the law: neither is formed as one minus the other, so a small
+    tail keeps the accuracy of the law's entries instead of the 1e-16
+    absolute rounding of 1 - (1 - p).  Output order follows the grid.
     """
     floor = ensemble.check_floor(floor)
     if not _is_int(k) or not 1 <= k <= ensemble.n:
@@ -260,10 +263,10 @@ def kth_extreme_distribution(ensemble: ChainEnsemble, floor: int, k: int,
     for s in s_grid:
         window = space.window_from_intervals([(float(s), None)])
         dist = count_distribution(marg, WindowFamily((window,)))
-        probs = tuple(real_probability(dist[j]) for j in range(k + 1))
-        prob_ge = 1.0 - sum(probs[:k])
-        curve.append(ExtremePoint(s=float(s), count_probs=probs,
-                                  prob_ge=prob_ge, cdf=1.0 - prob_ge))
+        probs = [real_probability(p) for p in dist]
+        curve.append(ExtremePoint(s=float(s), count_probs=tuple(probs[:k + 1]),
+                                  prob_ge=math.fsum(probs[k:]),
+                                  cdf=math.fsum(probs[:k])))
     return curve
 
 

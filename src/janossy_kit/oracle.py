@@ -12,11 +12,15 @@ no correlation kernels, no Fredholm determinants, no pairing-matrix algebra
 beyond the single normalization Z (which is itself cross-checked against raw
 summation).
 
-Sums are organized floor by floor (distributivity only: the per-floor
-determinant factors are tabulated once and the configuration sum folds
-across floors), which keeps desk-scale budgets fast without changing a
-single term of the sum.  ``EnumeratedDistribution.config_masses`` exposes
-the plain lazy iteration over every ordered configuration.
+Sums are folded floor by floor (distributivity only: the per-floor
+determinant factors are tabulated once over ordered node tuples, and the
+configuration sum contracts them across floors), which keeps desk-scale
+budgets fast without changing a single term of the sum.  A slot that is
+summed carries its node weight; a slot that is an evaluation point stays an
+output axis over its domain, so one folded sum gives a density on a whole
+grid of point sets, and a single point set is the grid whose axes have one
+node each.  ``EnumeratedDistribution.config_masses`` exposes the plain lazy
+iteration over every ordered configuration.
 """
 
 from __future__ import annotations
@@ -49,40 +53,29 @@ def real_probability(value) -> float:
     return float(value.real)
 
 
-def _batch_det(mats: np.ndarray) -> np.ndarray:
-    """Determinants over the last two axes; cofactor forms for n <= 3."""
-    n = mats.shape[-1]
-    if n == 1:
-        return mats[..., 0, 0].copy()
-    if n == 2:
-        return (mats[..., 0, 0] * mats[..., 1, 1]
-                - mats[..., 0, 1] * mats[..., 1, 0])
-    if n == 3:
-        return (
-            mats[..., 0, 0] * (mats[..., 1, 1] * mats[..., 2, 2]
-                               - mats[..., 1, 2] * mats[..., 2, 1])
-            - mats[..., 0, 1] * (mats[..., 1, 0] * mats[..., 2, 2]
-                                 - mats[..., 1, 2] * mats[..., 2, 0])
-            + mats[..., 0, 2] * (mats[..., 1, 0] * mats[..., 2, 1]
-                                 - mats[..., 1, 1] * mats[..., 2, 0])
-        )
-    return np.linalg.det(mats)
+def _floor_grid(domains, weighted, w: np.ndarray):
+    """Node-tuple indices of one floor's slot grid: kept slots by summed.
 
-
-def _grid(domains, weighted, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat tuple-space indices and node-weight products of a slot grid.
-
-    Slot j ranges over ``domains[j]``; its node weight enters the product
-    only when ``weighted[j]``.
+    Slot j ranges over ``domains[j]``; it is summed when ``weighted[j]``
+    and kept as an evaluation point otherwise.  Returns ``(sel, weight,
+    shape)``: ``sel[k, s]`` is the flat tuple index with kept assignment k
+    and summed assignment s (each row-major in slot order), ``weight[s]``
+    the product of the summed slots' node weights, and ``shape`` the kept
+    domains' sizes.
     """
-    idx = np.zeros(1, dtype=np.int64)
-    acc = np.ones(1, dtype=float)
-    for d, use in zip(domains, weighted):
+    n = len(domains)
+    kept = summed = np.zeros(1, dtype=np.int64)
+    weight, shape = np.ones(1), []
+    for j, (d, use) in enumerate(zip(domains, weighted)):
         d = np.asarray(d, dtype=np.int64)
-        part = w[d] if use else np.ones(d.size, dtype=float)
-        idx = (idx[:, None] * w.size + d[None, :]).reshape(-1)
-        acc = (acc[:, None] * part[None, :]).reshape(-1)
-    return idx, acc
+        offset = d * w.size ** (n - 1 - j)
+        if use:
+            summed = (summed[:, None] + offset).reshape(-1)
+            weight = (weight[:, None] * w[d]).reshape(-1)
+        else:
+            kept = (kept[:, None] + offset).reshape(-1)
+            shape.append(d.size)
+    return kept[:, None] + summed, weight, shape
 
 
 class EnumeratedDistribution:
@@ -107,20 +100,18 @@ class EnumeratedDistribution:
         self.tuples = tuples
         T = tuples.shape[0]
         # det f_i(x_j): matrix [i, j] = f[i, tuple[j]]
-        self.det_f = _batch_det(
-            ensemble.f[:, tuples].transpose(1, 0, 2)
-        )
-        self.det_phi = _batch_det(
-            ensemble.phi[:, tuples].transpose(1, 0, 2)
-        )
+        self.det_f = np.linalg.det(ensemble.f[:, tuples].transpose(1, 0, 2))
+        self.det_phi = np.linalg.det(
+            ensemble.phi[:, tuples].transpose(1, 0, 2))
         self.pair = [
-            _batch_det(gl[tuples[:, None, :, None], tuples[None, :, None, :]])
+            np.linalg.det(gl[tuples[:, None, :, None],
+                             tuples[None, :, None, :]])
             for gl in ensemble.g
         ]
         self.tuple_weight = np.prod(ensemble.space.weights[tuples], axis=1)
         self.z_det = partition_function(ensemble)
         full = [np.arange(P, dtype=np.int64)] * n
-        self.z_raw = self.folded_sum([full] * M, [[True] * n] * M)
+        self.z_raw = complex(self.folded_sum([full] * M, [[True] * n] * M))
         self.total_mass = self.z_raw / self.z_det
 
     # -- raw access ---------------------------------------------------------
@@ -170,24 +161,27 @@ class EnumeratedDistribution:
 
     # -- folded summation ----------------------------------------------------
 
-    def folded_sum(self, slot_domains, slot_weighted) -> complex:
-        """Sum of unnormalized masses over a grid of per-slot node domains.
+    def folded_sum(self, slot_domains, slot_weighted) -> np.ndarray:
+        """Unnormalized masses summed over weighted slots, on a grid of
+        evaluation points.
 
         ``slot_domains[l][j]`` lists the node indices slot j of floor l+1
-        ranges over; ``slot_weighted[l][j]`` says whether that slot's node
-        weight enters the product (fixed evaluation points do not).  This is
-        the plain configuration sum, folded floor by floor.
+        ranges over.  A weighted slot (``slot_weighted[l][j]``) is summed
+        over its domain with its node weight in the product.  An unweighted
+        slot is an evaluation point: it carries no weight and becomes one
+        output axis over its domain, axes ordered by floor, then slot.  With
+        no unweighted slot the result is 0-d.  This is the plain
+        configuration sum, folded floor by floor.
         """
-        M = self.ensemble.floors
         w = self.ensemble.space.weights
-        sel, wv = zip(*(_grid(d, u, w)
-                        for d, u in zip(slot_domains, slot_weighted)))
-        if any(s.size == 0 for s in sel):
-            return 0.0 + 0.0j
+        sel, wv, shape = zip(*(_floor_grid(d, u, w)
+                               for d, u in zip(slot_domains, slot_weighted)))
         u = self.det_f[sel[0]] * wv[0]
-        for l in range(M - 1):
-            u = (u @ self.pair[l][np.ix_(sel[l], sel[l + 1])]) * wv[l + 1]
-        return complex(u @ self.det_phi[sel[M - 1]])
+        for l, pair in enumerate(self.pair):
+            table = pair[sel[l][:, :, None, None], sel[l + 1]]
+            u = np.einsum("...ks,ksqt->...kqt", u, table) * wv[l + 1]
+        u = np.einsum("...ks,ks->...k", u, self.det_phi[sel[-1]])
+        return u.reshape([size for floor in shape for size in floor])
 
 
 def enumerate_density(ensemble: ChainEnsemble,
@@ -201,50 +195,46 @@ def enumerate_density(ensemble: ChainEnsemble,
     return EnumeratedDistribution(ensemble, budget)
 
 
-def _group_points(ensemble: ChainEnsemble, pts) -> list[list[int]]:
-    """Per-floor fixed node lists from validated (floor, node) pairs."""
-    per_floor: list[list[int]] = [[] for _ in range(ensemble.floors)]
-    for floor, node in pts:
-        per_floor[floor - 1].append(node)
-    for l, fixed in enumerate(per_floor, start=1):
-        if len(fixed) > ensemble.n:
-            raise ValueError(
-                f"{len(fixed)} points on floor {l} but only {ensemble.n} particles"
-            )
-    return per_floor
+def brute_density_grid(dist: EnumeratedDistribution, point_domains,
+                       free) -> np.ndarray:
+    """Density on a grid of point sets, by direct summation.
 
-
-def _fixed_point_sum(dist: EnumeratedDistribution, per_floor,
-                     free) -> complex:
-    """Density at fixed nodes, every other slot summed over a free domain.
-
-    Fixes each floor's listed nodes in its leading coordinate slots, sums
-    the normalized density over the remaining slots of floor l, each
-    ranging over ``free[l-1]``, and multiplies by the ordered-tuple count
-    n!/(n-k_l)! per floor.  Node weights of the fixed points are not
-    included: the value is a density against them.
+    Floor l holds one evaluation point per entry of ``point_domains[l-1]``,
+    each ranging over the node indices that entry lists; the result has one
+    axis per point, floors in order.  The other slots of floor l are
+    summed over ``free[l-1]``, and floor l contributes the ordered-tuple
+    count n!/(n-k_l)! of its k_l points.  Node weights of the points are
+    not included: values are densities against them.
     """
     n = dist.ensemble.n
     domains, weighted, factor = [], [], 1.0
-    for fixed, nodes in zip(per_floor, free):
-        k = len(fixed)
-        domains.append([np.array([x], dtype=np.int64) for x in fixed]
-                       + [nodes] * (n - k))
+    for l, (points, nodes) in enumerate(zip(point_domains, free), start=1):
+        k = len(points)
+        if k > n:
+            raise ValueError(f"{k} points on floor {l} but only {n} particles")
+        domains.append(list(points) + [nodes] * (n - k))
         weighted.append([False] * k + [True] * (n - k))
         factor *= math.factorial(n) / math.factorial(n - k)
-    return complex(factor * dist.folded_sum(domains, weighted) / dist.z_det)
+    return factor * dist.folded_sum(domains, weighted) / dist.z_det
+
+
+def _at_points(dist: EnumeratedDistribution, pts, free) -> complex:
+    """brute_density_grid at one list of validated (floor, node) pairs."""
+    per_floor: list[list] = [[] for _ in range(dist.ensemble.floors)]
+    for floor, node in pts:
+        per_floor[floor - 1].append([node])
+    return complex(brute_density_grid(dist, per_floor, free).item())
 
 
 def brute_correlation(dist: EnumeratedDistribution, points) -> complex:
     """Correlation density at (floor, node) points by direct summation.
 
     The free coordinates of every floor range over all nodes; see
-    _fixed_point_sum.
+    brute_density_grid.
     """
     ens = dist.ensemble
-    allnodes = np.arange(ens.space.size, dtype=np.int64)
-    return _fixed_point_sum(dist, _group_points(ens, ens.check_points(points)),
-                            [allnodes] * ens.floors)
+    return _at_points(dist, ens.check_points(points),
+                      [np.arange(ens.space.size)] * ens.floors)
 
 
 def brute_janossy(dist: EnumeratedDistribution, windows: WindowFamily,
@@ -258,9 +248,8 @@ def brute_janossy(dist: EnumeratedDistribution, windows: WindowFamily,
     """
     ens = dist.ensemble
     wf = ens.check_windows(windows)
-    per_floor = _group_points(ens, ens.check_window_points(wf, points))
-    return _fixed_point_sum(dist, per_floor,
-                            [np.flatnonzero(m) for m in wf.complement_masks()])
+    return _at_points(dist, ens.check_window_points(wf, points),
+                      [np.flatnonzero(m) for m in wf.complement_masks()])
 
 
 def brute_count_probability(dist: EnumeratedDistribution,
@@ -288,11 +277,12 @@ def brute_count_probability(dist: EnumeratedDistribution,
 def quad_oracle_m1(ensemble: ChainEnsemble, s: float, k: int) -> float:
     """Pr(exactly k particles at or above s) for a single-floor ensemble.
 
-    Sums the joint density over the region with exactly k coordinates >= s,
-    each coordinate resolved at node granularity by the space's own rule
-    (consistent with how windows truncate), and normalizes by the same raw
-    sum over the whole space.  n is capped at 3; no kernel identities are
-    used anywhere.
+    The count probability of the window of nodes >= s by direct summation
+    (brute_count_probability), each coordinate resolved at node granularity
+    by the space's own rule (consistent with how windows truncate), and
+    normalized by the raw sum over the whole space.  n is capped at 3, and
+    the P^n node tuples at the default enumeration budget; no kernel
+    identities are used anywhere.
     """
     if ensemble.floors != 1:
         raise ValueError("quad_oracle_m1 needs a single-floor ensemble")
@@ -304,22 +294,8 @@ def quad_oracle_m1(ensemble: ChainEnsemble, s: float, k: int) -> float:
         raise ValueError("k must be nonnegative")
     if k > n:
         return 0.0
-    P = ensemble.space.size
-    w = ensemble.space.weights
-    above = np.flatnonzero(ensemble.space.nodes >= float(s)).astype(np.int64)
-    below = np.flatnonzero(ensemble.space.nodes < float(s)).astype(np.int64)
-
-    def region_sum(domains) -> complex:
-        if any(len(d) == 0 for d in domains):
-            return 0.0 + 0.0j
-        grids = np.meshgrid(*domains, indexing="ij")
-        tuples = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        det_f = _batch_det(ensemble.f[:, tuples].transpose(1, 0, 2))
-        det_phi = _batch_det(ensemble.phi[:, tuples].transpose(1, 0, 2))
-        wprod = np.prod(w[tuples], axis=1)
-        return complex(np.sum(det_f * det_phi * wprod))
-
-    allnodes = np.arange(P, dtype=np.int64)
-    total = region_sum([allnodes] * n)
-    part = math.comb(n, k) * region_sum([above] * k + [below] * (n - k))
-    return real_probability(part / total)
+    dist = enumerate_density(ensemble)
+    space = ensemble.space
+    wf = WindowFamily((space.window(space.nodes >= float(s)),))
+    return real_probability(brute_count_probability(dist, wf, [k])
+                            / dist.total_mass)

@@ -26,7 +26,6 @@ from .errors import SingularOperatorError
 from .janossy import (
     JanossyKernel,
     count_distribution,
-    janossy_density,
     janossy_kernel_explicit,
 )
 from .kernels import (
@@ -43,9 +42,8 @@ from .measure_space import WindowFamily
 from .models import build_random
 from .oracle import (
     DEFAULT_BUDGET,
-    brute_correlation,
     brute_count_probability,
-    brute_janossy,
+    brute_density_grid,
     enumerate_density,
 )
 
@@ -161,12 +159,15 @@ def _all_pass(records: list) -> bool:
     return all(r["status"] in ("pass", "expected-error") for r in records)
 
 
-def _worst(pairs):
-    """The (oracle, closed form) pair farthest apart, by |a - b|.
+def _worst(oracle: np.ndarray, closed: np.ndarray):
+    """The pair (oracle[i], closed[i]) farthest apart, by |a - b|.
 
-    The first such pair on ties; None when there are no pairs.
+    The first such pair on ties; None when the arrays are empty.
     """
-    return max(pairs, key=lambda p: abs(p[0] - p[1]), default=None)
+    if not oracle.size:
+        return None
+    i = int(np.abs(oracle - closed).argmax())
+    return oracle[i], closed[i]
 
 
 SUITES: dict = {}
@@ -292,17 +293,33 @@ def count_vectors(n: int, floors: int, total_max: int):
             if 1 <= sum(v) <= total_max]
 
 
-def point_sets(counts, nodes):
-    """Every ordered assignment of nodes realizing a count vector.
+def point_grid(dist, vectors, domains, free, matrix):
+    """Oracle densities and kernel determinants at every point set with
+    counts[l-1] points on floor l, each ranging over domains[l-1], for
+    every count vector in ``vectors``.
 
-    Floor l contributes ``counts[l-1]`` (floor, node) points, each node
-    drawn from ``nodes[l-1]``; yields one flat point list per assignment.
+    The oracle takes one folded sum per count vector, its other floor-l
+    slots ranging over free[l-1] (see brute_density_grid); the closed form
+    takes one batched determinant of the kernel matrix ``matrix()`` at the
+    same grid of rows, and calls ``matrix`` only when some point set
+    exists.  Both arrays follow the count vectors, then the row-major order
+    of the point axes.
     """
-    per_floor = [[[(l, int(x)) for x in tup]
-                  for tup in itertools.product(allowed, repeat=k)]
-                 for l, (k, allowed) in enumerate(zip(counts, nodes), start=1)]
-    for combo in itertools.product(*per_floor):
-        yield [p for chunk in combo for p in chunk]
+    P = dist.ensemble.space.size
+    oracle, rows = [], []
+    for counts in vectors:
+        points = [[d] * k for k, d in zip(counts, domains)]
+        oracle.append(brute_density_grid(dist, points, free).reshape(-1))
+        r = np.meshgrid(*[(l - 1) * P + d for l, on_floor in
+                          enumerate(points, start=1) for d in on_floor],
+                        indexing="ij")
+        rows.append(np.stack(r, axis=-1).reshape(-1, sum(counts)))
+    oracle = np.concatenate(oracle)
+    if not oracle.size:
+        return oracle, oracle
+    m = matrix()
+    return oracle, np.concatenate([np.linalg.det(m[r[:, :, None], r[:, None]])
+                                   for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +364,12 @@ def verify_correlations(i: int, seed: int, budget: int,
     ens, desc, _ = draw_ensemble(seed, i)
     dist = enumerate_density(ens, budget=budget)
     kernel = correlation_kernel(ens)
-    allnodes = [range(ens.space.size)] * ens.floors
-    pairs = [(brute_correlation(dist, points),
-              correlation_function(kernel, points))
-             for counts in count_vectors(ens.n, ens.floors, 3)
-             for points in point_sets(counts, allnodes)]
-    return [_record(i, dict(desc, point_sets=len(pairs)),
+    allnodes = [np.arange(ens.space.size)] * ens.floors
+    oracle, closed = point_grid(dist, count_vectors(ens.n, ens.floors, 3),
+                                allnodes, allnodes, lambda: kernel.matrix)
+    return [_record(i, dict(desc, point_sets=oracle.size),
                     "correlation determinants (worst point set)",
-                    *_worst(pairs), tol)]
+                    *_worst(oracle, closed), tol)]
 
 
 @_suite("janossy")
@@ -375,21 +390,21 @@ def verify_janossy(i: int, seed: int, budget: int, tol: float) -> list[dict]:
                    gap_brute, gap_fred, tol),
            _record(i, desc, "gap probability (const vs fredholm)",
                    gap_fred, jk.const, tol)]
-    inside = [w.node_indices.tolist() for w in wf.windows]
-    worst = _worst((brute_janossy(dist, wf, points),
-                    janossy_density(jk, points))
-                   for counts in count_vectors(ens.n, ens.floors, 2)
-                   for points in point_sets(counts, inside))
-    if worst is not None:
+    inside = [w.node_indices for w in wf.windows]
+    outside = [np.flatnonzero(m) for m in wf.complement_masks()]
+    # the kernel is built only when some in-window point set exists
+    oracle, dets = point_grid(dist, count_vectors(ens.n, ens.floors, 2),
+                              inside, outside, lambda: jk.kernel.matrix)
+    if oracle.size:
         out.append(_record(i, desc, "janossy densities (worst point set)",
-                           *worst, tol))
+                           *_worst(oracle, jk.const * dets), tol))
     # count probabilities: every count vector against the oracle
     law = count_distribution(ens, wf)
-    worst = _worst((brute_count_probability(dist, wf, counts), law[counts])
-                   for counts in itertools.product(range(ens.n + 1),
-                                                   repeat=ens.floors))
+    oracle = np.array([brute_count_probability(dist, wf, counts)
+                       for counts in np.ndindex(law.shape)])
     out.append(_record(i, desc, "count probabilities (worst count "
-                       "vector, generating function vs brute)", *worst, tol))
+                       "vector, generating function vs brute)",
+                       *_worst(oracle, law.reshape(-1)), tol))
     # closure holds by construction: the entries sum to p(1) = 1
     out.append(_record(i, desc, "count closure", 1.0, law.sum(), tol,
                        scale=10.0))
@@ -464,18 +479,18 @@ def verify_marginal(i: int, seed: int, budget: int, tol: float) -> list[dict]:
         marg = marginal_ensemble(ens, list(floors))
         km = correlation_kernel(marg)
         gram_err = float(np.abs(marg.tables.gram - ens.tables.gram).max())
-        # one-point values on every floor and node
-        pairs = [(correlation_function(kernel, [(parent_floor, x)]),
-                  correlation_function(km, [(j, x)]))
-                 for j, parent_floor in enumerate(floors, start=1)
-                 for x in range(P)]
+        # one-point values on every floor and node: the diagonals of the
+        # floor blocks
+        parent = [np.diagonal(kernel.block(l, l)) for l in floors]
+        child = [np.diagonal(km.block(j, j))
+                 for j in range(1, len(floors) + 1)]
         # one cross-floor pair when available
         if len(floors) == 2:
             x, y = int(rng.integers(P)), int(rng.integers(P))
-            pairs.append((
-                correlation_function(kernel, [(floors[0], x), (floors[1], y)]),
-                correlation_function(km, [(1, x), (2, y)])))
-        a, b = _worst(pairs)
+            parent.append([correlation_function(
+                kernel, [(floors[0], x), (floors[1], y)])])
+            child.append([correlation_function(km, [(1, x), (2, y)])])
+        a, b = _worst(np.concatenate(parent), np.concatenate(child))
         d = dict(desc, floors_kept=list(floors), gram_error=gram_err)
         # relative above unit scale, absolute below: one-point values of
         # signed ensembles may pass near zero, where a pure ratio lies

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,9 @@ from janossy_kit.measure_space import (
     make_quadrature,
 )
 from janossy_kit.models import (
+    ChainModelSpec,
     build_coupled_chain,
+    build_model,
     build_random,
     build_unitary,
 )
@@ -46,6 +50,7 @@ from janossy_kit.oracle import (
     brute_janossy,
     enumerate_density,
 )
+from janossy_kit.verify import count_vectors, point_grid
 
 
 def windows_2x4() -> tuple:
@@ -71,6 +76,22 @@ def test_janossy_density_matches_brute_sums():
         closed = janossy_density(jk, points)
         brute = brute_janossy(dist, wf, points)
         assert closed == pytest.approx(brute, abs=1e-11)
+    # the janossy suite's one grid call per count vector: each oracle entry
+    # is brute_janossy and each batched determinant times const is
+    # janossy_density at that entry's point set
+    inside = [w.node_indices for w in wf.windows]
+    outside = [np.flatnonzero(m) for m in wf.complement_masks()]
+    for counts in count_vectors(ens.n, ens.floors, ens.n * ens.floors):
+        oracle, dets = point_grid(dist, [counts], inside, outside,
+                                  lambda: jk.kernel.matrix)
+        floors = [l for l, k in enumerate(counts, start=1) for _ in range(k)]
+        sets = [list(zip(floors, map(int, xs))) for xs in
+                itertools.product(*(inside[l - 1] for l in floors))]
+        assert oracle.shape == dets.shape == (len(sets),)
+        for a, d, points in zip(oracle, dets, sets):
+            b = brute_janossy(dist, wf, points)
+            assert abs(a - b) <= 1e-14 * max(abs(a), abs(b))
+            assert jk.const * d == janossy_density(jk, points)
 
 
 def test_janossy_empty_point_set_is_the_all_empty_probability():
@@ -323,6 +344,24 @@ def test_kth_extreme_telescopes_through_count_probabilities():
         if p_exactly_1 is not None:
             assert p1.count_probs[0] == pytest.approx(
                 p2.count_probs[0], abs=1e-12)
+
+
+def test_kth_extreme_tails_are_summed_from_the_law():
+    """docs/configs/bridge-extremes.json: at s = -1 the largest path's cdf
+    (about 1e-8) is p_0 itself, not 1 - (1 - p_0); at s = 3 Pr(largest
+    >= s) (about 2.5e-5) is the sum of the law's j >= 1 entries."""
+    config = Path(__file__).parent.parent / "docs" / "configs" / \
+        "bridge-extremes.json"
+    ens = build_model(ChainModelSpec.from_json(
+        json.loads(config.read_text())["model"]))
+    low, high = kth_extreme_distribution(ens, 1, 1, [-1.0, 3.0])
+    assert 0.0 < low.count_probs[0] < 1e-7
+    assert low.cdf == low.count_probs[0]
+    marg = marginal_ensemble(ens, [1])
+    law = count_distribution(marg, WindowFamily(
+        (marg.space.window_from_intervals([(3.0, None)]),)))
+    assert high.prob_ge == math.fsum(law.real[1:])
+    assert high.cdf == high.count_probs[0]
 
 
 def test_kth_extreme_validates_floor_and_k():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 
@@ -40,6 +41,7 @@ from janossy_kit.models import (
     build_unitary,
 )
 from janossy_kit.oracle import brute_correlation, enumerate_density
+from janossy_kit.verify import count_vectors, point_grid
 
 
 def test_kernel_block_layout_and_value_agree():
@@ -86,6 +88,22 @@ def test_correlation_determinants_match_brute_enumeration():
         det_form = correlation_function(kernel, points)
         brute = brute_correlation(dist, points)
         assert det_form == pytest.approx(brute, abs=1e-11)
+    # the correlations suite's one grid call per count vector: each oracle
+    # entry is brute_correlation and each batched determinant is
+    # correlation_function at that entry's point set, in the row-major
+    # order of the points
+    nodes = [np.arange(4)] * 2
+    for counts in count_vectors(ens.n, ens.floors, 3):
+        oracle, dets = point_grid(dist, [counts], nodes, nodes,
+                                  lambda: kernel.matrix)
+        floors = [l for l, k in enumerate(counts, start=1) for _ in range(k)]
+        sets = [list(zip(floors, xs))
+                for xs in itertools.product(range(4), repeat=len(floors))]
+        assert oracle.shape == dets.shape == (len(sets),)
+        for a, d, points in zip(oracle, dets, sets):
+            b = brute_correlation(dist, points)
+            assert abs(a - b) <= 1e-14 * max(abs(a), abs(b))
+            assert d == correlation_function(kernel, points)
 
 
 def test_empty_point_set_gives_one():

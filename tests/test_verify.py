@@ -46,15 +46,18 @@ def test_thread_count_does_not_change_report_bytes():
 
 
 def test_worst_pair_is_the_first_farthest_apart():
-    assert _worst([]) is None
-    assert _worst(iter(())) is None
+    def worst(oracle, closed):
+        return _worst(np.array(oracle), np.array(closed))
+
+    assert worst([], []) is None
+    assert _worst(np.zeros(0, dtype=complex), np.zeros(0)) is None
     # ties go to the first pair
-    assert _worst([(1.0, 1.0), (0.0, 2.0), (3.0, 1.0)]) == (0.0, 2.0)
-    assert _worst([(1j, -1j), (2.0, 0.0)]) == (1j, -1j)
+    assert worst([1.0, 0.0, 3.0], [1.0, 2.0, 1.0]) == (0.0, 2.0)
+    assert worst([1j, 2.0], [-1j, 0.0]) == (1j, -1j)
     # distance is the complex modulus, not the real-part gap
-    assert _worst([(0.0, 1.5), (1j, 1 + 2j)]) == (0.0, 1.5)
-    assert _worst([(0.0, 1.4), (1j, 1 + 2j)]) == (1j, 1 + 2j)
-    assert _worst([(0.0, 0.5), (1j, -1j)]) == (1j, -1j)
+    assert worst([0.0, 1j], [1.5, 1 + 2j]) == (0.0, 1.5)
+    assert worst([0.0, 1j], [1.4, 1 + 2j]) == (1j, 1 + 2j)
+    assert worst([0.0, 1j], [0.5, -1j]) == (1j, -1j)
 
 
 def test_janossy_suite_builds_each_accepted_complement_once(
