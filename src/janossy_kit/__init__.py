@@ -63,6 +63,7 @@ from .models import (
 from .oracle import (
     EnumeratedDistribution,
     brute_correlation,
+    brute_count_distribution,
     brute_count_probability,
     brute_density_grid,
     brute_janossy,
@@ -91,6 +92,7 @@ __all__ = [
     "WindowFamily",
     "biorthogonal_janossy_recipe",
     "brute_correlation",
+    "brute_count_distribution",
     "brute_count_probability",
     "brute_density_grid",
     "brute_janossy",

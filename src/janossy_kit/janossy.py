@@ -163,7 +163,7 @@ def janossy_density(jk: JanossyKernel, points) -> complex:
     gives const(I), as the 0 x 0 determinant is 1.
     """
     pts = jk.ensemble.check_window_points(jk.windows, points)
-    return complex(jk.const * np.linalg.det(jk.kernel.matrix_at(pts)))
+    return complex(jk.const * scipy.linalg.det(jk.kernel.matrix_at(pts)))
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,9 @@ def correlation_function(kernel: BlockKernel, points) -> complex:
         raise ValueError(
             f"correlation_function needs a correlation kernel, got {kernel.kind!r}"
         )
-    # matrix_at validates the points; the 0 x 0 determinant is 1
-    return complex(np.linalg.det(kernel.matrix_at(points)))
+    # matrix_at validates the points; the 0 x 0 determinant is 1, and a
+    # 1 x 1 determinant is the entry itself (LU, not sign * exp(logdet))
+    return complex(scipy.linalg.det(kernel.matrix_at(points)))
 
 
 @dataclass(eq=False)

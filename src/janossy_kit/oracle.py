@@ -12,22 +12,24 @@ no correlation kernels, no Fredholm determinants, no pairing-matrix algebra
 beyond the single normalization Z (which is itself cross-checked against raw
 summation).
 
-Sums are folded floor by floor (distributivity only: the per-floor
-determinant factors are tabulated once over ordered node tuples, and the
-configuration sum contracts them across floors), which keeps desk-scale
-budgets fast without changing a single term of the sum.  A slot that is
-summed carries its node weight; a slot that is an evaluation point stays an
-output axis over its domain, so one folded sum gives a density on a whole
-grid of point sets, and a single point set is the grid whose axes have one
-node each.  ``EnumeratedDistribution.config_masses`` exposes the plain lazy
-iteration over every ordered configuration.
+All sums read one table, ``EnumeratedDistribution.density``: the
+unweighted density of every ordered configuration, one axis of P nodes per
+particle slot, built by broadcasting the per-floor determinant factors.  Its
+P^(M*n) entries are what the enumeration budget bounds.  A check is one pass
+over the slots: a summed slot is contracted with its node weights over its
+domain, an evaluation point stays an output axis over its domain (so one
+sum gives a density on a whole grid of point sets), and a counted slot is
+summed once inside and once outside its floor's window into that floor's
+count axis.  ``EnumeratedDistribution.config_masses`` is the plain lazy
+iteration over every ordered configuration, built from the per-floor
+factors without the table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -53,38 +55,14 @@ def real_probability(value) -> float:
     return float(value.real)
 
 
-def _floor_grid(domains, weighted, w: np.ndarray):
-    """Node-tuple indices of one floor's slot grid: kept slots by summed.
-
-    Slot j ranges over ``domains[j]``; it is summed when ``weighted[j]``
-    and kept as an evaluation point otherwise.  Returns ``(sel, weight,
-    shape)``: ``sel[k, s]`` is the flat tuple index with kept assignment k
-    and summed assignment s (each row-major in slot order), ``weight[s]``
-    the product of the summed slots' node weights, and ``shape`` the kept
-    domains' sizes.
-    """
-    n = len(domains)
-    kept = summed = np.zeros(1, dtype=np.int64)
-    weight, shape = np.ones(1), []
-    for j, (d, use) in enumerate(zip(domains, weighted)):
-        d = np.asarray(d, dtype=np.int64)
-        offset = d * w.size ** (n - 1 - j)
-        if use:
-            summed = (summed[:, None] + offset).reshape(-1)
-            weight = (weight[:, None] * w[d]).reshape(-1)
-        else:
-            kept = (kept[:, None] + offset).reshape(-1)
-            shape.append(d.size)
-    return kept[:, None] + summed, weight, shape
-
-
 class EnumeratedDistribution:
     """Per-configuration masses of a chain ensemble on a discrete space.
 
     Tabulates the per-floor determinant factors over the P^n ordered node
-    tuples of one floor, from which any configuration's mass is a product.
-    Construction refuses to proceed when the full configuration count
-    P^(M*n) exceeds the budget.
+    tuples of one floor, and from them ``density``: the unweighted,
+    unnormalized density of every ordered configuration, one axis of P
+    nodes per particle slot (floor-major, then slot).  Construction refuses
+    to proceed when the table's P^(M*n) entries exceed the budget.
     """
 
     def __init__(self, ensemble: ChainEnsemble, budget: int = DEFAULT_BUDGET):
@@ -98,7 +76,6 @@ class EnumeratedDistribution:
         tuples = np.array(list(itertools.product(range(P), repeat=n)),
                           dtype=np.int64)
         self.tuples = tuples
-        T = tuples.shape[0]
         # det f_i(x_j): matrix [i, j] = f[i, tuple[j]]
         self.det_f = np.linalg.det(ensemble.f[:, tuples].transpose(1, 0, 2))
         self.det_phi = np.linalg.det(
@@ -109,6 +86,11 @@ class EnumeratedDistribution:
             for gl in ensemble.g
         ]
         self.tuple_weight = np.prod(ensemble.space.weights[tuples], axis=1)
+        # density[x^1, ..., x^M] over floor tuples x^l, one axis per slot
+        density = self.det_f
+        for pair in self.pair:
+            density = density[..., None] * pair
+        self.density = (density * self.det_phi).reshape((P,) * (M * n))
         self.z_det = partition_function(ensemble)
         full = [np.arange(P, dtype=np.int64)] * n
         self.z_raw = complex(self.folded_sum([full] * M, [[True] * n] * M))
@@ -116,37 +98,30 @@ class EnumeratedDistribution:
 
     # -- raw access ---------------------------------------------------------
 
-    def flat_index(self, floor_tuple: Sequence[int]) -> int:
-        P = self.ensemble.space.size
-        idx = 0
-        for t in floor_tuple:
-            t = int(t)
-            if not 0 <= t < P:
-                raise ValueError(f"node index {t} outside 0..{P - 1}")
-            idx = idx * P + t
-        return idx
-
     def mass_of(self, config) -> complex:
         """Probability mass of one ordered configuration.
 
         ``config`` is a per-floor sequence of n node indices.  Repeated
         nodes inside a floor are legal and carry zero mass.
         """
-        n, M = self.ensemble.n, self.ensemble.floors
+        ens = self.ensemble
+        n, M, P = ens.n, ens.floors, ens.space.size
         config = [tuple(floor) for floor in config]
         if len(config) != M or any(len(c) != n for c in config):
             raise ValueError(f"config must be {M} floors of {n} node indices")
-        flat = [self.flat_index(c) for c in config]
-        val = self.det_f[flat[0]]
-        for l in range(M - 1):
-            val = val * self.pair[l][flat[l], flat[l + 1]]
-        val = val * self.det_phi[flat[-1]]
-        for c in flat:
-            val = val * self.tuple_weight[c]
-        return complex(val / self.z_det)
+        nodes = [int(t) for floor in config for t in floor]
+        for t in nodes:
+            if not 0 <= t < P:
+                raise ValueError(f"node index {t} outside 0..{P - 1}")
+        weight = np.prod(ens.space.weights[nodes])
+        return complex(self.density[tuple(nodes)] * weight / self.z_det)
 
     def config_masses(self) -> Iterator[tuple[tuple, complex]]:
-        """Lazy iteration over every ordered configuration and its mass."""
+        """Lazy iteration over every ordered configuration and its mass.
+
+        The literal product of the per-floor factors, independent of the
+        ``density`` table.
+        """
         T = self.tuples.shape[0]
         M = self.ensemble.floors
         for flat in itertools.product(range(T), repeat=M):
@@ -159,7 +134,7 @@ class EnumeratedDistribution:
             config = tuple(tuple(int(i) for i in self.tuples[c]) for c in flat)
             yield config, complex(val / self.z_det)
 
-    # -- folded summation ----------------------------------------------------
+    # -- summation over the table ------------------------------------------
 
     def folded_sum(self, slot_domains, slot_weighted) -> np.ndarray:
         """Unnormalized masses summed over weighted slots, on a grid of
@@ -170,18 +145,20 @@ class EnumeratedDistribution:
         over its domain with its node weight in the product.  An unweighted
         slot is an evaluation point: it carries no weight and becomes one
         output axis over its domain, axes ordered by floor, then slot.  With
-        no unweighted slot the result is 0-d.  This is the plain
-        configuration sum, folded floor by floor.
+        no unweighted slot the result is 0-d.  One pass over the slots of
+        ``density``, in order.
         """
         w = self.ensemble.space.weights
-        sel, wv, shape = zip(*(_floor_grid(d, u, w)
-                               for d, u in zip(slot_domains, slot_weighted)))
-        u = self.det_f[sel[0]] * wv[0]
-        for l, pair in enumerate(self.pair):
-            table = pair[sel[l][:, :, None, None], sel[l + 1]]
-            u = np.einsum("...ks,ksqt->...kqt", u, table) * wv[l + 1]
-        u = np.einsum("...ks,ks->...k", u, self.det_phi[sel[-1]])
-        return u.reshape([size for floor in shape for size in floor])
+        u, axis = self.density, 0
+        for d, weighted in zip(itertools.chain(*slot_domains),
+                               itertools.chain(*slot_weighted)):
+            d = np.asarray(d, dtype=np.int64)
+            u = u.take(d, axis=axis)
+            if weighted:
+                u = np.moveaxis(u, axis, -1) @ w[d]
+            else:
+                axis += 1
+        return u
 
 
 def enumerate_density(ensemble: ChainEnsemble,
@@ -252,26 +229,39 @@ def brute_janossy(dist: EnumeratedDistribution, windows: WindowFamily,
                       [np.flatnonzero(m) for m in wf.complement_masks()])
 
 
-def brute_count_probability(dist: EnumeratedDistribution,
-                            windows: WindowFamily, counts) -> complex:
-    """Probability of exactly counts[l] floor-(l+1) particles in window l+1.
+def brute_count_distribution(dist: EnumeratedDistribution,
+                             windows: WindowFamily) -> np.ndarray:
+    """Law of the per-floor window counts, by direct summation.
 
-    Sums the masses of all configurations realizing the counts.  The
-    per-floor symmetry of the density lets the sum run over configurations
-    whose leading k_l coordinates are the in-window ones, times C(n, k_l).
+    Entry ``[k_1, ..., k_M]`` is the probability of exactly k_l floor-l
+    particles in window l, an (n+1)^M array.  One pass over the slots of
+    the density table: each slot is summed with its node weight once over
+    its floor's window and once over the complement, and the window part
+    moves that floor's count axis up by one.
     """
     ens = dist.ensemble
     wf = ens.check_windows(windows)
+    n, w = ens.n, ens.space.weights
+    u = dist.density
+    for l in range(1, ens.floors + 1):
+        inside = wf.window(l).mask
+        # a new count axis, last, holding everything at count 0
+        u = u[..., None] * (np.arange(n + 1) == 0)
+        for _ in range(n):
+            slot = np.moveaxis(u, 0, -1)
+            u = slot @ (w * ~inside)
+            u[..., 1:] += (slot @ (w * inside))[..., :-1]
+    return u / dist.z_det
+
+
+def brute_count_probability(dist: EnumeratedDistribution,
+                            windows: WindowFamily, counts) -> complex:
+    """Probability of exactly counts[l] floor-(l+1) particles in window l+1:
+    one entry of brute_count_distribution."""
+    ens = dist.ensemble
+    wf = ens.check_windows(windows)
     counts = ens.check_counts(counts)
-    n = ens.n
-    domains, weighted, factor = [], [], 1.0
-    for l, k in enumerate(counts, start=1):
-        inside = wf.window(l).node_indices.astype(np.int64)
-        outside = np.flatnonzero(~wf.window(l).mask).astype(np.int64)
-        domains.append([inside] * k + [outside] * (n - k))
-        weighted.append([True] * n)
-        factor *= math.comb(n, k)
-    return complex(factor * dist.folded_sum(domains, weighted) / dist.z_det)
+    return complex(brute_count_distribution(dist, wf)[tuple(counts)])
 
 
 def quad_oracle_m1(ensemble: ChainEnsemble, s: float, k: int) -> float:

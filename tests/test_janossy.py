@@ -77,8 +77,8 @@ def test_janossy_density_matches_brute_sums():
         brute = brute_janossy(dist, wf, points)
         assert closed == pytest.approx(brute, abs=1e-11)
     # the janossy suite's one grid call per count vector: each oracle entry
-    # is brute_janossy and each batched determinant times const is
-    # janossy_density at that entry's point set
+    # is brute_janossy and each batched determinant is the determinant of
+    # the Janossy kernel at that entry's point set
     inside = [w.node_indices for w in wf.windows]
     outside = [np.flatnonzero(m) for m in wf.complement_masks()]
     for counts in count_vectors(ens.n, ens.floors, ens.n * ens.floors):
@@ -91,7 +91,25 @@ def test_janossy_density_matches_brute_sums():
         for a, d, points in zip(oracle, dets, sets):
             b = brute_janossy(dist, wf, points)
             assert abs(a - b) <= 1e-14 * max(abs(a), abs(b))
-            assert jk.const * d == janossy_density(jk, points)
+            assert d == np.linalg.det(jk.kernel.matrix_at(points))
+
+
+def test_one_point_values_are_the_kernel_entries():
+    """A 1 x 1 determinant is its entry, bit for bit: the one-point
+    correlation is the diagonal kernel entry and the one-point Janossy
+    density is const times the Janossy kernel's entry."""
+    ens, wf = windows_2x4()
+    kernel = correlation_kernel(ens)
+    jk = janossy_kernel_explicit(ens, wf)
+    P = ens.space.size
+    for floor in (1, 2):
+        for x in range(P):
+            r = (floor - 1) * P + x
+            assert (correlation_function(kernel, [(floor, x)])
+                    == kernel.matrix[r, r])
+            if wf.window(floor).mask[x]:
+                assert (janossy_density(jk, [(floor, x)])
+                        == jk.const * jk.kernel.matrix[r, r])
 
 
 def test_janossy_empty_point_set_is_the_all_empty_probability():

@@ -89,9 +89,9 @@ def test_correlation_determinants_match_brute_enumeration():
         brute = brute_correlation(dist, points)
         assert det_form == pytest.approx(brute, abs=1e-11)
     # the correlations suite's one grid call per count vector: each oracle
-    # entry is brute_correlation and each batched determinant is
-    # correlation_function at that entry's point set, in the row-major
-    # order of the points
+    # entry is brute_correlation and each batched determinant is the
+    # determinant of the kernel at that entry's point set, in the row-major
+    # order of the points (correlation_function takes it by LU instead)
     nodes = [np.arange(4)] * 2
     for counts in count_vectors(ens.n, ens.floors, 3):
         oracle, dets = point_grid(dist, [counts], nodes, nodes,
@@ -103,7 +103,7 @@ def test_correlation_determinants_match_brute_enumeration():
         for a, d, points in zip(oracle, dets, sets):
             b = brute_correlation(dist, points)
             assert abs(a - b) <= 1e-14 * max(abs(a), abs(b))
-            assert d == correlation_function(kernel, points)
+            assert d == np.linalg.det(kernel.matrix_at(points))
 
 
 def test_empty_point_set_gives_one():

@@ -14,12 +14,14 @@ import pytest
 
 from janossy_kit.chain_ensemble import partition_function
 from janossy_kit.errors import BudgetExceededError
+from janossy_kit.janossy import count_distribution
 from janossy_kit.kernels import correlation_kernel, fredholm_det, restrict
 from janossy_kit.measure_space import WindowFamily, make_quadrature
 from janossy_kit.models import build_random, build_unitary
 from janossy_kit.oracle import (
     EnumeratedDistribution,
     brute_correlation,
+    brute_count_distribution,
     brute_count_probability,
     brute_janossy,
     enumerate_density,
@@ -52,16 +54,18 @@ def test_partition_route_matches_closed_form():
 
 
 def test_mass_of_agrees_with_lazy_iteration():
-    ens = build_random(4, 3, 1, 2)
-    dist = enumerate_density(ens)
-    seen = 0
-    total = 0.0 + 0.0j
-    for config, mass in dist.config_masses():
-        assert dist.mass_of(config) == pytest.approx(mass, abs=1e-15)
-        total += mass
-        seen += 1
-    assert seen == 3 ** 2
-    assert total == pytest.approx(1.0, abs=1e-12)
+    # (n = 2, M = 2) checks the slot order of the density table
+    for P, n, M in [(3, 1, 2), (3, 2, 2)]:
+        ens = build_random(4, P, n, M)
+        dist = enumerate_density(ens)
+        seen = 0
+        total = 0.0 + 0.0j
+        for config, mass in dist.config_masses():
+            assert dist.mass_of(config) == pytest.approx(mass, abs=1e-15)
+            total += mass
+            seen += 1
+        assert seen == P ** (n * M)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mass_of_validates_configuration_shape():
@@ -123,6 +127,37 @@ def test_brute_count_probabilities_sum_to_one():
     for counts in itertools.product(range(3), repeat=2):
         total += brute_count_probability(dist, wf, counts)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def three_floor_windows():
+    """A 3-floor, n = 2, P = 4 chain with a random, an empty and a full
+    window."""
+    ens = build_random(3, 4, 2, 3)
+    wf = WindowFamily((ens.space.window([True, False, True, False]),
+                       ens.space.empty_window(), ens.space.full_window()))
+    return ens, wf
+
+
+def test_brute_count_distribution_matches_literal_configuration_loop():
+    ens, wf = three_floor_windows()
+    dist = enumerate_density(ens)
+    expected = np.zeros((3, 3, 3), dtype=complex)
+    for config, mass in dist.config_masses():
+        counts = tuple(sum(bool(wf.window(l).mask[x]) for x in floor)
+                       for l, floor in enumerate(config, start=1))
+        expected[counts] += mass
+    law = brute_count_distribution(dist, wf)
+    assert law.shape == (3, 3, 3)
+    np.testing.assert_allclose(law, expected, rtol=0, atol=1e-14)
+    for counts in itertools.product(range(3), repeat=3):
+        assert brute_count_probability(dist, wf, counts) == law[counts]
+
+
+def test_brute_count_distribution_matches_generating_function():
+    ens, wf = three_floor_windows()
+    law = brute_count_distribution(enumerate_density(ens), wf)
+    np.testing.assert_allclose(law, count_distribution(ens, wf),
+                               rtol=0, atol=1e-12)
 
 
 def test_brute_count_zero_vector_is_the_gap_probability():
