@@ -68,6 +68,27 @@ def rcond_gate(matrix: np.ndarray, name: str,
     return cond, ()
 
 
+def _unit_scale(a: np.ndarray) -> float:
+    """Power of two c with |det(c a)| within a factor 2^(n/2) of 1.
+
+    Multiplying by c is exact, and the log-determinants of c-scaled
+    matrices stay small, so the difference of two of them carries no
+    rounding from the size of det a.
+    """
+    _, logdet = np.linalg.slogdet(a)
+    return math.ldexp(1.0, -round(logdet / (a.shape[-1] * math.log(2.0))))
+
+
+def _det_ratio(num: np.ndarray, den: np.ndarray) -> complex:
+    """det(num)/det(den) via log-determinants of the unit-scaled matrices."""
+    c = _unit_scale(den)
+    s1, l1 = np.linalg.slogdet(num * c)
+    s2, l2 = np.linalg.slogdet(den * c)
+    if s1 == 0:
+        return 0.0 + 0.0j
+    return complex(s1 / s2 * np.exp(l1 - l2))
+
+
 def _as_matrix(a, name: str, shape: tuple[int, ...],
                dtype: np.dtype) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)

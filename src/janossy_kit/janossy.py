@@ -42,7 +42,8 @@ finite for degenerate window families (for example a window covering the
 whole space, where A^c = 0); that is what lets the extreme-value curves
 sweep s across the entire axis.  The
 FFT error is absolute, about eps * max|det A(z) / det A| over the grid, so
-tiny tail probabilities carry no relative accuracy.
+tiny tail probabilities carry no relative accuracy; the all-empty
+probability is therefore taken from the ratio det A^c / det A instead.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ import scipy.linalg
 from .chain_ensemble import (
     ChainEnsemble,
     ConvolutionTables,
+    _det_ratio,
+    _unit_scale,
     build_tables,
     marginal_ensemble,
     pairing_halves,
@@ -112,27 +115,6 @@ def complement_tables(ensemble: ChainEnsemble,
                         wf.complement_weights())
 
 
-def _unit_scale(a: np.ndarray) -> float:
-    """Power of two c with |det(c a)| within a factor 2^(n/2) of 1.
-
-    Multiplying by c is exact, and the log-determinants of c-scaled
-    matrices stay small, so the difference of two of them carries no
-    rounding from the size of det a.
-    """
-    _, logdet = np.linalg.slogdet(a)
-    return math.ldexp(1.0, -round(logdet / (a.shape[-1] * math.log(2.0))))
-
-
-def _det_ratio(num: np.ndarray, den: np.ndarray) -> complex:
-    """det(num)/det(den) via log-determinants of the unit-scaled matrices."""
-    c = _unit_scale(den)
-    s1, l1 = np.linalg.slogdet(num * c)
-    s2, l2 = np.linalg.slogdet(den * c)
-    if s1 == 0:
-        return 0.0 + 0.0j
-    return complex(s1 / s2 * np.exp(l1 - l2))
-
-
 def janossy_kernel_explicit(ensemble: ChainEnsemble,
                             windows: WindowFamily) -> JanossyKernel:
     """Closed-form Janossy kernel of a window family.
@@ -176,9 +158,10 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
 
     Entry ``[k_1, ..., k_M]``, each k_l in 0..n, is the probability of
     exactly k_l floor-l particles in window I_l.  Entries with k_l above
-    the node count of I_l lie beyond the FFT grid and are exact zeros.  See
-    the module docstring for the generating function.  Raises
-    BudgetExceededError when the law has more than ``budget`` entries.
+    the node count of I_l lie beyond the FFT grid and are exact zeros.  The
+    all-empty entry is ``const`` of ``janossy_kernel_explicit``, 0 for a
+    full window.  See the module docstring for the generating function.
+    Raises BudgetExceededError when the law has more than ``budget`` entries.
 
     The pairing sweep meets in the middle: the floors before the cut and
     the floors after it each sweep only their own grid axes, and the grid
@@ -212,7 +195,10 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
         values[a:a + step] = s_z / s_a * np.exp(l_z - l_a)
     law = np.zeros((n + 1,) * M, dtype=np.complex128)
     law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
-    return law / values.size
+    law /= values.size
+    left, right = pairing_halves(ensemble, wf.complement_weights(), M)
+    law[(0,) * M] = _det_ratio(left @ right.T, ensemble.tables.gram)
+    return law
 
 
 def count_probability(ensemble: ChainEnsemble, windows: WindowFamily,
@@ -309,7 +295,8 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     jk = JanossyKernel(ensemble=ensemble, windows=wf,
                        const=_det_ratio(a_comp, ensemble.tables.gram),
                        gram=a_comp, gram_cond=cond, warnings=warns)
-    # an instance attribute takes precedence over the cached property
-    jk.kernel = BlockKernel(ensemble=ensemble, matrix=phi_t.T @ f_t,
+    # instance attributes take precedence over the cached properties
+    jk.kernel = BlockKernel(ensemble=ensemble, tables=None,
                             kind=KIND_BIORTHOGONAL, warnings=warns)
+    jk.kernel.matrix = phi_t.T @ f_t
     return jk

@@ -11,22 +11,25 @@ restricted to a family of windows gives the probability that every window is
 empty; and the resolvent K_I (Id - K_I)^{-1} of the restriction reproduces
 the Janossy kernel computed in closed form by the janossy module.
 
-K is stored as one operator on M copies of the space, an (M P, M P) matrix
-K = -G + R A^{-1} L^T: R and L stack every floor's right and left
-convolutions, G holds the g_{l,m}, and point (floor l, node x) is row
-(l-1) P + x (``rows``).  Point matrices, restrictions and resolvents
-gather or scatter the rows of their points.
+K is one operator on M copies of the space, K = -G + R A^{-1} L^T: R and
+L stack every floor's right and left convolutions and G holds the
+g_{l,m}.  A kernel keeps these convolution tables and assembles the
+(M P, M P) matrix, where point (floor l, node x) is row (l-1) P + x
+(``rows``), only when it is first read.  Point matrices, restrictions and
+resolvents gather or scatter the rows of their points.
 
 Restriction symmetrizes with sqrt-weights, so operator products and
 determinants become plain matrix products and determinants.  The sqrt-weight
 scaling never leaks out of this module: kernel values are always reported in
-the unscaled convention above.
+the unscaled convention above.  The Fredholm determinant reads no matrix:
+G is strictly block upper triangular and R A^{-1} L^T has rank n, so after
+one back-substitution over the floors it is an n x n determinant ratio, at
+cost sum_{l<m} |I_l| |I_m| n + n^3 instead of a dense (sum_l |I_l|)^3.
 
 Blocks, restrictions and resolvents keep the ensemble's dtype: float64 for
-real models, so a Fredholm determinant is a real LU, and complex128 only for
-complex inputs.  Scalar results (correlation functions, Fredholm
-determinants) are Python complex numbers either way, and exports write every
-value as [re, im].
+real models and complex128 only for complex inputs.  Scalar results
+(correlation functions, Fredholm determinants) are Python complex numbers
+either way, and exports write every value as [re, im].
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chain_ensemble import ChainEnsemble, ConvolutionTables, rcond_gate
+from .chain_ensemble import (ChainEnsemble, ConvolutionTables, _det_ratio,
+                             rcond_gate)
 from .measure_space import WindowFamily
 
 KIND_CORRELATION = "correlation"
@@ -64,13 +68,24 @@ class BlockKernel:
     Point (floor l, node x) is row and column (l-1) P + x (``rows``), so
     ``matrix[(l-1) P + x, (m-1) P + y]`` is the kernel value at (floor l,
     node x; floor m, node y), and so is ``blocks[l-1, m-1, x, y]``.
-    ``kind`` records the construction route.
+    ``kind`` records the construction route.  ``matrix`` is assembled from
+    ``tables`` on first read, or set directly when there are none.
     """
 
     ensemble: ChainEnsemble
-    matrix: np.ndarray
+    tables: ConvolutionTables | None
     kind: str
     warnings: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """-G + R inv(gram) L^T, R, L and G stacked from ``tables``."""
+        t, P = self.tables, self.ensemble.space.size
+        matrix = ((np.concatenate(t.right) @ np.linalg.inv(t.gram))
+                  @ np.concatenate(t.left).T)
+        for (l, m), g in t.chain.items():
+            matrix.reshape(t.floors, P, t.floors, P)[l - 1, :, m - 1] -= g
+        return matrix
 
     @property
     def blocks(self) -> np.ndarray:
@@ -95,19 +110,10 @@ class BlockKernel:
 
 def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,
                        kind: str, warnings: tuple[str, ...]) -> BlockKernel:
-    """Assemble -G + R inv(gram) L^T from any table set.
-
-    R and L stack the right and left tables of every floor, and G holds
-    the chain blocks g_{l,m}, l < m.  ``tables.gram`` must have passed
-    ``rcond_gate``, giving ``warnings``.
-    """
-    matrix = ((np.concatenate(tables.right) @ np.linalg.inv(tables.gram))
-              @ np.concatenate(tables.left).T)
-    kernel = BlockKernel(ensemble=ensemble, matrix=matrix, kind=kind,
-                         warnings=warnings)
-    for (l, m), g in tables.chain.items():
-        kernel.blocks[l - 1, m - 1] -= g
-    return kernel
+    """The kernel of a table set whose ``gram`` passed ``rcond_gate``,
+    giving ``warnings``."""
+    return BlockKernel(ensemble=ensemble, tables=tables, kind=kind,
+                       warnings=warnings)
 
 
 def correlation_kernel(ensemble: ChainEnsemble) -> BlockKernel:
@@ -140,16 +146,24 @@ class RestrictedOperator:
     floors ascending and node indices ascending within a floor.  The matrix
     entry is ``sqrt(w_x) K(l,x; m,y) sqrt(w_y)``, so Fredholm determinants
     and resolvents of the continuum operator become finite-matrix ones.
+    ``matrix`` is gathered from the kernel's on its first read.
     """
 
     kernel: BlockKernel
     windows: WindowFamily
-    matrix: np.ndarray
     index: tuple[tuple[int, int], ...]
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.index)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        P = self.kernel.ensemble.space.size
+        r = rows(self.index, P)
+        sw = np.sqrt(self.kernel.ensemble.space.weights)[r % P]
+        k = self.kernel.matrix
+        return k.take(r[:, None] * k.shape[1] + r) * (sw[:, None] * sw)
 
     @functools.cached_property
     def gate(self) -> tuple[float, tuple[str, ...]]:
@@ -160,16 +174,12 @@ class RestrictedOperator:
 
 
 def restrict(kernel: BlockKernel, windows: WindowFamily) -> RestrictedOperator:
-    """Restriction of a block kernel to the nodes of a window family."""
-    ens = kernel.ensemble
-    wf = ens.check_windows(windows)
-    index, P = wf.points(), ens.space.size
-    r = rows(index, P)
-    sw = np.sqrt(ens.space.weights)[r % P]
-    matrix = (kernel.matrix.take(r[:, None] * kernel.matrix.shape[1] + r)
-              * (sw[:, None] * sw))
-    return RestrictedOperator(kernel=kernel, windows=wf, matrix=matrix,
-                              index=index)
+    """Restriction of a kernel that keeps its tables to a window family."""
+    if kernel.tables is None:
+        raise ValueError(f"cannot restrict a {kernel.kind} kernel: it keeps "
+                         "no convolution tables")
+    wf = kernel.ensemble.check_windows(windows)
+    return RestrictedOperator(kernel=kernel, windows=wf, index=wf.points())
 
 
 def fredholm_det(op: RestrictedOperator) -> complex:
@@ -178,10 +188,25 @@ def fredholm_det(op: RestrictedOperator) -> complex:
     For a correlation kernel this is the probability that every window in
     the family contains no particle of its class.  Exact for discrete
     spaces; quadrature-converged otherwise.  The empty restriction gives 1.
+
+    From the tables of K = -G + R A^{-1} L^T, with W the node weights:
+    det(Id - K_I) = det(A - L_I^T Z) / det A, where Z = (Id + W G_I)^{-1}
+    W R_I comes from one back-substitution, floor M down to 1,
+    Z_l = W_l (R_l - sum_{m>l} g_{l,m} Z_m) on the window nodes.  Neither
+    the kernel matrix nor A^{-1} is formed.
     """
-    t = np.eye(op.size, dtype=op.matrix.dtype) - op.matrix
-    sign, logdet = np.linalg.slogdet(t)
-    return complex(sign * np.exp(logdet))
+    t, w = op.kernel.tables, op.kernel.ensemble.space.weights
+    nodes = [win.node_indices for win in op.windows.windows]
+    z = [None] * t.floors
+    x = np.zeros_like(t.gram)
+    for l in reversed(range(t.floors)):
+        i = nodes[l]
+        y = t.right[l][i]
+        for m in range(l + 1, t.floors):
+            y -= t.chain[(l + 1, m + 1)][np.ix_(i, nodes[m])] @ z[m]
+        z[l] = w[i, None] * y
+        x += t.left[l][i].T @ z[l]
+    return _det_ratio(t.gram - x, t.gram)
 
 
 def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:
@@ -198,18 +223,18 @@ def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:
             f"resolvent_kernel needs a correlation kernel, got {kernel.kind!r}"
         )
     ens = kernel.ensemble
-    matrix = np.zeros_like(kernel.matrix)
-    warns: tuple[str, ...] = ()
+    res = BlockKernel(ensemble=ens, tables=None, kind=KIND_RESOLVENT)
+    # an instance attribute takes precedence over the cached property
+    res.matrix = np.zeros_like(kernel.matrix)
     if op.size:
-        _, warns = op.gate
+        _, res.warnings = op.gate
         lu = scipy.linalg.lu_factor(np.eye(op.size) - op.matrix)
         # L (Id - K) = K  =>  (Id - K)^T L^T = K^T
         lmat = scipy.linalg.lu_solve(lu, op.matrix.T, trans=1).T
         r = rows(op.index, ens.space.size)
         sw = np.sqrt(ens.space.weights)[r % ens.space.size]
-        matrix[r[:, None], r] = lmat / (sw[:, None] * sw)
-    return BlockKernel(ensemble=ens, matrix=matrix, kind=KIND_RESOLVENT,
-                       warnings=warns)
+        res.matrix[r[:, None], r] = lmat / (sw[:, None] * sw)
+    return res
 
 
 def dyson_mehta_check(kernel: BlockKernel) -> tuple[np.ndarray, float]:

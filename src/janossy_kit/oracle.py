@@ -35,7 +35,7 @@ import numpy as np
 
 from .chain_ensemble import ChainEnsemble, partition_function
 from .errors import BudgetExceededError
-from .measure_space import WindowFamily
+from .measure_space import WindowFamily, _is_int
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -109,10 +109,9 @@ class EnumeratedDistribution:
         config = [tuple(floor) for floor in config]
         if len(config) != M or any(len(c) != n for c in config):
             raise ValueError(f"config must be {M} floors of {n} node indices")
-        nodes = [int(t) for floor in config for t in floor]
-        for t in nodes:
-            if not 0 <= t < P:
-                raise ValueError(f"node index {t} outside 0..{P - 1}")
+        nodes = [t for floor in config for t in floor]
+        if not all(_is_int(t) and 0 <= t < P for t in nodes):
+            raise ValueError(f"node indices must be integers in 0..{P - 1}")
         weight = np.prod(ens.space.weights[nodes])
         return complex(self.density[tuple(nodes)] * weight / self.z_det)
 

@@ -1,10 +1,12 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from janossy_kit import janossy
+from janossy_kit.chain_ensemble import ChainEnsemble
 
 
 @pytest.fixture
@@ -23,3 +25,17 @@ def complement_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(janossy, "build_tables", recording)
     return builds
+
+
+def gauged(ens: ChainEnsemble, theta: np.ndarray) -> ChainEnsemble:
+    """The ensemble with floor-l phases e^{i theta_l(x)} attached.
+
+    f carries e^{i theta_1}, g_l(x, y) carries e^{-i theta_l(x) +
+    i theta_{l+1}(y)} and phi carries e^{-i theta_M}: every phase of the
+    chain density cancels, so no probability changes, while the kernel
+    becomes D_l^{-1} K D_m with D_l = diag(e^{i theta_l}).
+    """
+    u = np.exp(1j * theta)
+    g = [gl * u[l].conj()[:, None] * u[l + 1][None, :]
+         for l, gl in enumerate(ens.g)]
+    return ChainEnsemble(ens.space, ens.f * u[0], ens.phi * u[-1].conj(), g)

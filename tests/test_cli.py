@@ -278,6 +278,20 @@ def test_gue_gap_routes_agree_to_rounding(tmp_path):
     assert read_json(out_dir)["results"]["route_abs_difference"] < 1e-14
 
 
+def test_chain_gap_routes_agree_across_four_floors(tmp_path):
+    """docs/configs/chain-gap.json: the Fredholm determinant's
+    back-substitution runs through four floors and matches the ratio
+    route to rounding."""
+    config = Path(__file__).parent.parent / "docs" / "configs" / "chain-gap.json"
+    doc = json.loads(config.read_text())
+    assert len(doc["windows"]) == 4
+    code, out_dir = run(tmp_path, doc)
+    assert code == 0
+    results = read_json(out_dir)["results"]
+    assert 0.0 < results["gap_probability"][0] < 1.0
+    assert results["route_abs_difference"] < 1e-12
+
+
 def test_imaginary_residue_exits_3(tmp_path, monkeypatch, capsys):
     exact = janossy.count_distribution
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import gauged
 from janossy_kit.chain_ensemble import (
     ChainEnsemble,
     marginal_ensemble,
@@ -277,7 +278,7 @@ def test_count_distribution_on_many_floors_matches_marginals(monkeypatch):
     """Six floors put the meet-in-the-middle cut inside the chain.  Summed
     down to a pair of floors, the law must match the law of the marginal
     ensemble on that pair, computed without a cut; the all-empty entry must
-    match the complement determinant ratio; chunking must change nothing;
+    be the complement determinant ratio, bit for bit; chunking must change nothing;
     and a law larger than the budget must be refused."""
     # a positive chain, so |det A(z) / det A| <= 1 bounds the FFT error
     M = 6
@@ -288,8 +289,7 @@ def test_count_distribution_on_many_floors_matches_marginals(monkeypatch):
                             for l in range(-2, M - 2)))
     law = count_distribution(ens, wf)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
-    const = janossy_kernel_explicit(ens, wf).const
-    assert law[(0,) * M] == pytest.approx(const, abs=1e-12)
+    assert law[(0,) * M] == janossy_kernel_explicit(ens, wf).const
     for pair in [(1, 6), (2, 4), (3, 5)]:
         others = tuple(a for a in range(M) if a + 1 not in pair)
         sub = WindowFamily(tuple(wf.windows[l - 1] for l in pair))
@@ -302,6 +302,28 @@ def test_count_distribution_on_many_floors_matches_marginals(monkeypatch):
                                rtol=0, atol=1e-14)
     with pytest.raises(BudgetExceededError):
         count_distribution(ens, wf, budget=3 ** M - 1)
+
+
+def test_all_empty_count_keeps_relative_accuracy_in_the_tail():
+    """GUE, n = 10, window [0, inf): p_0, the probability that every
+    particle lies below 0, is about 1e-25, far below the FFT's absolute
+    rounding of about 1e-16.  By the reflection x -> -x it equals
+    p_n = det A_I / det A, the pairing over the window alone.  Both are
+    ratios of half-line pairing determinants with condition number about
+    1e10, so they agree to a small multiple of cond * eps.  A full window
+    has p_0 exactly 0."""
+    n, space = 10, make_quadrature((-8.0, 8.0), 120)
+    ens = build_unitary([0.0, 0.0, 1.0], n, space)
+    window = space.window_from_intervals([(0.0, None)])
+    law = count_distribution(ens, WindowFamily((window,)))
+    a_in = (ens.f * (space.weights * window.mask)) @ ens.phi.T
+    p_n = janossy._det_ratio(a_in, ens.tables.gram)
+    assert 1e-27 < p_n.real < 1e-23
+    bound = 10.0 * np.finfo(float).eps * np.linalg.cond(a_in)
+    assert bound < 1e-4
+    assert abs(law[0] / p_n - 1.0) <= bound
+    full = WindowFamily((space.full_window(),))
+    assert count_distribution(ens, full)[0] == 0.0
 
 
 def test_count_probability_validates_count_vector():
@@ -466,20 +488,6 @@ def test_kth_extreme_at_k_equal_n_with_twenty_particles():
         assert pt.count_probs[0] == pytest.approx(gap.real, abs=1e-12)
     cdfs = [pt.cdf for pt in curve]
     assert all(b >= a - 1e-12 for a, b in zip(cdfs, cdfs[1:]))
-
-
-def gauged(ens: ChainEnsemble, theta: np.ndarray) -> ChainEnsemble:
-    """The ensemble with floor-l phases e^{i theta_l(x)} attached.
-
-    f carries e^{i theta_1}, g_l(x, y) carries e^{-i theta_l(x) +
-    i theta_{l+1}(y)} and phi carries e^{-i theta_M}: every phase of the
-    chain density cancels, so no probability changes, while the kernel
-    becomes D_l^{-1} K D_m with D_l = diag(e^{i theta_l}).
-    """
-    u = np.exp(1j * theta)
-    g = [gl * u[l].conj()[:, None] * u[l + 1][None, :]
-         for l, gl in enumerate(ens.g)]
-    return ChainEnsemble(ens.space, ens.f * u[0], ens.phi * u[-1].conj(), g)
 
 
 def test_complex_gauge_runs_complex_and_changes_no_probability():

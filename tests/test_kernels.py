@@ -12,9 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import gauged
 from janossy_kit.chain_ensemble import ChainEnsemble
 from janossy_kit.errors import SingularOperatorError
-from janossy_kit.janossy import janossy_kernel_explicit
+from janossy_kit.janossy import (
+    biorthogonal_janossy_recipe,
+    janossy_kernel_explicit,
+)
 from janossy_kit.kernels import (
     CSV_SCHEMA,
     JSON_SCHEMA,
@@ -154,11 +158,12 @@ def test_dyson_mehta_check_vanishes_on_cross_floors():
 
 def test_restrict_empty_windows_is_trivial():
     ens = build_random(4, 4, 2, 2)
-    kernel = correlation_kernel(ens)
-    wf = WindowFamily(tuple(ens.space.empty_window() for _ in range(2)))
-    op = restrict(kernel, wf)
-    assert op.size == 0
-    assert fredholm_det(op) == 1.0
+    theta = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (2, 4))
+    for e in (ens, gauged(ens, theta)):
+        wf = WindowFamily(tuple(e.space.empty_window() for _ in range(2)))
+        op = restrict(correlation_kernel(e), wf)
+        assert op.size == 0
+        assert fredholm_det(op) == 1.0 + 0.0j
 
 
 def test_restrict_orders_rows_by_floor_then_node():
@@ -220,10 +225,93 @@ def test_window_points_index_restriction_and_resolvent(seed, P, n, M, data):
 
 def test_full_restriction_determinant_is_numerically_zero():
     ens = build_random(4, 4, 2, 2)
+    theta = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (2, 4))
+    for e in (ens, gauged(ens, theta)):
+        wf = WindowFamily(tuple(e.space.full_window() for _ in range(2)))
+        assert abs(fredholm_det(restrict(correlation_kernel(e), wf))) <= 1e-8
+
+
+def dense_fredholm(op) -> complex:
+    """det(Id - K_I) by a dense LU of the gathered restriction."""
+    sign, logdet = np.linalg.slogdet(np.eye(op.size) - op.matrix)
+    return complex(sign * np.exp(logdet))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 3),
+       st.integers(1, 3), st.booleans(), st.data())
+def test_factored_fredholm_matches_the_dense_determinant(seed, P, n, M,
+                                                         complex_gauge, data):
+    """The back-substitution route against a dense LU of Id - K_I, on
+    arbitrary masks (whole floors empty or full) of real and complex-gauged
+    random chains.  Both routes round at the order of cond(A) eps."""
+    n = min(n, P)
+    try:
+        ens = build_random(seed, P, n, M)
+    except SingularOperatorError:
+        assume(False)
+    if complex_gauge:
+        theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (M, P))
+        ens = gauged(ens, theta)
+    masks = [data.draw(st.lists(st.booleans(), min_size=P, max_size=P))
+             for _ in range(M)]
+    wf = WindowFamily(tuple(ens.space.window(m) for m in masks))
+    op = restrict(correlation_kernel(ens), wf)
+    det, dense = fredholm_det(op), dense_fredholm(op)
+    assert isinstance(det, complex)
+    assert abs(det - dense) <= 1e-13 * ens.gram_cond * max(1.0, abs(dense))
+    if not any(map(any, masks)):
+        assert det == 1.0 + 0.0j
+
+
+def test_factored_fredholm_of_a_janossy_kernel():
+    """A Janossy kernel keeps its complement tables, so its restrictions
+    take the same route; checked against the dense determinant, with the
+    rounding scale cond(A^c) eps of the complement tables."""
+    ens = build_random(12, 6, 2, 3)
+    wf = WindowFamily((ens.space.window([True, True, False, False, False, False]),
+                       ens.space.window([False, False, False, True, True, False]),
+                       ens.space.window([False, True, False, False, False, True])))
+    jk = janossy_kernel_explicit(ens, wf)
+    for masks in ([[True, False, True, False, True, False]] * 3,
+                  [[False] * 6, [True] * 6, [False, True] * 3],
+                  [m.tolist() for m in wf.complement_masks()]):
+        sub = WindowFamily(tuple(ens.space.window(m) for m in masks))
+        op = restrict(jk.kernel, sub)
+        dense = dense_fredholm(op)
+        assert (abs(fredholm_det(op) - dense)
+                <= 1e-13 * jk.gram_cond * max(1.0, abs(dense)))
+
+
+def test_gap_chain_fredholm_never_forms_the_kernel_matrix():
+    """Eight floors of 300 nodes: the factored determinant agrees with the
+    determinant ratio det A^c / det A and reads neither the (M P)^2 kernel
+    matrix nor the gathered restriction."""
+    ens = build_karlin_mcgregor(np.linspace(0.0, 1.0, 10),
+                                np.linspace(-1.0, 1.0, 4),
+                                np.linspace(-1.0, 1.0, 4), order=300)
     kernel = correlation_kernel(ens)
-    wf = WindowFamily(tuple(ens.space.full_window() for _ in range(2)))
-    det = fredholm_det(restrict(kernel, wf))
-    assert abs(det) <= 1e-8
+    starts = np.random.default_rng(3).uniform(1.0, 1.5, ens.floors)
+    wf = WindowFamily(tuple(ens.space.window_from_intervals([(s, None)])
+                            for s in starts))
+    op = restrict(kernel, wf)
+    det = fredholm_det(op)
+    assert abs(det - janossy_kernel_explicit(ens, wf).const) <= 1e-12
+    assert 0.0 < det.real < 1.0
+    assert "matrix" not in vars(kernel) and "matrix" not in vars(op)
+
+
+def test_restrict_needs_a_kernel_with_tables():
+    """Resolvent and biorthogonal kernels carry only their matrix, so they
+    cannot be restricted."""
+    ens = build_random(12, 5, 2, 1)
+    wf = WindowFamily((ens.space.window([True, True, False, False, False]),))
+    res = resolvent_kernel(restrict(correlation_kernel(ens), wf))
+    recipe = biorthogonal_janossy_recipe(ens, wf.window(1)).kernel
+    for kernel in (res, recipe):
+        assert kernel.tables is None and kernel.matrix.shape == (5, 5)
+        with pytest.raises(ValueError, match="no convolution tables"):
+            restrict(kernel, wf)
 
 
 def test_resolvent_matches_explicit_window_kernel():

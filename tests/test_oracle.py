@@ -77,6 +77,15 @@ def test_mass_of_validates_configuration_shape():
         dist.mass_of([(0,), (3,)])    # node out of range
 
 
+def test_mass_of_rejects_non_integer_nodes():
+    """A float or boolean node index is refused, not truncated to a node."""
+    dist = enumerate_density(build_random(4, 3, 1, 2))
+    assert dist.mass_of([(np.int64(0),), (1,)]) == dist.mass_of([(0,), (1,)])
+    for config in ([(0.9,), (True,)], [(0,), (1.0,)], [(False,), (1,)]):
+        with pytest.raises(ValueError, match="must be integers"):
+            dist.mass_of(config)
+
+
 def test_brute_correlation_empty_and_repeated_points():
     ens = build_random(4, 4, 2, 2)
     dist = enumerate_density(ens)
