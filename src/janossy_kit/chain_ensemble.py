@@ -12,28 +12,29 @@ The joint density of all M*n particles is the normalized product of the
 determinant ``det f_i(x^1_j)``, the adjacent-floor determinants
 ``det g(x^l_i, x^{l+1}_j)`` and ``det phi_j(x^M_i)``.  Everything downstream
 (correlation kernels, Fredholm determinants, Janossy densities) is built from
-iterated convolutions of these ingredients, so the ensemble eagerly caches
-
-* ``g_{l,m}``: the transfer kernel from floor l to floor m, obtained by
-  integrating out all floors strictly between them (zero when m <= l),
-* left convolutions ``f_j * g_{1,m}`` for every floor m,
-* right convolutions ``g_{l,M} * phi_s`` for every floor l,
-* the pairing (Gram) matrix ``A[j,k] = f_j * g_{1,M} * phi_k`` with all M
-  floor integrations applied.
-
-Each is a sweep of the one chain recurrence ``x <- (x W_l) g_l`` (``_sweep``,
-W_l the floor-l weights) from g_l, from f or, through the transposed
-transfers, from phi; ``pairing_halves`` meets a left and a right sweep.
+iterated convolutions of these ingredients.  ``ConvolutionTables`` keeps
+the chain's factors under per-floor weights: the adjacent transfers, the
+left convolutions ``f_j * g_{1,m}`` and right convolutions
+``g_{l,M} * phi_s`` for every floor, and the pairing (Gram) matrix
+``A[j,k] = f_j * g_{1,M} * phi_k`` with all M floor integrations applied.
+The transfer kernel ``g_{l,m}`` from floor l to floor m (floors strictly
+between integrated out, zero when m <= l) is not stored: ``chain_sweep``
+forms it where a dense kernel, one product or a marginal chain needs it.
+Each is a sweep of the one chain recurrence ``x <- (x W_l) g_l``
+(``_sweep``, W_l the floor-l weights) from g_l, from f or, through the
+transposed transfers, from phi; ``pairing_halves`` meets a left and a
+right sweep.
 
 Floor and function indices are 1-based in every public signature, matching
 the transfer-chain conventions (``f_j * g_{1,1} = f_j``,
 ``g_{M,M} * phi_s = phi_s``); node indices are 0-based positions into
-``space.nodes``.  Caches are built once at construction, so concurrent reads
-need no locking.
+``space.nodes``.  The tables are built once at construction, so concurrent
+reads need no locking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -68,25 +69,21 @@ def rcond_gate(matrix: np.ndarray, name: str,
     return cond, ()
 
 
-def _unit_scale(a: np.ndarray) -> float:
-    """Power of two c with |det(c a)| within a factor 2^(n/2) of 1.
+def _det_ratio(num: np.ndarray, den: np.ndarray):
+    """det(num)/det(den) via log-determinants of unit-scaled matrices.
 
-    Multiplying by c is exact, and the log-determinants of c-scaled
-    matrices stay small, so the difference of two of them carries no
-    rounding from the size of det a.
+    Both are multiplied by the power of two c that brings |det(c den)|
+    within a factor 2^(n/2) of 1: that is exact, and the log-determinants
+    stay small, so their difference carries no rounding from the size of
+    det den.  ``num`` may carry leading batch axes.  A singular ``num``
+    gives 0 through exp(-inf); adding 0.0 clears the sign that a negative
+    or complex det(den) gives that zero.
     """
-    _, logdet = np.linalg.slogdet(a)
-    return math.ldexp(1.0, -round(logdet / (a.shape[-1] * math.log(2.0))))
-
-
-def _det_ratio(num: np.ndarray, den: np.ndarray) -> complex:
-    """det(num)/det(den) via log-determinants of the unit-scaled matrices."""
-    c = _unit_scale(den)
+    _, logdet = np.linalg.slogdet(den)
+    c = math.ldexp(1.0, -round(logdet / (den.shape[-1] * math.log(2.0))))
     s1, l1 = np.linalg.slogdet(num * c)
     s2, l2 = np.linalg.slogdet(den * c)
-    if s1 == 0:
-        return 0.0 + 0.0j
-    return complex(s1 / s2 * np.exp(l1 - l2))
+    return s1 / s2 * np.exp(l1 - l2) + 0.0
 
 
 def _as_matrix(a, name: str, shape: tuple[int, ...],
@@ -100,7 +97,7 @@ def _as_matrix(a, name: str, shape: tuple[int, ...],
 
 
 class ChainEnsemble:
-    """Sampled chain data plus eager convolution caches.
+    """Sampled chain data plus its convolution tables.
 
     Parameters
     ----------
@@ -172,7 +169,7 @@ class ChainEnsemble:
 
     @property
     def tables(self) -> ConvolutionTables:
-        """Unrestricted convolution tables, cached at construction."""
+        """Unrestricted convolution tables, built at construction."""
         return self._tables
 
     def check_floor(self, floor: int, what: str = "floor") -> int:
@@ -242,19 +239,18 @@ class ChainEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class ConvolutionTables:
-    """All chain convolutions of an ensemble under per-floor weights.
+    """The chain's factors under per-floor weights.
 
-    ``chain[(l, m)]`` holds the floor-l to floor-m transfer kernel for
-    l < m, integrating floors l+1..m-1 against their weights.
-    ``left[m-1][:, j]`` holds ``f_{j+1} * g_{1,m}`` (integrations over
-    floors 1..m-1) and ``right[l-1][:, s]`` holds ``g_{l,M} * phi_{s+1}``
-    (integrations over floors l+1..M).  ``gram`` applies all M
-    integrations.
+    ``g`` holds the M-1 adjacent transfers and ``weights`` the M floor
+    weights that integrate each floor.  ``left[m-1][:, j]`` holds
+    ``f_{j+1} * g_{1,m}`` (integrations over floors 1..m-1) and
+    ``right[l-1][:, s]`` holds ``g_{l,M} * phi_{s+1}`` (integrations over
+    floors l+1..M).  ``gram`` applies all M integrations.  Products
+    ``g_{l,m}`` are not stored; ``chain_sweep`` forms them.
     """
 
-    floors: int
-    n: int
-    chain: dict
+    g: tuple
+    weights: tuple
     left: tuple
     right: tuple
     gram: np.ndarray
@@ -274,9 +270,15 @@ def _sweep(start: np.ndarray, transfers: Sequence[np.ndarray],
         yield x
 
 
+def chain_sweep(tables: ConvolutionTables, l: int):
+    """Yield ``g_{l,m}`` for m = l+1..M under the tables' weights; the
+    first value is the transfer ``g[l-1]`` itself, not a copy."""
+    return _sweep(tables.g[l - 1], tables.g[l:], tables.weights[l:-1])
+
+
 def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
                  floor_weights: Sequence[np.ndarray]) -> ConvolutionTables:
-    """Compute every chain convolution once, under per-floor weights.
+    """Compute the chain's factors once, under per-floor weights.
 
     Parameters
     ----------
@@ -287,21 +289,15 @@ def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
         node weights for the plain tables, the weights times a window's
         complement mask for Janossy tables.
     """
-    n, P = f.shape
     M = len(g) + 1
     if len(floor_weights) != M:
         raise ValueError(f"need {M} weight vectors, got {len(floor_weights)}")
     wm = floor_weights
-    # g_{l,m} for m = l+1..M, swept right from floor l
-    chain = {(l, m): block
-             for l in range(1, M)
-             for m, block in enumerate(_sweep(g[l - 1], g[l:], wm[l:M - 1]),
-                                       start=l + 1)}
     # f_j * g_{1,m} for m = 1..M; one more step pairs floor M with phi
     *left, gram = _sweep(f, [*g, phi.T], wm)
     right = list(_sweep(phi, [t.T for t in reversed(g)], wm[1:][::-1]))
     return ConvolutionTables(
-        floors=M, n=n, chain=chain, left=tuple(x.T for x in left),
+        g=tuple(g), weights=tuple(wm), left=tuple(x.T for x in left),
         right=tuple(y.T for y in reversed(right)), gram=gram,
     )
 
@@ -333,7 +329,7 @@ def pairing_halves(ensemble: ChainEnsemble,
 # ---------------------------------------------------------------------------
 
 def chain_convolve(ensemble: ChainEnsemble, l: int, m: int) -> np.ndarray:
-    """Transfer kernel from floor l to floor m as a (P, P) node matrix.
+    """Transfer kernel from floor l to floor m as a fresh (P, P) node matrix.
 
     Zero for m <= l.  For m > l+1 the floors strictly between are
     integrated out.
@@ -343,7 +339,8 @@ def chain_convolve(ensemble: ChainEnsemble, l: int, m: int) -> np.ndarray:
     if m <= l:
         P = ensemble.space.size
         return np.zeros((P, P), dtype=ensemble.dtype)
-    return ensemble.tables.chain[(l, m)].copy()
+    sweep = itertools.islice(chain_sweep(ensemble.tables, l), m - l)
+    return deque(sweep, 1).pop().copy()
 
 
 def left_convolve(ensemble: ChainEnsemble, j: int, m: int) -> np.ndarray:
@@ -373,9 +370,8 @@ def marginal_ensemble(ensemble: ChainEnsemble, floors: Sequence[int]) -> ChainEn
 
     The marginal of the joint density on floors ``l_1 < ... < l_k`` is again
     a chain density: the new row functions are ``f_j * g_{1,l_1}``, the new
-    adjacent transfers are the cached ``g_{l_i, l_{i+1}}``, and the new
-    column functions are ``g_{l_k, M} * phi_s``.  The pairing matrix is
-    unchanged.
+    adjacent transfers are ``g_{l_i, l_{i+1}}``, and the new column
+    functions are ``g_{l_k, M} * phi_s``.  The pairing matrix is unchanged.
     """
     floors = [ensemble.check_floor(l) for l in floors]
     if not floors:
@@ -386,5 +382,6 @@ def marginal_ensemble(ensemble: ChainEnsemble, floors: Sequence[int]) -> ChainEn
     first, last = floors[0], floors[-1]
     f_new = t.left[first - 1].T
     phi_new = t.right[last - 1].T
-    g_new = [t.chain[(a, b)] for a, b in zip(floors, floors[1:])]
+    g_new = [chain_convolve(ensemble, a, b)
+             for a, b in zip(floors, floors[1:])]
     return ChainEnsemble(ensemble.space, f_new, phi_new, g_new)

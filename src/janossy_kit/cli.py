@@ -395,14 +395,17 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
                    threads: int = 1, budget: int = DEFAULT_BUDGET) -> RunReport:
     """Validate, run, and write one experiment; returns the report.
 
-    Raises ConfigError before creating `out_dir` when the config or the
-    seed is invalid.
+    Raises ConfigError before creating `out_dir` when the config, the seed,
+    ``threads`` or ``budget`` is invalid.
     """
     if seed is not None and (not _is_int(seed) or seed < 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    for name, value in (("threads", threads), ("budget", budget)):
+        if not _is_int(value) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, "
+                              f"got {value!r}")
     cfg = ExperimentConfig.from_json(config_doc)
-    opts = _Options(seed=seed, threads=max(1, int(threads)),
-                    budget=int(budget))
+    opts = _Options(seed=seed, threads=int(threads), budget=int(budget))
 
     ens = wf = None
     if cfg.model is not None:
@@ -484,16 +487,6 @@ def main(argv=None) -> int:
                        help="configuration cap for brute-force enumeration, "
                             "count-probability laws and kernel dumps")
     args = parser.parse_args(argv)
-
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
-    if args.budget < 1:
-        print("error: --budget must be at least 1", file=sys.stderr)
-        return 2
-    if args.seed is not None and args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -21,11 +21,11 @@ ratio of complement to full pairing determinants, so it needs only the
 pairing sweep with complement weights, O(M n P^2).  Both matrices are
 first multiplied by one power of two that brings |det A| near 1; that is
 exact, and keeps the rounding of the two log-determinants, whose difference
-gives the ratio, from growing with |log det A|.  The chain products
-g^c_{l,m} and the M^2 P^2 kernel L are built the first time the kernel is
-read, and never when only const(I) is asked for.  Kernels keep the
-ensemble's dtype (float64 for real models); const(I) and densities are
-returned as Python complex numbers.
+gives the ratio, from growing with |log det A|.  The complement tables
+and the M^2 P^2 kernel L, whose assembly sweeps the chain products
+g^c_{l,m}, are built the first time the kernel is read, and never when
+only const(I) is asked for.  Kernels keep the ensemble's dtype (float64
+for real models); const(I) and densities are Python complex numbers.
 
 Window-count probabilities come from the counting identity
 
@@ -60,7 +60,6 @@ from .chain_ensemble import (
     ChainEnsemble,
     ConvolutionTables,
     _det_ratio,
-    _unit_scale,
     build_tables,
     marginal_ensemble,
     pairing_halves,
@@ -132,7 +131,7 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
     cond, warns = rcond_gate(gram, "complement pairing matrix",
                              detail=f"windows: {wf.describe()}")
     return JanossyKernel(ensemble=ensemble, windows=wf,
-                         const=_det_ratio(gram, ensemble.tables.gram),
+                         const=complex(_det_ratio(gram, ensemble.tables.gram)),
                          gram=gram, gram_cond=cond, warnings=warns)
 
 
@@ -185,14 +184,12 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     left = left.reshape(-1, w.size)
     right = right.reshape(-1, w.size).T
     n_left, n_right = left.shape[0] // n, right.shape[1] // n
-    c = _unit_scale(ensemble.tables.gram)
-    s_a, l_a = np.linalg.slogdet(ensemble.tables.gram * c)
     values = np.empty((n_left, n_right), dtype=np.complex128)
     step = max(1, CHUNK_ENTRIES // (n_right * n * n))
     for a in range(0, n_left, step):
         block = (left[a * n:(a + step) * n] @ right).reshape(-1, n, n_right, n)
-        s_z, l_z = np.linalg.slogdet(block.transpose(0, 2, 1, 3) * c)
-        values[a:a + step] = s_z / s_a * np.exp(l_z - l_a)
+        values[a:a + step] = _det_ratio(block.transpose(0, 2, 1, 3),
+                                        ensemble.tables.gram)
     law = np.zeros((n + 1,) * M, dtype=np.complex128)
     law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
     law /= values.size
@@ -293,7 +290,7 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     phi_t = scipy.linalg.solve_triangular(up, ensemble.phi, trans="T",
                                           lower=False)
     jk = JanossyKernel(ensemble=ensemble, windows=wf,
-                       const=_det_ratio(a_comp, ensemble.tables.gram),
+                       const=complex(_det_ratio(a_comp, ensemble.tables.gram)),
                        gram=a_comp, gram_cond=cond, warnings=warns)
     # instance attributes take precedence over the cached properties
     jk.kernel = BlockKernel(ensemble=ensemble, tables=None,

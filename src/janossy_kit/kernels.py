@@ -13,18 +13,19 @@ the Janossy kernel computed in closed form by the janossy module.
 
 K is one operator on M copies of the space, K = -G + R A^{-1} L^T: R and
 L stack every floor's right and left convolutions and G holds the
-g_{l,m}.  A kernel keeps these convolution tables and assembles the
-(M P, M P) matrix, where point (floor l, node x) is row (l-1) P + x
-(``rows``), only when it is first read.  Point matrices, restrictions and
-resolvents gather or scatter the rows of their points.
+g_{l,m}.  A kernel keeps the convolution tables (R, L, A, the adjacent
+transfers) and sweeps the g_{l,m} into the (M P, M P) matrix, where point
+(floor l, node x) is row (l-1) P + x (``rows``), only when it is first
+read.  Point matrices, restrictions and resolvents gather or scatter the
+rows of their points.
 
 Restriction symmetrizes with sqrt-weights, so operator products and
 determinants become plain matrix products and determinants.  The sqrt-weight
 scaling never leaks out of this module: kernel values are always reported in
 the unscaled convention above.  The Fredholm determinant reads no matrix:
 G is strictly block upper triangular and R A^{-1} L^T has rank n, so after
-one back-substitution over the floors it is an n x n determinant ratio, at
-cost sum_{l<m} |I_l| |I_m| n + n^3 instead of a dense (sum_l |I_l|)^3.
+one back-substitution down the transfers it is an n x n determinant
+ratio, at cost M P^2 n + n^3 instead of a dense (sum_l |I_l|)^3.
 
 Blocks, restrictions and resolvents keep the ensemble's dtype: float64 for
 real models and complex128 only for complex inputs.  Scalar results
@@ -44,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .chain_ensemble import (ChainEnsemble, ConvolutionTables, _det_ratio,
-                             rcond_gate)
+                             chain_sweep, rcond_gate)
 from .measure_space import WindowFamily
 
 KIND_CORRELATION = "correlation"
@@ -80,11 +81,12 @@ class BlockKernel:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """-G + R inv(gram) L^T, R, L and G stacked from ``tables``."""
-        t, P = self.tables, self.ensemble.space.size
+        t, M, P = self.tables, self.ensemble.floors, self.ensemble.space.size
         matrix = ((np.concatenate(t.right) @ np.linalg.inv(t.gram))
                   @ np.concatenate(t.left).T)
-        for (l, m), g in t.chain.items():
-            matrix.reshape(t.floors, P, t.floors, P)[l - 1, :, m - 1] -= g
+        for l in range(1, M):
+            for m, g in enumerate(chain_sweep(t, l), start=l + 1):
+                matrix.reshape(M, P, M, P)[l - 1, :, m - 1] -= g
         return matrix
 
     @property
@@ -192,21 +194,23 @@ def fredholm_det(op: RestrictedOperator) -> complex:
     From the tables of K = -G + R A^{-1} L^T, with W the node weights:
     det(Id - K_I) = det(A - L_I^T Z) / det A, where Z = (Id + W G_I)^{-1}
     W R_I comes from one back-substitution, floor M down to 1,
-    Z_l = W_l (R_l - sum_{m>l} g_{l,m} Z_m) on the window nodes.  Neither
-    the kernel matrix nor A^{-1} is formed.
+    Z_l = W_l (R_l - v_l) on the window nodes.  The tail v_l = sum_{m>l}
+    g_{l,m} Z_m goes down one transfer, v_{l-1} = g_{l-1} (Z_l + W^t_l v_l),
+    Z_l zero off the window and W^t the tables' weights.  Neither the
+    kernel matrix, a product g_{l,m} nor A^{-1} is formed.
     """
     t, w = op.kernel.tables, op.kernel.ensemble.space.weights
-    nodes = [win.node_indices for win in op.windows.windows]
-    z = [None] * t.floors
     x = np.zeros_like(t.gram)
-    for l in reversed(range(t.floors)):
-        i = nodes[l]
-        y = t.right[l][i]
-        for m in range(l + 1, t.floors):
-            y -= t.chain[(l + 1, m + 1)][np.ix_(i, nodes[m])] @ z[m]
-        z[l] = w[i, None] * y
-        x += t.left[l][i].T @ z[l]
-    return _det_ratio(t.gram - x, t.gram)
+    v = np.zeros_like(t.right[-1])
+    for l in reversed(range(len(t.left))):
+        i = op.windows.windows[l].node_indices
+        z = w[i, None] * (t.right[l][i] - v[i])
+        x += t.left[l][i].T @ z
+        if l:
+            v *= t.weights[l][:, None]
+            v[i] += z
+            v = t.g[l - 1] @ v
+    return complex(_det_ratio(t.gram - x, t.gram))
 
 
 def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:
@@ -257,8 +261,9 @@ def dyson_mehta_check(kernel: BlockKernel) -> tuple[np.ndarray, float]:
     ens = kernel.ensemble
     M, P, w = ens.floors, ens.space.size, ens.space.weights
     proj = kernel.matrix.copy()
-    for (l, m), g in ens.tables.chain.items():
-        proj.reshape(M, P, M, P)[l - 1, :, m - 1] += g
+    for l in range(1, M):
+        for m, g in enumerate(chain_sweep(ens.tables, l), start=l + 1):
+            proj.reshape(M, P, M, P)[l - 1, :, m - 1] += g
     residual = np.empty((M, M, M))
     for l in range(M):
         on_l = slice(l * P, (l + 1) * P)

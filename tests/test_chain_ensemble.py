@@ -1,7 +1,7 @@
 """Convolution tables, pairing matrices, and the partition function.
 
 The reference implementations here are deliberately naive (explicit sums and
-itertools enumeration) so that every cached table is checked against an
+itertools enumeration) so that every table and product is checked against an
 expression a reader can verify by hand.
 """
 
@@ -50,6 +50,19 @@ def test_chain_convolution_matches_naive_composition():
         for m in range(l + 1, ens.floors + 1):
             got = chain_convolve(ens, l, m)
             assert np.allclose(got, naive_chain(ens, l, m), atol=1e-13)
+
+
+def test_chain_convolve_returns_a_fresh_array():
+    """The sweep from floor l starts at the transfer g_l itself, so an
+    adjacent product must come back as a copy: writing to it leaves the
+    ensemble and every kernel built from it unchanged."""
+    ens = small_ensemble(M=3)
+    g_before = [gl.copy() for gl in ens.g]
+    matrix_before = correlation_kernel(ens).matrix.copy()
+    for l in range(1, ens.floors):
+        chain_convolve(ens, l, l + 1)[...] = 7.0
+    assert all(map(np.array_equal, ens.g, g_before))
+    assert np.array_equal(correlation_kernel(ens).matrix, matrix_before)
 
 
 def test_chain_convolution_vanishes_at_or_below_diagonal():

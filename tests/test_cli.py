@@ -453,6 +453,17 @@ def test_negative_seed_exits_2_without_output_dir(tmp_path):
     assert not os.path.exists(out_dir)
 
 
+def test_bad_threads_and_budget_raise_before_any_output(tmp_path):
+    """Non-integers, booleans and values below 1 are refused, not rounded
+    or clamped."""
+    out_dir = str(tmp_path / "direct")
+    for key in ("threads", "budget"):
+        for value in (0, -1, 9.9, 2.7, True, "2", None):
+            with pytest.raises(ConfigError, match=key):
+                run_experiment(VERIFY_CONFIG, out_dir, **{key: value})
+    assert not os.path.exists(out_dir)
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["run", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "never")])

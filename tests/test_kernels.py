@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,22 +284,47 @@ def test_factored_fredholm_of_a_janossy_kernel():
                 <= 1e-13 * jk.gram_cond * max(1.0, abs(dense)))
 
 
+def gap_chain() -> tuple[ChainEnsemble, WindowFamily]:
+    """Karlin-McGregor chain of eight floors on 300 nodes, with one
+    half-line window per floor."""
+    ens = build_karlin_mcgregor(np.linspace(0.0, 1.0, 10),
+                                np.linspace(-1.0, 1.0, 4),
+                                np.linspace(-1.0, 1.0, 4), order=300)
+    starts = np.random.default_rng(3).uniform(1.0, 1.5, ens.floors)
+    return ens, WindowFamily(tuple(
+        ens.space.window_from_intervals([(s, None)]) for s in starts))
+
+
 def test_gap_chain_fredholm_never_forms_the_kernel_matrix():
     """Eight floors of 300 nodes: the factored determinant agrees with the
     determinant ratio det A^c / det A and reads neither the (M P)^2 kernel
     matrix nor the gathered restriction."""
-    ens = build_karlin_mcgregor(np.linspace(0.0, 1.0, 10),
-                                np.linspace(-1.0, 1.0, 4),
-                                np.linspace(-1.0, 1.0, 4), order=300)
+    ens, wf = gap_chain()
     kernel = correlation_kernel(ens)
-    starts = np.random.default_rng(3).uniform(1.0, 1.5, ens.floors)
-    wf = WindowFamily(tuple(ens.space.window_from_intervals([(s, None)])
-                            for s in starts))
     op = restrict(kernel, wf)
     det = fredholm_det(op)
     assert abs(det - janossy_kernel_explicit(ens, wf).const) <= 1e-12
     assert 0.0 < det.real < 1.0
     assert "matrix" not in vars(kernel) and "matrix" not in vars(op)
+
+
+def test_gap_chain_tables_and_fredholm_allocate_less_than_one_transfer():
+    """Building the ensemble and one Fredholm determinant each allocate
+    less than one P x P float64 array at their peak: no product g_{l,m} is
+    stored, and the determinant carries P x n tails down the chain."""
+    ens, wf = gap_chain()
+    op = restrict(correlation_kernel(ens), wf)
+    limit = ens.space.size ** 2 * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        ChainEnsemble(ens.space, ens.f, ens.phi, ens.g)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fredholm_det(op)
+        _, det = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < limit and det < limit
 
 
 def test_restrict_needs_a_kernel_with_tables():
