@@ -16,16 +16,18 @@ L stack every floor's right and left convolutions and G holds the
 g_{l,m}.  A kernel keeps the convolution tables (R, L, A, the adjacent
 transfers) and sweeps the g_{l,m} into the (M P, M P) matrix, where point
 (floor l, node x) is row (l-1) P + x (``rows``), only when it is first
-read.  Point matrices, restrictions and resolvents gather or scatter the
-rows of their points.
+read.  Point matrices, restricted matrices and resolvents gather or
+scatter the rows of their points.  A restriction keeps only the kernel and
+the window family, and lists its points only when one of those reads them.
 
 Restriction symmetrizes with sqrt-weights, so operator products and
 determinants become plain matrix products and determinants.  The sqrt-weight
 scaling never leaks out of this module: kernel values are always reported in
-the unscaled convention above.  The Fredholm determinant reads no matrix:
-G is strictly block upper triangular and R A^{-1} L^T has rank n, so after
-one back-substitution down the transfers it is an n x n determinant
-ratio, at cost M P^2 n + n^3 instead of a dense (sum_l |I_l|)^3.
+the unscaled convention above.  The Fredholm determinant reads no matrix
+and no point list: G is strictly block upper triangular and R A^{-1} L^T
+has rank n, so after one back-substitution down the transfers, masked by
+the windows, it is an n x n determinant ratio, at cost M P^2 n + n^3
+instead of a dense (sum_l |I_l|)^3.
 
 Blocks, restrictions and resolvents keep the ensemble's dtype: float64 for
 real models and complex128 only for complex inputs.  Scalar results
@@ -148,16 +150,21 @@ class RestrictedOperator:
     floors ascending and node indices ascending within a floor.  The matrix
     entry is ``sqrt(w_x) K(l,x; m,y) sqrt(w_y)``, so Fredholm determinants
     and resolvents of the continuum operator become finite-matrix ones.
-    ``matrix`` is gathered from the kernel's on its first read.
+    ``index`` is listed and ``matrix`` gathered from the kernel's on their
+    first read; ``size`` counts the window nodes without listing them.
     """
 
     kernel: BlockKernel
     windows: WindowFamily
-    index: tuple[tuple[int, int], ...]
+
+    @functools.cached_property
+    def index(self) -> tuple[tuple[int, int], ...]:
+        """``windows.points()``, listed on the first read."""
+        return self.windows.points()
 
     @property
     def size(self) -> int:
-        return len(self.index)
+        return sum(w.count for w in self.windows.windows)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -180,8 +187,8 @@ def restrict(kernel: BlockKernel, windows: WindowFamily) -> RestrictedOperator:
     if kernel.tables is None:
         raise ValueError(f"cannot restrict a {kernel.kind} kernel: it keeps "
                          "no convolution tables")
-    wf = kernel.ensemble.check_windows(windows)
-    return RestrictedOperator(kernel=kernel, windows=wf, index=wf.points())
+    return RestrictedOperator(kernel=kernel,
+                              windows=kernel.ensemble.check_windows(windows))
 
 
 def fredholm_det(op: RestrictedOperator) -> complex:
@@ -193,23 +200,22 @@ def fredholm_det(op: RestrictedOperator) -> complex:
 
     From the tables of K = -G + R A^{-1} L^T, with W the node weights:
     det(Id - K_I) = det(A - L_I^T Z) / det A, where Z = (Id + W G_I)^{-1}
-    W R_I comes from one back-substitution, floor M down to 1,
-    Z_l = W_l (R_l - v_l) on the window nodes.  The tail v_l = sum_{m>l}
-    g_{l,m} Z_m goes down one transfer, v_{l-1} = g_{l-1} (Z_l + W^t_l v_l),
-    Z_l zero off the window and W^t the tables' weights.  Neither the
-    kernel matrix, a product g_{l,m} nor A^{-1} is formed.
+    W R_I comes from one back-substitution, floor M down to 1.  In masked
+    form, with I_l the floor-l window mask, Z_l = W I_l (R_l - v_l) is zero
+    off the window, and x += L_l^T Z_l sums over every node.  The tail v_l
+    = sum_{m>l} g_{l,m} Z_m goes down one transfer, v_{l-1} = g_{l-1}
+    (W^t_l v_l + Z_l), W^t the tables' weights.  No rows are gathered, and
+    neither the window points, the kernel matrix, a product g_{l,m} nor
+    A^{-1} is formed.
     """
     t, w = op.kernel.tables, op.kernel.ensemble.space.weights
     x = np.zeros_like(t.gram)
     v = np.zeros_like(t.right[-1])
     for l in reversed(range(len(t.left))):
-        i = op.windows.windows[l].node_indices
-        z = w[i, None] * (t.right[l][i] - v[i])
-        x += t.left[l][i].T @ z
+        z = (w * op.windows.windows[l].mask)[:, None] * (t.right[l] - v)
+        x += t.left[l].T @ z
         if l:
-            v *= t.weights[l][:, None]
-            v[i] += z
-            v = t.g[l - 1] @ v
+            v = t.g[l - 1] @ (t.weights[l][:, None] * v + z)
     return complex(_det_ratio(t.gram - x, t.gram))
 
 

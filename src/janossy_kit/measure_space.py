@@ -108,9 +108,9 @@ class DiscretizedSpace:
     ) -> Window:
         """Window covering the nodes inside a union of closed intervals.
 
-        Interval ends may be ``None`` (or +/-inf) for half-lines.  The mask
-        keeps exactly the nodes lying inside; boundaries between nodes
-        truncate at node granularity.
+        Interval ends may be ``None`` (or +/-inf) for half-lines; a NaN
+        end is a ValueError.  The mask keeps exactly the nodes lying inside;
+        boundaries between nodes truncate at node granularity.
         """
         ivals = []
         mask = np.zeros(self.size, dtype=bool)
@@ -119,6 +119,8 @@ class DiscretizedSpace:
                 raise ValueError("each interval needs two endpoints")
             a = -_INF if pair[0] is None else float(pair[0])
             b = _INF if pair[1] is None else float(pair[1])
+            if np.isnan(a) or np.isnan(b):
+                raise ValueError(f"interval [{a}, {b}] has a NaN endpoint")
             if b < a:
                 raise ValueError(f"empty interval [{a}, {b}]")
             mask |= (self.nodes >= a) & (self.nodes <= b)
@@ -164,8 +166,6 @@ class DiscretizedSpace:
                 interval, order = doc["interval"], doc["order"]
             except KeyError as exc:
                 raise ValueError(f"quadrature space document lacks {exc}") from exc
-            if not _is_int(order):
-                raise ValueError(f"quadrature order {order!r} is not an integer")
             return make_quadrature(tuple(interval), order)
         raise ValueError(f"unknown space kind {kind!r}")
 
@@ -184,8 +184,9 @@ def make_quadrature(interval: tuple[float, float], order: int) -> DiscretizedSpa
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise ValueError(f"invalid interval [{a}, {b}]")
-    if order < 1:
-        raise ValueError("quadrature order must be at least 1")
+    if not _is_int(order) or order < 1:
+        raise ValueError(f"quadrature order {order!r} is not an integer "
+                         "of at least 1")
     x, w = np.polynomial.legendre.leggauss(int(order))
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
@@ -277,8 +278,9 @@ class WindowFamily:
 
     def window(self, floor: int) -> Window:
         """Window of the given floor (floors count from 1)."""
-        if not 1 <= floor <= self.floors:
-            raise ValueError(f"floor {floor} outside 1..{self.floors}")
+        if not _is_int(floor) or not 1 <= floor <= self.floors:
+            raise ValueError(f"floor {floor!r} is not an integer in "
+                             f"1..{self.floors}")
         return self.windows[floor - 1]
 
     def complement_masks(self) -> list[np.ndarray]:

@@ -120,13 +120,21 @@ def build_coupled_chain(n: int, floors: int, potentials: Sequence,
 
 
 def heat_kernel(s: float, t: float, x, y) -> np.ndarray:
-    """Gaussian transition density from time s to time t."""
+    """Gaussian transition density from time s to time t.
+
+    Values below the smallest normal float, ``np.finfo(float).tiny``, are
+    returned as exact zeros: far-apart nodes would otherwise give subnormal
+    transfer entries, and every product with such a transfer runs several
+    times slower.  Values at or above it are the plain formula's.
+    """
     dt = float(t) - float(s)
     if dt <= 0:
         raise ValueError("times must be strictly increasing")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.exp(-((y - x) ** 2) / (2.0 * dt)) / math.sqrt(2.0 * math.pi * dt)
+    g = np.exp(-((y - x) ** 2) / (2.0 * dt)) / math.sqrt(2.0 * math.pi * dt)
+    # [()] keeps a scalar call's result a scalar
+    return np.where(g < np.finfo(float).tiny, 0.0, g)[()]
 
 
 def build_karlin_mcgregor(times: Sequence[float], start: Sequence[float],

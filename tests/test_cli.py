@@ -204,6 +204,9 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     dict(EXTREMES_CONFIG, model=dict(
         EXTREMES_CONFIG["model"], particles=1,
         space=dict(EXTREMES_CONFIG["model"]["space"], order=2.7))),
+    # a NaN interval end used to give an empty window and gap probability 1
+    dict(GAP_CONFIG, windows=[{"intervals": [[float("nan"), None]]},
+                              GAP_CONFIG["windows"][1]]),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)

@@ -224,6 +224,22 @@ def test_window_points_index_restriction_and_resolvent(seed, P, n, M, data):
     assert np.abs(r @ t - op.matrix).max(initial=0) <= bound
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_restricted_size_counts_the_window_points(P, M, data):
+    """``size`` sums the window counts without listing the points; at
+    least one floor's window is empty."""
+    ens = build_random(7, P, 1, M)
+    masks = [data.draw(st.lists(st.booleans(), min_size=P, max_size=P))
+             for _ in range(M)]
+    masks[data.draw(st.integers(0, M - 1))] = [False] * P
+    op = restrict(correlation_kernel(ens),
+                  WindowFamily(tuple(ens.space.window(m) for m in masks)))
+    size = op.size
+    assert "index" not in vars(op)
+    assert size == len(op.index) == sum(map(sum, masks))
+
+
 def test_full_restriction_determinant_is_numerically_zero():
     ens = build_random(4, 4, 2, 2)
     theta = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (2, 4))
@@ -306,6 +322,25 @@ def test_gap_chain_fredholm_never_forms_the_kernel_matrix():
     assert abs(det - janossy_kernel_explicit(ens, wf).const) <= 1e-12
     assert 0.0 < det.real < 1.0
     assert "matrix" not in vars(kernel) and "matrix" not in vars(op)
+    assert "index" not in vars(op)
+
+
+def test_gap_chain_transfers_hold_no_subnormal_floats():
+    """Far-apart nodes of the heat-kernel transfers are exact zeros, never
+    subnormal; every other entry is the plain Gaussian's."""
+    ens, _ = gap_chain()
+    tiny = np.finfo(float).tiny
+    times, x = np.linspace(0.0, 1.0, 10), ens.space.nodes
+    for l, g in enumerate(ens.g, start=1):
+        dt = float(times[l + 1]) - float(times[l])
+        plain = (np.exp(-((x[None, :] - x[:, None]) ** 2) / (2.0 * dt))
+                 / np.sqrt(2.0 * np.pi * dt))
+        normal = plain >= tiny
+        assert np.any(plain[~normal] > 0)
+        assert np.array_equal(g[normal], plain[normal])
+        assert np.all(g[~normal] == 0.0)
+    for a in (ens.f, ens.phi, *ens.g):
+        assert np.all((a == 0.0) | (np.abs(a) >= tiny))
 
 
 def test_gap_chain_tables_and_fredholm_allocate_less_than_one_transfer():

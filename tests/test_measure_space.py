@@ -65,6 +65,12 @@ def test_quadrature_validation():
         make_quadrature((0.0, np.inf), 4)
     with pytest.raises(ValueError):
         make_quadrature((0.0, 1.0), 0)
+    # orders used to be truncated: 2.7 gave two nodes, True one
+    for order in (2.7, 2.0, True, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            make_quadrature((0.0, 1.0), order)
+    space = make_quadrature((0.0, 1.0), np.int64(3))
+    assert space.size == 3 and type(space.order) is int
 
 
 def test_window_from_intervals_truncates_at_nodes():
@@ -74,6 +80,20 @@ def test_window_from_intervals_truncates_at_nodes():
     half = space.window_from_intervals([(1.0, None)])
     assert half.node_indices.tolist() == [1, 2, 3]
     assert win.count == 2 and not win.is_empty() and not win.is_full()
+
+
+def test_window_from_intervals_rejects_nan_endpoints():
+    """A NaN end used to match no node, so the window came out empty;
+    None and +/-inf still mean half-lines."""
+    space = make_discrete([0.0, 1.0, 2.0, 3.0], [1.0] * 4)
+    for pair in ((np.nan, None), (None, np.nan), (0.0, float("nan")),
+                 ("nan", 2.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            space.window_from_intervals([pair])
+    for pair in ((None, 1.0), (-np.inf, 1.0)):
+        assert space.window_from_intervals([pair]).node_indices.tolist() == [0, 1]
+    for pair in ((2.0, None), (2.0, np.inf)):
+        assert space.window_from_intervals([pair]).node_indices.tolist() == [2, 3]
 
 
 def test_window_mask_shape_checked():
@@ -132,6 +152,12 @@ def test_window_family_validation_and_lookup():
         family.window(0)
     with pytest.raises(ValueError):
         family.window(3)
+    assert family.window(np.int64(2)) is w2
+    # booleans and floats are not floors: True used to give floor 1, and
+    # 1.5 a bare TypeError
+    for floor in (True, False, 1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            family.window(floor)
     with pytest.raises(ValueError):
         WindowFamily(())
     with pytest.raises(ValueError):

@@ -193,6 +193,31 @@ def test_heat_kernel_mass_and_symmetry():
         heat_kernel(1.0, 1.0, 0.0, 0.0)
 
 
+def test_heat_kernel_flushes_subnormals_to_exact_zero():
+    """Values below the smallest normal float are exact zeros; every other
+    value has the plain formula's bits.  Scalar calls stay scalar."""
+    tiny = np.finfo(float).tiny
+    x = np.linspace(-12.0, 12.0, 201)
+    dt = 0.125
+    vals = heat_kernel(0.5, 0.625, x[:, None], x[None, :])
+    plain = (np.exp(-((x[None, :] - x[:, None]) ** 2) / (2.0 * dt))
+             / math.sqrt(2.0 * math.pi * dt))
+    normal = plain >= tiny
+    assert np.any((plain > 0) & ~normal)  # the grid does reach subnormals
+    assert np.array_equal(vals[normal], plain[normal])
+    assert np.all(vals[~normal] == 0.0)
+    far = heat_kernel(0.0, 1.0, 0.0, 38.0)
+    assert np.ndim(far) == 0 and far == 0.0
+    assert np.ndim(heat_kernel(0.0, 1.0, 0.3, 0.8)) == 0
+
+
+def test_karlin_mcgregor_rejects_non_integer_orders():
+    """order=7.9 used to build a seven-node rule."""
+    for order in (7.9, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            build_karlin_mcgregor([0.0, 0.5, 1.0], [0.0], [0.0], order=order)
+
+
 def test_karlin_mcgregor_single_path_is_a_brownian_bridge():
     """One path pinned at both ends: the midpoint density is the bridge
     normal with variance t(1-t)."""
