@@ -3,9 +3,9 @@
 A chain ensemble places n particles on each of M ordered floors of one
 discretized space, with a density built from determinants of cross-floor
 couplings.  This package computes its correlation kernel in closed block
-form, window statistics (Janossy densities, gap and counting probabilities,
-extreme-value curves) along two independent routes, and checks every closed
-form against brute-force enumeration oracles.
+form and window statistics (Janossy densities, gap and counting
+probabilities, extreme-value curves), and checks every closed form against
+brute-force enumeration oracles.
 """
 
 from __future__ import annotations

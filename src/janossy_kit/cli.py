@@ -16,15 +16,17 @@ The config is a single JSON object::
       "tolerances": {"verify": 1e-10}                   # optional overrides
     }
 
-The config is validated fully before any output path is created; an invalid
-config therefore leaves no partial files behind.  All files are written
-atomically (temp file then rename) and contain no timing or host details, so
-a rerun with the same config and seed reproduces them byte for byte.  Wall
-times are printed to stdout only.
+Parsing checks the config's structure; the task fields are then checked in
+one pass against the built model (``_check_task``), still before any output
+path is created, so an invalid config leaves no partial files behind.  All
+files are written atomically (temp file then rename) and contain no timing
+or host details, so a rerun with the same config and seed reproduces them
+byte for byte.  Wall times are printed to stdout only.
 
 Exit codes: 0 success, 1 a verify suite found a tolerance violation,
 2 invalid config, 3 numerical failure (singular operator or a probability
-with an imaginary residue), 4 enumeration budget exceeded.
+with an imaginary residue), 4 budget exceeded (oracle table, count law or
+kernel dump).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .kernels import (
     kernel_to_json,
     restrict,
 )
-from .measure_space import WindowFamily, _is_int, window_family_from_json
+from .measure_space import _is_int, window_family_from_json
 from .models import ChainModelSpec, build_model
 from .oracle import DEFAULT_BUDGET, real_probability
 from .verify import DEFAULT_INSTANCES, DEFAULT_SEED, SUITES, verify_suite
@@ -122,7 +124,9 @@ class ExperimentConfig:
         output = doc.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError("'output' must be an object")
-        formats = tuple(output.get("formats", ["json"]))
+        formats = output.get("formats", ["json"])
+        if not isinstance(formats, list):
+            raise ConfigError("'output.formats' must be a list")
         bad = [f for f in formats if f not in ("json", "csv")]
         if bad:
             raise ConfigError(f"unknown output formats: {bad}")
@@ -135,67 +139,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"tolerance {key!r} must be a positive finite number")
 
-        _validate_task(name, task)
         return ExperimentConfig(task=task, model=model,
-                                windows_doc=windows_doc, formats=formats,
+                                windows_doc=windows_doc,
+                                formats=tuple(formats),
                                 tolerances=dict(tolerances), raw=doc)
-
-
-def _validate_task(name: str, task: dict) -> None:
-    """Structural checks that need no model, so bad configs fail early."""
-    if name == "correlations":
-        sets = task.get("point_sets")
-        if not isinstance(sets, list) or not sets:
-            raise ConfigError("correlations task needs nonempty 'point_sets'")
-        for ps in sets:
-            _check_point_list(ps)
-    elif name == "janossy":
-        sets = task.get("point_sets", [])
-        if not isinstance(sets, list):
-            raise ConfigError("'point_sets' must be a list")
-        for ps in sets:
-            _check_point_list(ps)
-        counts = task.get("counts", [])
-        if not isinstance(counts, list):
-            raise ConfigError("'counts' must be a list of count vectors")
-        for vec in counts:
-            if not isinstance(vec, list) or not all(map(_is_int, vec)):
-                raise ConfigError(f"bad count vector {vec!r}")
-    elif name == "extremes":
-        if not _is_int(task.get("floor", 1)):
-            raise ConfigError("'floor' must be an integer")
-        if not _is_int(task.get("k", 1)):
-            raise ConfigError("'k' must be an integer")
-        grid = task.get("thresholds")
-        if (not isinstance(grid, list) or not grid
-                or not all(_is_number(s) for s in grid)):
-            raise ConfigError(
-                "extremes task needs a list of finite numeric 'thresholds'")
-    elif name == "verify":
-        suite = task.get("suite")
-        if suite not in SUITES:
-            raise ConfigError(
-                f"verify task needs 'suite' in {sorted(SUITES)}"
-            )
-        for key in ("instances", "seed"):
-            if key in task and (not _is_int(task[key]) or task[key] < 0):
-                raise ConfigError(f"'{key}' must be a nonnegative integer")
 
 
 def _is_number(value) -> bool:
     """A finite JSON number; booleans, NaN and infinities are not."""
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
-def _check_point_list(ps) -> None:
-    if not isinstance(ps, list):
-        raise ConfigError(f"point set must be a list, got {ps!r}")
-    for p in ps:
-        if (not isinstance(p, list) or len(p) != 2
-                or not all(_is_int(c) for c in p)):
-            raise ConfigError(
-                f"each point must be a [floor, node] integer pair, got {p!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +190,12 @@ def _write_json(path: str, doc: dict) -> None:
 # tasks
 # ---------------------------------------------------------------------------
 
-def _as_points(ps) -> list[tuple[int, int]]:
-    return [(int(p[0]), int(p[1])) for p in ps]
-
-
 def _task_correlations(cfg: ExperimentConfig, ens: ChainEnsemble,
-                       wf: WindowFamily | None, out_dir: str,
-                       opts) -> RunReport:
+                       checked: dict, out_dir: str, opts) -> RunReport:
     kernel = correlation_kernel(ens)
-    values = []
-    for ps in cfg.task["point_sets"]:
-        points = _as_points(ps)
-        values.append({"points": [[l, x] for l, x in points],
-                       "value": complex_pair(
-                           correlation_function(kernel, points))})
+    values = [{"points": [[l, x] for l, x in points],
+               "value": complex_pair(correlation_function(kernel, points))}
+              for points in checked["point_sets"]]
     results = {
         "kind": kernel.kind,
         "floors": ens.floors,
@@ -281,20 +225,18 @@ def _task_correlations(cfg: ExperimentConfig, ens: ChainEnsemble,
 
 
 def _task_janossy(cfg: ExperimentConfig, ens: ChainEnsemble,
-                  wf: WindowFamily, out_dir: str, opts) -> RunReport:
+                  checked: dict, out_dir: str, opts) -> RunReport:
+    wf = checked["windows"]
     jk = janossy_kernel_explicit(ens, wf)
-    densities = []
-    for ps in cfg.task.get("point_sets", []):
-        points = _as_points(ps)
-        densities.append({"points": [[l, x] for l, x in points],
-                          "value": complex_pair(janossy_density(jk, points))})
+    densities = [{"points": [[l, x] for l, x in points],
+                  "value": complex_pair(janossy_density(jk, points))}
+                 for points in checked["point_sets"]]
     count_rows = []
-    if cfg.task.get("counts"):
+    if checked["counts"]:
         law = count_distribution(ens, wf, budget=opts.budget)
-        for vec in cfg.task["counts"]:
-            count_rows.append({"counts": [int(k) for k in vec],
-                               "probability": real_probability(
-                                   law[tuple(vec)])})
+        count_rows = [{"counts": vec,
+                       "probability": real_probability(law[tuple(vec)])}
+                      for vec in checked["counts"]]
     results = {
         "kind": KIND_JANOSSY,
         "windows": wf.to_json(),
@@ -307,7 +249,8 @@ def _task_janossy(cfg: ExperimentConfig, ens: ChainEnsemble,
 
 
 def _task_gap(cfg: ExperimentConfig, ens: ChainEnsemble,
-              wf: WindowFamily, out_dir: str, opts) -> RunReport:
+              checked: dict, out_dir: str, opts) -> RunReport:
+    wf = checked["windows"]
     kernel = correlation_kernel(ens)
     det = fredholm_det(restrict(kernel, wf))
     results = {
@@ -315,8 +258,9 @@ def _task_gap(cfg: ExperimentConfig, ens: ChainEnsemble,
         "gap_probability": complex_pair(det),
     }
     warnings = list(kernel.warnings)
-    # second route when the window construction is well posed; degenerate
-    # windows (for example full floors) legitimately have no closed form
+    # the ratio det A^c / det A, the same matrix summed in another order,
+    # when the window construction is well posed; degenerate windows (for
+    # example full floors) legitimately have no closed form
     try:
         jk = janossy_kernel_explicit(ens, wf)
     except SingularOperatorError as exc:
@@ -330,19 +274,17 @@ def _task_gap(cfg: ExperimentConfig, ens: ChainEnsemble,
 
 
 def _task_extremes(cfg: ExperimentConfig, ens: ChainEnsemble,
-                   wf: WindowFamily | None, out_dir: str,
-                   opts) -> RunReport:
-    floor = int(cfg.task.get("floor", 1))
-    k = int(cfg.task.get("k", 1))
-    grid = [float(s) for s in cfg.task["thresholds"]]
-    curve = kth_extreme_distribution(ens, floor, k, grid)
+                   checked: dict, out_dir: str, opts) -> RunReport:
+    floor, k = checked["floor"], checked["k"]
+    curve = kth_extreme_distribution(ens, floor, k, checked["thresholds"])
     points = [{"s": pt.s, "count_probs": list(pt.count_probs),
                "prob_ge": pt.prob_ge, "cdf": pt.cdf} for pt in curve]
     results = {"floor": floor, "k": k, "points": points}
     report = RunReport("extremes", True, results, cfg.raw)
     if "csv" in cfg.formats:
+        # count_probs holds p_0..p_k: k + 1 columns
         header = ",".join(["s", "prob_ge", "cdf"]
-                          + [f"p_count_{j}" for j in range(k)])
+                          + [f"p_count_{j}" for j in range(k + 1)])
         rows = [f"# {CSV_SCHEMA} extremes floor={floor} k={k}", header]
         for pt in curve:
             cells = [repr(pt.s), repr(pt.prob_ge), repr(pt.cdf)]
@@ -355,8 +297,7 @@ def _task_extremes(cfg: ExperimentConfig, ens: ChainEnsemble,
 
 
 def _task_verify(cfg: ExperimentConfig, ens: ChainEnsemble | None,
-                 wf: WindowFamily | None, out_dir: str,
-                 opts) -> RunReport:
+                 checked: dict, out_dir: str, opts) -> RunReport:
     task = cfg.task
     suite = task["suite"]
     seed = task.get("seed", DEFAULT_SEED) if opts.seed is None else opts.seed
@@ -380,6 +321,58 @@ _RUNNERS = {
 }
 
 
+def _check_task(cfg: ExperimentConfig, ens: ChainEnsemble | None,
+                budget: int) -> dict:
+    """The task fields, checked against the built model; what the runner
+    reads.
+
+    Windows, point sets, count vectors and the extremes floor go through
+    the ensemble's own ``check_*`` methods; this pass adds only what the
+    ensemble cannot judge.  A verify task has no model: only its suite
+    fields are checked.  A kernel dump writes (M P)^2 CSV rows; more than
+    ``budget`` is refused.  Malformed fields raise LookupError, TypeError
+    or ValueError, which ``run_experiment`` reports as a ConfigError.
+    """
+    task, name = cfg.task, cfg.task["name"]
+    if name == "verify":
+        if task.get("suite") not in SUITES:
+            raise ConfigError(f"verify task needs 'suite' in {sorted(SUITES)}")
+        for key in ("instances", "seed"):
+            if key in task and (not _is_int(task[key]) or task[key] < 0):
+                raise ConfigError(f"'{key}' must be a nonnegative integer")
+        return {}
+    if name == "extremes":
+        k, grid = task.get("k", 1), task.get("thresholds")
+        if not _is_int(k) or not 1 <= k <= ens.n:
+            raise ConfigError(f"'k' must be an integer in 1..{ens.n}")
+        if (not isinstance(grid, list) or not grid
+                or not all(_is_number(s) for s in grid)):
+            raise ConfigError(
+                "extremes task needs a list of finite numeric 'thresholds'")
+        return {"floor": ens.check_floor(task.get("floor", 1), "'floor'"),
+                "k": int(k), "thresholds": [float(s) for s in grid]}
+    if name == "correlations":
+        sets = task.get("point_sets")
+        if not isinstance(sets, list) or not sets:
+            raise ConfigError("correlations task needs nonempty 'point_sets'")
+        checked = {"point_sets": [ens.check_points(ps) for ps in sets]}
+        if task.get("dump_kernel"):
+            rows = (ens.floors * ens.space.size) ** 2
+            if rows > budget:
+                raise BudgetExceededError(rows, budget,
+                                          "rows for a kernel dump")
+        return checked
+    wf = ens.check_windows(window_family_from_json(ens.space, cfg.windows_doc))
+    if name == "gap":
+        return {"windows": wf}
+    sets, counts = task.get("point_sets", []), task.get("counts", [])
+    if not isinstance(sets, list) or not isinstance(counts, list):
+        raise ConfigError("'point_sets' and 'counts' must be lists")
+    return {"windows": wf,
+            "point_sets": [ens.check_window_points(wf, ps) for ps in sets],
+            "counts": [ens.check_counts(vec) for vec in counts]}
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -400,14 +393,14 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
     """
     if seed is not None and (not _is_int(seed) or seed < 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    for name, value in (("threads", threads), ("budget", budget)):
+    for flag, value in (("threads", threads), ("budget", budget)):
         if not _is_int(value) or value < 1:
-            raise ConfigError(f"{name} must be a positive integer, "
+            raise ConfigError(f"{flag} must be a positive integer, "
                               f"got {value!r}")
     cfg = ExperimentConfig.from_json(config_doc)
     opts = _Options(seed=seed, threads=int(threads), budget=int(budget))
 
-    ens = wf = None
+    ens = None
     if cfg.model is not None:
         spec = cfg.model
         if (seed is not None and spec.variant == "random"
@@ -415,56 +408,19 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
             spec = ChainModelSpec(spec.variant,
                                   dict(spec.params, seed=int(seed)))
         ens = build_model(spec)
-        if cfg.task["name"] != "verify":
-            wf = _check_task_dimensions(cfg, ens, opts.budget)
+    name = cfg.task["name"]
+    try:
+        checked = _check_task(cfg, ens, opts.budget)
+    except (ConfigError, np.linalg.LinAlgError):
+        raise  # LinAlgError is a ValueError, but a numerical failure
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} task: {exc}") from exc
 
     os.makedirs(out_dir, exist_ok=True)
-    report = _RUNNERS[cfg.task["name"]](cfg, ens, wf, out_dir, opts)
+    report = _RUNNERS[name](cfg, ens, checked, out_dir, opts)
     _write_json(os.path.join(out_dir, "report.json"), report.to_json())
     report.files.append("report.json")
     return report
-
-
-def _check_task_dimensions(cfg: ExperimentConfig, ens: ChainEnsemble,
-                           budget: int) -> WindowFamily | None:
-    """Windows, point sets, count vectors and extremes floor and k must fit
-    the built model.
-
-    Returns the window family of a janossy or gap task, None for the other
-    tasks.  A kernel dump writes (M P)^2 CSV rows; more than ``budget`` is
-    refused.
-    """
-    name = cfg.task["name"]
-    if cfg.task.get("dump_kernel"):
-        rows = (ens.floors * ens.space.size) ** 2
-        if rows > budget:
-            raise BudgetExceededError(rows, budget)
-    for vec in cfg.task.get("counts", []) or []:
-        try:
-            ens.check_counts(vec)
-        except ValueError as exc:
-            raise ConfigError(f"bad count vector {vec!r}: {exc}") from exc
-    if name == "extremes":
-        if not 1 <= cfg.task.get("floor", 1) <= ens.floors:
-            raise ConfigError(f"'floor' must lie in 1..{ens.floors}")
-        if not 1 <= cfg.task.get("k", 1) <= ens.n:
-            raise ConfigError(f"'k' must lie in 1..{ens.n}")
-    wf = None
-    if name in ("janossy", "gap"):
-        try:
-            wf = ens.check_windows(
-                window_family_from_json(ens.space, cfg.windows_doc))
-        except ValueError as exc:
-            raise ConfigError(f"bad windows section: {exc}") from exc
-    for ps in cfg.task.get("point_sets", []) or []:
-        try:
-            if name == "janossy":
-                ens.check_window_points(wf, _as_points(ps))
-            else:
-                ens.check_points(_as_points(ps))
-        except ValueError as exc:
-            raise ConfigError(f"bad point set {ps!r}: {exc}") from exc
-    return wf
 
 
 def main(argv=None) -> int:
@@ -503,7 +459,7 @@ def main(argv=None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
-        print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)
+        print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 4
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         # SingularOperatorError is an ArithmeticError, as are the

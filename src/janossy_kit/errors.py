@@ -32,13 +32,19 @@ class SingularOperatorError(ArithmeticError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would visit more configurations than the budget allows."""
+    """A table, law or dump would hold more items than the budget allows.
 
-    def __init__(self, required: int, budget: int):
+    ``counted`` names the items and what holds them, e.g. "configurations
+    for the oracle table", "entries for the count law" or "rows for a
+    kernel dump".
+    """
+
+    def __init__(self, required: int, budget: int, counted: str):
         self.required = required
         self.budget = budget
+        self.counted = counted
         super().__init__(
-            f"enumeration needs {required} configurations, budget is {budget}"
+            f"needs {required} {counted}, budget is {budget}"
         )
 
 

@@ -170,7 +170,8 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     wf = ensemble.check_windows(windows)
     M, n, w = ensemble.floors, ensemble.n, ensemble.space.weights
     if (n + 1) ** M > budget:
-        raise BudgetExceededError((n + 1) ** M, budget)
+        raise BudgetExceededError((n + 1) ** M, budget,
+                                  "entries for the count law")
     grid = tuple(min(n, win.count) + 1 for win in wf.windows)
     floor_weights = []
     for l, (win, size) in enumerate(zip(wf.windows, grid)):

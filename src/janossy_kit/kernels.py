@@ -207,6 +207,11 @@ def fredholm_det(op: RestrictedOperator) -> complex:
     (W^t_l v_l + Z_l), W^t the tables' weights.  No rows are gathered, and
     neither the window points, the kernel matrix, a product g_{l,m} nor
     A^{-1} is formed.
+
+    Floor by floor, A - L_I^T Z telescopes to the complement pairing matrix
+    A^c (the ``gram`` of ``complement_tables``), so this is the ratio
+    det A^c / det A of ``janossy_kernel_explicit`` summed in another order.
+    The independent check is the brute-force oracle.
     """
     t, w = op.kernel.tables, op.kernel.ensemble.space.weights
     x = np.zeros_like(t.gram)

@@ -16,6 +16,7 @@ caller's control for accuracy.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -166,6 +167,11 @@ class DiscretizedSpace:
                 interval, order = doc["interval"], doc["order"]
             except KeyError as exc:
                 raise ValueError(f"quadrature space document lacks {exc}") from exc
+            if (not isinstance(interval, (list, tuple)) or len(interval) != 2
+                    or not all(isinstance(v, numbers.Real)
+                               and not isinstance(v, bool) for v in interval)):
+                raise ValueError("quadrature interval must be two numbers, "
+                                 f"got {interval!r}")
             return make_quadrature(tuple(interval), order)
         raise ValueError(f"unknown space kind {kind!r}")
 
@@ -244,9 +250,7 @@ def window_from_json(space: DiscretizedSpace, doc: dict) -> Window:
     if not isinstance(doc, dict):
         raise ValueError("window document must be an object")
     if "intervals" in doc:
-        return space.window_from_intervals(
-            tuple((p[0], p[1]) for p in doc["intervals"])
-        )
+        return space.window_from_intervals(doc["intervals"])
     if "mask" in doc:
         return space.window(doc["mask"])
     raise ValueError("window document needs 'intervals' or 'mask'")

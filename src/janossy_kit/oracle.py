@@ -70,7 +70,8 @@ class EnumeratedDistribution:
         n, M = ensemble.n, ensemble.floors
         required = P ** (M * n)
         if required > budget:
-            raise BudgetExceededError(required, int(budget))
+            raise BudgetExceededError(required, int(budget),
+                                      "configurations for the oracle table")
         self.ensemble = ensemble
         self.budget = int(budget)
         tuples = np.array(list(itertools.product(range(P), repeat=n)),

@@ -37,6 +37,7 @@ from .kernels import (
     fredholm_det,
     resolvent_kernel,
     restrict,
+    rows,
 )
 from .measure_space import WindowFamily
 from .models import build_random
@@ -302,20 +303,20 @@ def point_grid(dist, vectors, domains, free, matrix):
     of the point axes.
     """
     P = dist.ensemble.space.size
-    oracle, rows = [], []
+    oracle, grids = [], []
     for counts in vectors:
         points = [[d] * k for k, d in zip(counts, domains)]
         oracle.append(brute_density_grid(dist, points, free).reshape(-1))
-        r = np.meshgrid(*[(l - 1) * P + d for l, on_floor in
-                          enumerate(points, start=1) for d in on_floor],
-                        indexing="ij")
-        rows.append(np.stack(r, axis=-1).reshape(-1, sum(counts)))
+        r = np.meshgrid(*[rows(np.column_stack([np.full(d.size, l), d]), P)
+                          for l, on_floor in enumerate(points, start=1)
+                          for d in on_floor], indexing="ij")
+        grids.append(np.stack(r, axis=-1).reshape(-1, sum(counts)))
     oracle = np.concatenate(oracle)
     if not oracle.size:
         return oracle, oracle
     m = matrix()
     return oracle, np.concatenate([np.linalg.det(m[r[:, :, None], r[:, None]])
-                                   for r in rows])
+                                   for r in grids])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,8 @@ def verify_janossy(i: int, seed: int, budget: int, tol: float) -> list[dict]:
     desc = dict(desc, windows=[w.count for w in wf.windows])
     dist = enumerate_density(ens, budget=budget)
     brute_law = brute_count_distribution(dist, wf)
-    # gap probability: three routes pairwise
+    # gap probability: the Fredholm determinant against the oracle, and
+    # against the ratio det A^c / det A that it telescopes to
     gap_fred = fredholm_det(op)
     out = [_record(i, desc, "gap probability (fredholm vs brute)",
                    brute_law[(0,) * ens.floors], gap_fred, tol),

@@ -71,6 +71,13 @@ def run(tmp_path, doc, *args, out="out") -> tuple[int, str]:
     return code, out_dir
 
 
+def assert_cells_match_header(lines) -> None:
+    """Every CSV row has as many cells as the header, lines[0]."""
+    width = lines[0].count(",")
+    assert len(lines) > 1
+    assert all(line.count(",") == width for line in lines[1:])
+
+
 def test_gap_task_end_to_end(tmp_path, capsys):
     code, out_dir = run(tmp_path, GAP_CONFIG)
     assert code == 0
@@ -88,6 +95,7 @@ def test_correlations_task_writes_tagged_csv(tmp_path):
     assert code == 0
     csv_text = Path(out_dir, "correlations.csv").read_text()
     assert csv_text.startswith("# jk-csv-1 correlations")
+    assert_cells_match_header(csv_text.splitlines()[1:])
     kernel_text = Path(out_dir, "kernel.csv").read_text()
     assert kernel_text.startswith("# jk-csv-1 kernel")
     kernel_doc = read_json(out_dir, "kernel.json")
@@ -105,7 +113,8 @@ def test_extremes_task_curve_is_monotone(tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(cdfs, cdfs[1:]))
     lines = Path(out_dir, "extremes.csv").read_text().splitlines()
     assert lines[0].startswith("# jk-csv-1 extremes")
-    assert lines[1] == "s,prob_ge,cdf,p_count_0"
+    assert lines[1] == "s,prob_ge,cdf,p_count_0,p_count_1"
+    assert_cells_match_header(lines[1:])
 
 
 def test_verify_task_prints_pass_lines(tmp_path, capsys):
@@ -207,6 +216,17 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     # a NaN interval end used to give an empty window and gap probability 1
     dict(GAP_CONFIG, windows=[{"intervals": [[float("nan"), None]]},
                               GAP_CONFIG["windows"][1]]),
+    # malformed window and space documents and output formats
+    dict(GAP_CONFIG, windows=[{"intervals": [[1.0]]},
+                              GAP_CONFIG["windows"][1]]),
+    dict(GAP_CONFIG, windows=[{"intervals": 5}, GAP_CONFIG["windows"][1]]),
+    dict(EXTREMES_CONFIG, model=dict(
+        EXTREMES_CONFIG["model"],
+        space=dict(EXTREMES_CONFIG["model"]["space"], interval=[1]))),
+    dict(EXTREMES_CONFIG, model=dict(
+        EXTREMES_CONFIG["model"],
+        space=dict(EXTREMES_CONFIG["model"]["space"], interval=[1, 2, 3]))),
+    dict(CORR_CONFIG, output={"formats": "json"}),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)
