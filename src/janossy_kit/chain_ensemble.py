@@ -324,6 +324,13 @@ def pairing_halves(ensemble: ChainEnsemble,
     return left * w[split - 1], right
 
 
+def _pairing(ensemble: ChainEnsemble,
+             floor_weights: Sequence[np.ndarray]) -> np.ndarray:
+    """The pairing matrix under ``floor_weights``, met at floor M."""
+    left, right = pairing_halves(ensemble, floor_weights, ensemble.floors)
+    return left @ right.T
+
+
 # ---------------------------------------------------------------------------
 # public chain operations
 # ---------------------------------------------------------------------------

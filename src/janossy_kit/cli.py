@@ -68,7 +68,11 @@ from .verify import DEFAULT_INSTANCES, DEFAULT_SEED, SUITES, verify_suite
 
 REPORT_SCHEMA = "jk-report-1"
 
-TASKS = ("correlations", "janossy", "gap", "extremes", "verify")
+# the task fields each runner reads, besides "name"
+TASKS = {"correlations": {"point_sets", "dump_kernel"},
+         "janossy": {"point_sets", "counts"}, "gap": set(),
+         "extremes": {"floor", "k", "thresholds"},
+         "verify": {"suite", "instances", "seed"}}
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +136,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output formats: {bad}")
 
         tolerances = doc.get("tolerances", {})
+        if "tolerances" in doc and name != "verify":
+            raise ConfigError(f"task {name!r} reads no 'tolerances'")
         if not isinstance(tolerances, dict):
             raise ConfigError("'tolerances' must be an object")
         for key, val in tolerances.items():
+            if key != "verify" and key not in SUITES:
+                raise ConfigError(f"tolerance {key!r} names no suite")
             if not _is_number(val) or val <= 0:
                 raise ConfigError(
                     f"tolerance {key!r} must be a positive finite number")
@@ -258,9 +266,8 @@ def _task_gap(cfg: ExperimentConfig, ens: ChainEnsemble,
         "gap_probability": complex_pair(det),
     }
     warnings = list(kernel.warnings)
-    # the ratio det A^c / det A, the same matrix summed in another order,
-    # when the window construction is well posed; degenerate windows (for
-    # example full floors) legitimately have no closed form
+    # the Janossy constant, the same ratio det A^c / det A, when the window
+    # construction passes its rcond gate; full floors legitimately fail it
     try:
         jk = janossy_kernel_explicit(ens, wf)
     except SingularOperatorError as exc:
@@ -328,12 +335,16 @@ def _check_task(cfg: ExperimentConfig, ens: ChainEnsemble | None,
 
     Windows, point sets, count vectors and the extremes floor go through
     the ensemble's own ``check_*`` methods; this pass adds only what the
-    ensemble cannot judge.  A verify task has no model: only its suite
+    ensemble cannot judge.  A field the task's runner does not read
+    (``TASKS``) is refused.  A verify task has no model: only its suite
     fields are checked.  A kernel dump writes (M P)^2 CSV rows; more than
     ``budget`` is refused.  Malformed fields raise LookupError, TypeError
     or ValueError, which ``run_experiment`` reports as a ConfigError.
     """
     task, name = cfg.task, cfg.task["name"]
+    unread = set(task) - TASKS[name] - {"name"}
+    if unread:
+        raise ConfigError(f"{name} task reads no {sorted(unread)}")
     if name == "verify":
         if task.get("suite") not in SUITES:
             raise ConfigError(f"verify task needs 'suite' in {sorted(SUITES)}")

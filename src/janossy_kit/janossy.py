@@ -15,10 +15,11 @@ window:
                                  (f_j *c g^c_{1,m})(y).
 
 The same object equals the resolvent K_I (Id - K_I)^{-1} of the restricted
-correlation kernel; the kernels module computes that route and the two are
-cross-checked in the verify suites.  const(I) equals det(A^c)/det(A), the
-ratio of complement to full pairing determinants, so it needs only the
-pairing sweep with complement weights, O(M n P^2).  Both matrices are
+correlation kernel, which the kernels module computes; the resolvent
+verify suite compares the two.  const(I) is det(A^c)/det(A), the ratio of
+complement to full pairing determinants, from one pairing sweep with
+complement weights, O(M n P^2); it is also the Fredholm determinant of the
+restriction.  Both matrices are
 first multiplied by one power of two that brings |det A| near 1; that is
 exact, and keeps the rounding of the two log-determinants, whose difference
 gives the ratio, from growing with |log det A|.  The complement tables
@@ -60,6 +61,7 @@ from .chain_ensemble import (
     ChainEnsemble,
     ConvolutionTables,
     _det_ratio,
+    _pairing,
     build_tables,
     marginal_ensemble,
     pairing_halves,
@@ -125,9 +127,7 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
     space.
     """
     wf = ensemble.check_windows(windows)
-    left, right = pairing_halves(ensemble, wf.complement_weights(),
-                                 ensemble.floors)
-    gram = left @ right.T
+    gram = _pairing(ensemble, wf.complement_weights())
     cond, warns = rcond_gate(gram, "complement pairing matrix",
                              detail=f"windows: {wf.describe()}")
     return JanossyKernel(ensemble=ensemble, windows=wf,
@@ -194,8 +194,8 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     law = np.zeros((n + 1,) * M, dtype=np.complex128)
     law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
     law /= values.size
-    left, right = pairing_halves(ensemble, wf.complement_weights(), M)
-    law[(0,) * M] = _det_ratio(left @ right.T, ensemble.tables.gram)
+    law[(0,) * M] = _det_ratio(_pairing(ensemble, wf.complement_weights()),
+                               ensemble.tables.gram)
     return law
 
 

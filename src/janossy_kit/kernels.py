@@ -24,10 +24,10 @@ Restriction symmetrizes with sqrt-weights, so operator products and
 determinants become plain matrix products and determinants.  The sqrt-weight
 scaling never leaks out of this module: kernel values are always reported in
 the unscaled convention above.  The Fredholm determinant reads no matrix
-and no point list: G is strictly block upper triangular and R A^{-1} L^T
-has rank n, so after one back-substitution down the transfers, masked by
-the windows, it is an n x n determinant ratio, at cost M P^2 n + n^3
-instead of a dense (sum_l |I_l|)^3.
+and no point list: det(Id - K_I) = det A^c / det A, with A^c the pairing
+matrix whose floor integrations drop the windows, so it is one pairing
+sweep and one n x n determinant ratio, at cost M n P^2 + n^3 instead of a
+dense (sum_l |I_l|)^3.
 
 Blocks, restrictions and resolvents keep the ensemble's dtype: float64 for
 real models and complex128 only for complex inputs.  Scalar results
@@ -47,7 +47,7 @@ import numpy as np
 import scipy.linalg
 
 from .chain_ensemble import (ChainEnsemble, ConvolutionTables, _det_ratio,
-                             chain_sweep, rcond_gate)
+                             _pairing, chain_sweep, rcond_gate)
 from .measure_space import WindowFamily
 
 KIND_CORRELATION = "correlation"
@@ -198,30 +198,18 @@ def fredholm_det(op: RestrictedOperator) -> complex:
     the family contains no particle of its class.  Exact for discrete
     spaces; quadrature-converged otherwise.  The empty restriction gives 1.
 
-    From the tables of K = -G + R A^{-1} L^T, with W the node weights:
-    det(Id - K_I) = det(A - L_I^T Z) / det A, where Z = (Id + W G_I)^{-1}
-    W R_I comes from one back-substitution, floor M down to 1.  In masked
-    form, with I_l the floor-l window mask, Z_l = W I_l (R_l - v_l) is zero
-    off the window, and x += L_l^T Z_l sums over every node.  The tail v_l
-    = sum_{m>l} g_{l,m} Z_m goes down one transfer, v_{l-1} = g_{l-1}
-    (W^t_l v_l + Z_l), W^t the tables' weights.  No rows are gathered, and
-    neither the window points, the kernel matrix, a product g_{l,m} nor
-    A^{-1} is formed.
-
-    Floor by floor, A - L_I^T Z telescopes to the complement pairing matrix
-    A^c (the ``gram`` of ``complement_tables``), so this is the ratio
-    det A^c / det A of ``janossy_kernel_explicit`` summed in another order.
+    For tables with floor weights W_l and pairing matrix A, det(Id - K_I)
+    = det A' / det A, where A' pairs under the weights W_l - w 1_{I_l} (w
+    the node weights): each floor integrates off its window.  For a
+    correlation kernel A' is the complement pairing matrix A^c, so this is
+    ``janossy_kernel_explicit(...).const`` bit for bit.  One pairing sweep,
+    O(M n P^2); no point list, kernel matrix, g_{l,m} or A^{-1} is formed.
     The independent check is the brute-force oracle.
     """
     t, w = op.kernel.tables, op.kernel.ensemble.space.weights
-    x = np.zeros_like(t.gram)
-    v = np.zeros_like(t.right[-1])
-    for l in reversed(range(len(t.left))):
-        z = (w * op.windows.windows[l].mask)[:, None] * (t.right[l] - v)
-        x += t.left[l].T @ z
-        if l:
-            v = t.g[l - 1] @ (t.weights[l][:, None] * v + z)
-    return complex(_det_ratio(t.gram - x, t.gram))
+    weights = [wl - w * win.mask for wl, win in zip(t.weights,
+                                                     op.windows.windows)]
+    return complex(_det_ratio(_pairing(op.kernel.ensemble, weights), t.gram))
 
 
 def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:

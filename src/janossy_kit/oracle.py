@@ -279,9 +279,8 @@ def quad_oracle_m1(ensemble: ChainEnsemble, s: float, k: int) -> float:
     n = ensemble.n
     if n > 3:
         raise ValueError("quad_oracle_m1 supports at most 3 particles")
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"k {k!r} is not a nonnegative integer")
     if k > n:
         return 0.0
     dist = enumerate_density(ensemble)

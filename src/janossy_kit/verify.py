@@ -39,7 +39,7 @@ from .kernels import (
     restrict,
     rows,
 )
-from .measure_space import WindowFamily
+from .measure_space import WindowFamily, _is_int
 from .models import build_random
 from .oracle import (
     DEFAULT_BUDGET,
@@ -117,16 +117,7 @@ class SuiteReport:
     records: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instances": self.instances,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
-            "records": self.records,
-        }
+        return dict(vars(self))
 
     def rejudge(self, tolerance: float) -> None:
         """Judge every comparison again against another tolerance.
@@ -381,7 +372,7 @@ def verify_janossy(i: int, seed: int, budget: int, tol: float) -> list[dict]:
     dist = enumerate_density(ens, budget=budget)
     brute_law = brute_count_distribution(dist, wf)
     # gap probability: the Fredholm determinant against the oracle, and
-    # against the ratio det A^c / det A that it telescopes to
+    # against the Janossy constant, the same ratio det A^c / det A
     gap_fred = fredholm_det(op)
     out = [_record(i, desc, "gap probability (fredholm vs brute)",
                    brute_law[(0,) * ens.floors], gap_fred, tol),
@@ -503,5 +494,8 @@ def verify_suite(name: str, instances: int = DEFAULT_INSTANCES,
         raise ValueError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
+    if not _is_int(instances) or instances < 0:
+        raise ValueError(f"instances {instances!r} is not a nonnegative "
+                         "integer")
     return SUITES[name](instances=instances, seed=seed, budget=budget,
                         threads=threads)

@@ -227,6 +227,20 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
         EXTREMES_CONFIG["model"],
         space=dict(EXTREMES_CONFIG["model"]["space"], interval=[1, 2, 3]))),
     dict(CORR_CONFIG, output={"formats": "json"}),
+    # task fields the task's runner does not read
+    dict(JANOSSY_CONFIG, task=dict(JANOSSY_CONFIG["task"],
+                                   point_set=[[[1, 0]]])),
+    dict(JANOSSY_CONFIG, task=dict(JANOSSY_CONFIG["task"], count=[[0, 0]])),
+    dict(JANOSSY_CONFIG, task=dict(JANOSSY_CONFIG["task"], dump_kernel=True)),
+    dict(GAP_CONFIG, task={"name": "gap", "dump_kernel": True}),
+    dict(GAP_CONFIG, task={"name": "gap", "point_sets": []}),
+    dict(CORR_CONFIG, task=dict(CORR_CONFIG["task"], counts=[[0, 0]])),
+    dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"], threshold=[0.0])),
+    dict(VERIFY_CONFIG, task=dict(VERIFY_CONFIG["task"], instance=3)),
+    # tolerance keys: "verify" and suite names, on a verify task only
+    dict(VERIFY_CONFIG, tolerances={"hiene": 1e-30}),
+    dict(GAP_CONFIG, tolerances={"verify": 1e-9}),
+    dict(GAP_CONFIG, tolerances={}),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)
@@ -293,8 +307,8 @@ def test_weight_overflow_exits_3_under_a_runtime_warning_filter(tmp_path,
 
 
 def test_gue_gap_routes_agree_to_rounding(tmp_path):
-    """docs/configs/gue-gap.json: log det A is about 1270, and the ratio
-    route still agrees with the Fredholm determinant to 1e-14."""
+    """docs/configs/gue-gap.json: log det A is about 1270, and the
+    Janossy constant still matches the Fredholm determinant."""
     config = Path(__file__).parent.parent / "docs" / "configs" / "gue-gap.json"
     code, out_dir = run(tmp_path, json.loads(config.read_text()))
     assert code == 0
@@ -302,9 +316,8 @@ def test_gue_gap_routes_agree_to_rounding(tmp_path):
 
 
 def test_chain_gap_routes_agree_across_four_floors(tmp_path):
-    """docs/configs/chain-gap.json: the Fredholm determinant's
-    back-substitution runs through four floors and matches the ratio
-    route to rounding."""
+    """docs/configs/chain-gap.json: the Fredholm determinant's pairing
+    sweep runs through four floors and matches the Janossy constant."""
     config = Path(__file__).parent.parent / "docs" / "configs" / "chain-gap.json"
     doc = json.loads(config.read_text())
     assert len(doc["windows"]) == 4

@@ -259,7 +259,7 @@ def dense_fredholm(op) -> complex:
        st.integers(1, 3), st.booleans(), st.data())
 def test_factored_fredholm_matches_the_dense_determinant(seed, P, n, M,
                                                          complex_gauge, data):
-    """The back-substitution route against a dense LU of Id - K_I, on
+    """The complement pairing ratio against a dense LU of Id - K_I, on
     arbitrary masks (whole floors empty or full) of real and complex-gauged
     random chains.  Both routes round at the order of cond(A) eps."""
     n = min(n, P)
@@ -282,9 +282,10 @@ def test_factored_fredholm_matches_the_dense_determinant(seed, P, n, M,
 
 
 def test_factored_fredholm_of_a_janossy_kernel():
-    """A Janossy kernel keeps its complement tables, so its restrictions
-    take the same route; checked against the dense determinant, with the
-    rounding scale cond(A^c) eps of the complement tables."""
+    """A Janossy kernel keeps its complement tables, so a restriction
+    drops its windows from those tables' weights: the same pairing ratio,
+    checked against the dense determinant, with the rounding scale
+    cond(A^c) eps of the complement tables."""
     ens = build_random(12, 6, 2, 3)
     wf = WindowFamily((ens.space.window([True, True, False, False, False, False]),
                        ens.space.window([False, False, False, True, True, False]),
@@ -309,6 +310,26 @@ def gap_chain() -> tuple[ChainEnsemble, WindowFamily]:
     starts = np.random.default_rng(3).uniform(1.0, 1.5, ens.floors)
     return ens, WindowFamily(tuple(
         ens.space.window_from_intervals([(s, None)]) for s in starts))
+
+
+def test_fredholm_is_the_janossy_normalization_bit_for_bit():
+    """The Fredholm determinant of a correlation kernel's restriction is
+    the complement pairing ratio det A^c / det A itself: equal to the
+    Janossy constant to the last bit on random, complex-gauged and
+    Karlin-McGregor chains."""
+    cases = [gap_chain()]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        ens = build_random(seed, 6, 2, 3)
+        # two window nodes per floor leave the complement four
+        masks = [np.isin(np.arange(6), rng.permutation(6)[:2])
+                 for _ in range(3)]
+        wf = WindowFamily(tuple(map(ens.space.window, masks)))
+        theta = rng.uniform(0.0, 2.0 * np.pi, (3, 6))
+        cases += [(ens, wf), (gauged(ens, theta), wf)]
+    for ens, wf in cases:
+        det = fredholm_det(restrict(correlation_kernel(ens), wf))
+        assert det == janossy_kernel_explicit(ens, wf).const
 
 
 def test_gap_chain_fredholm_never_forms_the_kernel_matrix():
@@ -346,7 +367,7 @@ def test_gap_chain_transfers_hold_no_subnormal_floats():
 def test_gap_chain_tables_and_fredholm_allocate_less_than_one_transfer():
     """Building the ensemble and one Fredholm determinant each allocate
     less than one P x P float64 array at their peak: no product g_{l,m} is
-    stored, and the determinant carries P x n tails down the chain."""
+    stored, and the determinant sweeps n x P rows down the chain."""
     ens, wf = gap_chain()
     op = restrict(correlation_kernel(ens), wf)
     limit = ens.space.size ** 2 * np.dtype(np.float64).itemsize

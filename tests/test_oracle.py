@@ -213,3 +213,9 @@ def test_quad_oracle_validation():
     ens1 = build_unitary([0.0, 0.0, 0.5], 2, space)
     with pytest.raises(ValueError):
         quad_oracle_m1(ens1, 0.0, -1)
+    # k = 1.7 and k = True used to run as k = 1
+    for k in (1.7, True, 1.0):
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            quad_oracle_m1(ens1, 0.0, k)
+    assert (quad_oracle_m1(ens1, 0.0, np.int64(1))
+            == quad_oracle_m1(ens1, 0.0, 1))

@@ -31,6 +31,13 @@ def test_unknown_suite_is_rejected():
         verify_suite("mystery")
 
 
+@pytest.mark.parametrize("instances", [-3, 2.5, True, "4"])
+def test_instance_count_must_be_a_nonnegative_integer(instances):
+    # instances=-3 used to return a passing report with no records
+    with pytest.raises(ValueError, match="instances"):
+        verify_suite("heine", instances=instances)
+
+
 def test_suite_reports_are_deterministic_across_reruns():
     a = verify_suite("correlations", instances=8, seed=3).to_json()
     b = verify_suite("correlations", instances=8, seed=3).to_json()
