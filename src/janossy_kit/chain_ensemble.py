@@ -23,7 +23,8 @@ forms it where a dense kernel, one product or a marginal chain needs it.
 Each is a sweep of the one chain recurrence ``x <- (x W_l) g_l``
 (``_sweep``, W_l the floor-l weights) from g_l, from f or, through the
 transposed transfers, from phi; ``pairing_halves`` meets a left and a
-right sweep.
+right sweep, each over the sub-blocks of the transfers that the floors'
+nonzero weights reach.
 
 Floor and function indices are 1-based in every public signature, matching
 the transfer-chain conventions (``f_j * g_{1,1} = f_j``,
@@ -38,7 +39,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,16 +54,18 @@ WARN_RCOND = 1e-6
 
 
 def rcond_gate(matrix: np.ndarray, name: str,
-               detail: str = "") -> tuple[float, tuple[str, ...]]:
+               detail: Callable[[], str] = str
+               ) -> tuple[float, tuple[str, ...]]:
     """Apply the package-wide rcond gate; returns (cond, warnings).
 
-    Raises SingularOperatorError below HARD_RCOND and returns one warning
-    line below WARN_RCOND.
+    Raises SingularOperatorError below HARD_RCOND, with the text
+    ``detail()`` as its detail, and returns one warning line below
+    WARN_RCOND.  ``detail`` is called only when the gate raises.
     """
     cond = float(np.linalg.cond(matrix))
     rcond = 1.0 / cond if cond > 0 else 0.0
     if not np.isfinite(cond) or rcond < HARD_RCOND:
-        raise SingularOperatorError(name, rcond, detail)
+        raise SingularOperatorError(name, rcond, detail())
     if rcond < WARN_RCOND:
         return cond, (f"{name}: rcond {rcond:.3e} below warning threshold "
                       f"{WARN_RCOND:.0e}",)
@@ -302,6 +305,15 @@ def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
     )
 
 
+def _support(w: np.ndarray) -> slice:
+    """Nodes from the first to the last nonzero weight, over every batch
+    axis of ``w``; an empty slice when every weight is 0."""
+    if w.ndim > 1:
+        w = np.logical_or.reduce(w.reshape(-1, w.shape[-1]))
+    nz = np.flatnonzero(w)
+    return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
+
+
 def pairing_halves(ensemble: ChainEnsemble,
                    floor_weights: Sequence[np.ndarray],
                    split: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,12 +326,22 @@ def pairing_halves(ensemble: ChainEnsemble,
     pairing matrix is needed.  ``floor_weights[l-1]`` has shape ``batch +
     (P,)``; the batch axes broadcast within each half, so a batch axis only
     one half carries costs the other half nothing.
+
+    Each floor contributes only its weight support box B_l (``_support``):
+    a step multiplies the view ``g_l[B_l, B_{l+1}]``, so the sweeps cost
+    ``sum_l n |B_l| |B_{l+1}|`` and read no transfer entry outside the
+    boxes.  Zero weights inside a box stay exact zeros.  Both halves are
+    as wide as the split floor's box, columns ``B_split`` of the nodes.
     """
-    w = [np.asarray(x)[..., None, :] for x in floor_weights]
-    g = ensemble.g
+    w = [np.asarray(x) for x in floor_weights]
+    box = [_support(x) for x in w]
+    w = [x[..., None, b] for x, b in zip(w, box)]
+    g = [t[a, b] for t, a, b in zip(ensemble.g, box, box[1:])]
     # keep only the last value of each sweep: batch arrays can be large
-    left = deque(_sweep(ensemble.f, g[:split - 1], w[:split - 1]), 1).pop()
-    right = deque(_sweep(ensemble.phi, [t.T for t in reversed(g[split - 1:])],
+    left = deque(_sweep(ensemble.f[:, box[0]], g[:split - 1],
+                        w[:split - 1]), 1).pop()
+    right = deque(_sweep(ensemble.phi[:, box[-1]],
+                         [t.T for t in reversed(g[split - 1:])],
                          w[split:][::-1]), 1).pop()
     return left * w[split - 1], right
 

@@ -337,9 +337,10 @@ def _check_task(cfg: ExperimentConfig, ens: ChainEnsemble | None,
     the ensemble's own ``check_*`` methods; this pass adds only what the
     ensemble cannot judge.  A field the task's runner does not read
     (``TASKS``) is refused.  A verify task has no model: only its suite
-    fields are checked.  A kernel dump writes (M P)^2 CSV rows; more than
-    ``budget`` is refused.  Malformed fields raise LookupError, TypeError
-    or ValueError, which ``run_experiment`` reports as a ConfigError.
+    fields are checked.  ``dump_kernel`` must be a boolean; a kernel dump
+    writes (M P)^2 CSV rows, and more than ``budget`` is refused.
+    Malformed fields raise LookupError, TypeError or ValueError, which
+    ``run_experiment`` reports as a ConfigError.
     """
     task, name = cfg.task, cfg.task["name"]
     unread = set(task) - TASKS[name] - {"name"}
@@ -367,6 +368,8 @@ def _check_task(cfg: ExperimentConfig, ens: ChainEnsemble | None,
         if not isinstance(sets, list) or not sets:
             raise ConfigError("correlations task needs nonempty 'point_sets'")
         checked = {"point_sets": [ens.check_points(ps) for ps in sets]}
+        if not isinstance(task.get("dump_kernel", False), bool):
+            raise ConfigError("'dump_kernel' must be true or false")
         if task.get("dump_kernel"):
             rows = (ens.floors * ens.space.size) ** 2
             if rows > budget:

@@ -18,11 +18,12 @@ The same object equals the resolvent K_I (Id - K_I)^{-1} of the restricted
 correlation kernel, which the kernels module computes; the resolvent
 verify suite compares the two.  const(I) is det(A^c)/det(A), the ratio of
 complement to full pairing determinants, from one pairing sweep with
-complement weights, O(M n P^2); it is also the Fredholm determinant of the
-restriction.  Both matrices are
-first multiplied by one power of two that brings |det A| near 1; that is
-exact, and keeps the rounding of the two log-determinants, whose difference
-gives the ratio, from growing with |log det A|.  The complement tables
+complement weights; it is also the Fredholm determinant of the
+restriction.  The sweep reads each floor only over the support box B_l of
+its complement weights, O(sum_l n |B_l| |B_{l+1}|) instead of M n P^2.
+Both matrices are first multiplied by one power of two that brings |det A|
+near 1; that is exact, and keeps the rounding of the two log-determinants,
+whose difference gives the ratio, from growing with |log det A|.  The complement tables
 and the M^2 P^2 kernel L, whose assembly sweeps the chain products
 g^c_{l,m}, are built the first time the kernel is read, and never when
 only const(I) is asked for.  Kernels keep the ensemble's dtype (float64
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -109,11 +110,14 @@ def complement_tables(ensemble: ChainEnsemble,
                       windows: WindowFamily) -> ConvolutionTables:
     """Chain tables with every floor integrated over its window's complement.
 
-    The complement pairing matrix A^c is the ``gram`` of the result.
+    The complement pairing matrix A^c is the ``gram`` of the result, taken
+    from the pairing sweep so that it is ``janossy_kernel_explicit``'s
+    ``gram`` bit for bit.
     """
-    wf = ensemble.check_windows(windows)
-    return build_tables(ensemble.f, ensemble.phi, ensemble.g,
-                        wf.complement_weights())
+    weights = ensemble.check_windows(windows).complement_weights()
+    return replace(
+        build_tables(ensemble.f, ensemble.phi, ensemble.g, weights),
+        gram=_pairing(ensemble, weights))
 
 
 def janossy_kernel_explicit(ensemble: ChainEnsemble,
@@ -129,7 +133,7 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
     wf = ensemble.check_windows(windows)
     gram = _pairing(ensemble, wf.complement_weights())
     cond, warns = rcond_gate(gram, "complement pairing matrix",
-                             detail=f"windows: {wf.describe()}")
+                             detail=lambda: f"windows: {wf.describe()}")
     return JanossyKernel(ensemble=ensemble, windows=wf,
                          const=complex(_det_ratio(gram, ensemble.tables.gram)),
                          gram=gram, gram_cond=cond, warnings=warns)
@@ -182,8 +186,8 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     split = min(range(1, M + 1), key=lambda m: max(math.prod(grid[:m]),
                                                    math.prod(grid[m:])))
     left, right = pairing_halves(ensemble, floor_weights, split)
-    left = left.reshape(-1, w.size)
-    right = right.reshape(-1, w.size).T
+    left = left.reshape(-1, left.shape[-1])
+    right = right.reshape(-1, right.shape[-1]).T
     n_left, n_right = left.shape[0] // n, right.shape[1] // n
     values = np.empty((n_left, n_right), dtype=np.complex128)
     step = max(1, CHUNK_ENTRIES // (n_right * n * n))
@@ -282,7 +286,8 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     a_comp = (ensemble.f * wc[None, :]) @ ensemble.phi.T
     cond, warns = rcond_gate(
         a_comp, "pairing matrix on window complement",
-        detail=f"window keeps {window.count}/{ensemble.space.size} nodes",
+        detail=lambda: (f"window keeps {window.count}/"
+                        f"{ensemble.space.size} nodes"),
     )
     perm, low, up = scipy.linalg.lu(a_comp)
     # rows of f_t: ftilde_i = sum_j [L^{-1} P^T]_{ij} f_j

@@ -26,8 +26,10 @@ scaling never leaks out of this module: kernel values are always reported in
 the unscaled convention above.  The Fredholm determinant reads no matrix
 and no point list: det(Id - K_I) = det A^c / det A, with A^c the pairing
 matrix whose floor integrations drop the windows, so it is one pairing
-sweep and one n x n determinant ratio, at cost M n P^2 + n^3 instead of a
-dense (sum_l |I_l|)^3.
+sweep and one n x n determinant ratio.  The sweep reads each floor only
+over its weight support box B_l (first to last node off the window), at
+cost sum_l n |B_l| |B_{l+1}| + n^3 <= M n P^2 + n^3 instead of a dense
+(sum_l |I_l|)^3.
 
 Blocks, restrictions and resolvents keep the ensemble's dtype: float64 for
 real models and complex128 only for complex inputs.  Scalar results
@@ -178,8 +180,9 @@ class RestrictedOperator:
     def gate(self) -> tuple[float, tuple[str, ...]]:
         """``rcond_gate`` of a non-empty Id - K_I, run on the first read."""
         eye = np.eye(self.size, dtype=self.matrix.dtype)
-        return rcond_gate(eye - self.matrix, "Id - restricted kernel",
-                          detail=f"windows: {self.windows.describe()}")
+        return rcond_gate(
+            eye - self.matrix, "Id - restricted kernel",
+            detail=lambda: f"windows: {self.windows.describe()}")
 
 
 def restrict(kernel: BlockKernel, windows: WindowFamily) -> RestrictedOperator:
@@ -202,8 +205,11 @@ def fredholm_det(op: RestrictedOperator) -> complex:
     = det A' / det A, where A' pairs under the weights W_l - w 1_{I_l} (w
     the node weights): each floor integrates off its window.  For a
     correlation kernel A' is the complement pairing matrix A^c, so this is
-    ``janossy_kernel_explicit(...).const`` bit for bit.  One pairing sweep,
-    O(M n P^2); no point list, kernel matrix, g_{l,m} or A^{-1} is formed.
+    ``janossy_kernel_explicit(...).const`` bit for bit.  One pairing sweep
+    over the weights' support boxes B_l, O(sum_l n |B_l| |B_{l+1}|): a
+    half-line window leaves only the transfer sub-block between the
+    complement runs of consecutive floors.  No point list, kernel matrix,
+    g_{l,m} or A^{-1} is formed.
     The independent check is the brute-force oracle.
     """
     t, w = op.kernel.tables, op.kernel.ensemble.space.weights

@@ -112,7 +112,8 @@ def test_single_floor_gram_has_no_couplings():
 def test_pairing_halves_give_the_gram_at_every_split(dtype):
     """left @ right.T is A under the node weights and A^c under the
     complement weights, at every split 1..M: a sweep that skips or repeats
-    a floor's weight or transfer gives another matrix."""
+    a floor's weight or transfer gives another matrix.  Each half spans
+    the split floor's weights from the first to the last nonzero one."""
     ens = small_ensemble(M=4)
     if dtype == np.complex128:
         phase = np.exp(2j * np.pi * np.random.default_rng(8).uniform(
@@ -128,7 +129,8 @@ def test_pairing_halves_give_the_gram_at_every_split(dtype):
         assert gram.dtype == dtype
         for split in range(1, 5):
             left, right = pairing_halves(ens, weights, split)
-            assert left.shape == right.shape == (ens.n, ens.space.size)
+            nz = np.flatnonzero(weights[split - 1])
+            assert left.shape == right.shape == (ens.n, nz[-1] - nz[0] + 1)
             got = left @ right.T
             assert got.dtype == dtype
             assert np.abs(got - gram).max() <= 1e-13 * np.abs(gram).max()

@@ -235,6 +235,9 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     dict(GAP_CONFIG, task={"name": "gap", "dump_kernel": True}),
     dict(GAP_CONFIG, task={"name": "gap", "point_sets": []}),
     dict(CORR_CONFIG, task=dict(CORR_CONFIG["task"], counts=[[0, 0]])),
+    # a kernel dump is asked for with a JSON boolean, not a truthy string
+    dict(CORR_CONFIG, task=dict(CORR_CONFIG["task"], dump_kernel="false")),
+    dict(CORR_CONFIG, task=dict(CORR_CONFIG["task"], dump_kernel=1)),
     dict(EXTREMES_CONFIG, task=dict(EXTREMES_CONFIG["task"], threshold=[0.0])),
     dict(VERIFY_CONFIG, task=dict(VERIFY_CONFIG["task"], instance=3)),
     # tolerance keys: "verify" and suite names, on a verify task only

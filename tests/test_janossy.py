@@ -180,6 +180,32 @@ def test_full_windows_raise_before_anything_is_built(complement_builds):
     assert complement_builds == []
 
 
+def test_singular_gates_name_the_windows_only_when_they_raise(monkeypatch):
+    """The window description is formatted when a gate refuses, never when
+    it passes, and the refusal still names every floor's window."""
+    described = []
+    describe = WindowFamily.describe
+    monkeypatch.setattr(WindowFamily, "describe",
+                        lambda wf: described.append(wf) or describe(wf))
+    ens, wf = windows_2x4()
+    janossy_kernel_explicit(ens, wf)
+    restrict(correlation_kernel(ens), wf).gate
+    assert described == []
+    full = WindowFamily(tuple(ens.space.full_window() for _ in range(2)))
+    names = "windows: floor 1: 4/4 nodes; floor 2: 4/4 nodes"
+    with pytest.raises(SingularOperatorError) as err:
+        janossy_kernel_explicit(ens, full)
+    assert str(err.value).startswith("complement pairing matrix is "
+                                     "numerically singular")
+    assert str(err.value).endswith("; " + names)
+    with pytest.raises(SingularOperatorError) as err:
+        restrict(correlation_kernel(ens), full).gate
+    assert str(err.value).startswith("Id - restricted kernel is "
+                                     "numerically singular")
+    assert str(err.value).endswith("; " + names)
+    assert described == [full, full]
+
+
 def test_ill_conditioned_complement_keeps_its_warning():
     """Nearly dependent rows on the window complement: the complement gate
     warns, and the kernel built later carries the same line."""

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gauged
-from janossy_kit.chain_ensemble import ChainEnsemble
+from janossy_kit.chain_ensemble import ChainEnsemble, pairing_halves
 from janossy_kit.errors import SingularOperatorError
 from janossy_kit.janossy import (
     biorthogonal_janossy_recipe,
@@ -344,6 +344,122 @@ def test_gap_chain_fredholm_never_forms_the_kernel_matrix():
     assert 0.0 < det.real < 1.0
     assert "matrix" not in vars(kernel) and "matrix" not in vars(op)
     assert "index" not in vars(op)
+
+
+def small_gap_chain(seed: int = 3) -> tuple[ChainEnsemble, WindowFamily]:
+    """Karlin-McGregor chain of four floors on 40 nodes, with one
+    half-line window [s, oo) per floor, s uniform in [1, 1.5]."""
+    ens = build_karlin_mcgregor(np.linspace(0.0, 1.0, 6),
+                                np.linspace(-1.0, 1.0, 3),
+                                np.linspace(-1.0, 1.0, 3), order=40)
+    starts = np.random.default_rng(seed).uniform(1.0, 1.5, ens.floors)
+    return ens, WindowFamily(tuple(
+        ens.space.window_from_intervals([(s, None)]) for s in starts))
+
+
+def plain_pairing(ens: ChainEnsemble, weights) -> np.ndarray:
+    """f W_1 g_1 W_2 ... g_{M-1} W_M phi^T as a product over all P nodes
+    of every floor."""
+    x = ens.f * weights[0]
+    for g, w in zip(ens.g, weights[1:]):
+        x = (x @ g) * w
+    return x @ ens.phi.T
+
+
+def test_gap_queries_read_only_the_weight_support_of_the_transfers():
+    """NaN in every transfer entry outside the complement weights' support
+    boxes: the gap probability and the Janossy normalization come out
+    finite and bit-equal to the clean chain's, so no sweep reads them."""
+    clean, clean_wf = small_gap_chain()
+    ens, wf = small_gap_chain()
+    P = ens.space.size
+    box = []
+    for w in wf.complement_weights():
+        nz = np.flatnonzero(w)
+        box.append(slice(nz[0], nz[-1] + 1))
+        assert 0 < nz.size < P
+    for g, a, b in zip(ens.g, box, box[1:]):
+        outside = np.ones((P, P), dtype=bool)
+        outside[a, b] = False
+        g[outside] = np.nan
+    fred = fredholm_det(restrict(correlation_kernel(ens), wf))
+    jk = janossy_kernel_explicit(ens, wf)
+    assert np.isfinite(fred)
+    assert fred == fredholm_det(restrict(correlation_kernel(clean),
+                                         clean_wf))
+    assert jk.const == fred
+    assert np.array_equal(jk.gram, janossy_kernel_explicit(clean,
+                                                           clean_wf).gram)
+
+
+@pytest.mark.parametrize("complex_gauge", [False, True])
+def test_trimmed_pairing_agrees_with_the_plain_product_chain(complex_gauge):
+    """Complements that are a prefix, a suffix, two runs, every node (empty
+    window) or no node (full window), alone or mixed across floors: every
+    split of the trimmed sweeps gives the plain product's pairing to 1e-13,
+    and the gap probability its determinant ratio."""
+    ens, _ = small_gap_chain()
+    M, P = ens.floors, ens.space.size
+    if complex_gauge:
+        theta = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, (M, P))
+        ens = gauged(ens, theta)
+    assert ens.dtype == (np.complex128 if complex_gauge else np.float64)
+    i = np.arange(P)
+    masks = {
+        "prefix": [i >= k for k in (22, 23, 24, 22)],
+        "suffix": [i < k for k in (17, 16, 16, 17)],
+        "two runs": [(i >= a) & (i < b)
+                     for a, b in ((19, 21), (20, 21), (18, 20), (21, 23))],
+        "everything": [i < 0] * M,
+        "nothing": [i >= 0] * M,
+        "mixed": [i >= 23, i < 16, (i >= 19) & (i < 21), i < 0],
+        "mixed, one floor full": [i >= 23, i >= 0, i < 16, i < 0],
+    }
+    full = plain_pairing(ens, [ens.weights] * M)
+    for name, family in masks.items():
+        wf = WindowFamily(tuple(map(ens.space.window, family)))
+        weights = wf.complement_weights()
+        ref = plain_pairing(ens, weights)
+        for split in range(1, M + 1):
+            left, right = pairing_halves(ens, weights, split)
+            got = left @ right.T
+            assert got.dtype == ens.dtype
+            assert (np.abs(got - ref).max()
+                    <= 1e-13 * np.abs(ref).max()), (name, split)
+        fred = fredholm_det(restrict(correlation_kernel(ens), wf))
+        if not np.any(ref):
+            assert fred == 0 and np.array_equal(got, ref), name
+            with pytest.raises(SingularOperatorError):
+                janossy_kernel_explicit(ens, wf)
+            continue
+        expect = np.linalg.det(ref) / np.linalg.det(full)
+        assert abs(fred - expect) <= 1e-13 * abs(expect), name
+        assert janossy_kernel_explicit(ens, wf).const == fred
+
+
+def test_batched_pairing_halves_trim_to_the_union_of_supports():
+    """Weights with batch axes, as ``count_distribution`` builds them, on
+    top of complement weights: each half spans the nodes where some batch
+    entry's weight is nonzero (the first entry, z = 0, reaches fewer),
+    and every batch entry's pairing is its plain product chain's."""
+    ens, wf = small_gap_chain()
+    M, P = ens.floors, ens.space.size
+    z = np.exp(2j * np.pi * np.arange(3) / 3)
+    z[0] = 0.0
+    # rows[l][k]: floor l+1's weights at batch index k
+    rows = [wc * np.where(np.arange(P) >= k, z[:, None], 1.0)
+            for wc, k in zip(wf.complement_weights(), (5, 8, 3, 10))]
+    weights = [r.reshape((1,) * l + (3,) + (1,) * (M - l - 1) + (P,))
+               for l, r in enumerate(rows)]
+    for split in range(1, M + 1):
+        left, right = pairing_halves(ens, weights, split)
+        nz = np.flatnonzero(wf.complement_weights()[split - 1])
+        assert left.shape[-1] == right.shape[-1] == nz[-1] - nz[0] + 1 < P
+        got = np.einsum("...ip,...jp->...ij", left, right)
+        assert got.shape == (3,) * M + (ens.n, ens.n)
+        for idx in itertools.product(range(3), repeat=M):
+            ref = plain_pairing(ens, [r[k] for r, k in zip(rows, idx)])
+            assert np.abs(got[idx] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_gap_chain_transfers_hold_no_subnormal_floats():
