@@ -29,8 +29,10 @@ nonzero weights reach.
 Floor and function indices are 1-based in every public signature, matching
 the transfer-chain conventions (``f_j * g_{1,1} = f_j``,
 ``g_{M,M} * phi_s = phi_s``); node indices are 0-based positions into
-``space.nodes``.  The tables are built once at construction, so concurrent
-reads need no locking.
+``space.nodes``.  The tables are built once at construction.  Their
+``window_pairing`` memo fills on first use per window family without a
+lock: two threads that race on one family both compute it, and store the
+same bits.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -62,7 +65,11 @@ def rcond_gate(matrix: np.ndarray, name: str,
     ``detail()`` as its detail, and returns one warning line below
     WARN_RCOND.  ``detail`` is called only when the gate raises.
     """
-    cond = float(np.linalg.cond(matrix))
+    s = np.linalg.svd(matrix, compute_uv=False)
+    # the ratio np.linalg.cond forms, without its wrapper; a zero matrix
+    # gives nan here and raises below with rcond 0
+    with np.errstate(all="ignore"):
+        cond = float(s[0] / s[-1])
     rcond = 1.0 / cond if cond > 0 else 0.0
     if not np.isfinite(cond) or rcond < HARD_RCOND:
         raise SingularOperatorError(name, rcond, detail())
@@ -250,6 +257,8 @@ class ConvolutionTables:
     ``right[l-1][:, s]`` holds ``g_{l,M} * phi_{s+1}`` (integrations over
     floors l+1..M).  ``gram`` applies all M integrations.  Products
     ``g_{l,m}`` are not stored; ``chain_sweep`` forms them.
+    ``pairings`` memoises ``window_pairing`` per window family, weakly
+    keyed by the family object; ``dataclasses.replace`` starts it empty.
     """
 
     g: tuple
@@ -257,6 +266,8 @@ class ConvolutionTables:
     left: tuple
     right: tuple
     gram: np.ndarray
+    pairings: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
+                                        init=False, repr=False)
 
 
 def _sweep(start: np.ndarray, transfers: Sequence[np.ndarray],
@@ -351,6 +362,33 @@ def _pairing(ensemble: ChainEnsemble,
     """The pairing matrix under ``floor_weights``, met at floor M."""
     left, right = pairing_halves(ensemble, floor_weights, ensemble.floors)
     return left @ right.T
+
+
+def window_pairing(ensemble: ChainEnsemble, tables: ConvolutionTables,
+                   windows: WindowFamily) -> tuple[np.ndarray, complex]:
+    """``(A', det A' / det A)`` of a table set and a window family.
+
+    A' is the pairing matrix under the weights ``tables.weights[l-1] - w
+    1_{I_l}`` (w the node weights): every floor integrates off its window.
+    A is ``tables.gram``.  For the ensemble's own tables A' is the
+    complement pairing matrix A^c, and the ratio is det(Id - K_I), the
+    probability that every window is empty.
+
+    Both are formed once per (tables, window family), by one pairing sweep
+    and one determinant ratio, and kept in ``tables.pairings`` while the
+    family lives.  A' is read-only, so every caller shares one array.
+    Families are keyed by identity: a new family with equal masks forms
+    its pairing again.
+    """
+    hit = tables.pairings.get(windows)
+    if hit is None:
+        w = ensemble.check_windows(windows).space.weights
+        pairing = _pairing(ensemble, [wl - w * win.mask for wl, win
+                                      in zip(tables.weights, windows.windows)])
+        pairing.setflags(write=False)
+        hit = pairing, complex(_det_ratio(pairing, tables.gram))
+        tables.pairings[windows] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ The same object equals the resolvent K_I (Id - K_I)^{-1} of the restricted
 correlation kernel, which the kernels module computes; the resolvent
 verify suite compares the two.  const(I) is det(A^c)/det(A), the ratio of
 complement to full pairing determinants, from one pairing sweep with
-complement weights; it is also the Fredholm determinant of the
-restriction.  The sweep reads each floor only over the support box B_l of
+complement weights (``window_pairing``, once per window family); it is
+also the Fredholm determinant of the restriction, read from the same
+memo entry.  The sweep reads each floor only over the support box B_l of
 its complement weights, O(sum_l n |B_l| |B_{l+1}|) instead of M n P^2.
 Both matrices are first multiplied by one power of two that brings |det A|
 near 1; that is exact, and keeps the rounding of the two log-determinants,
@@ -62,11 +63,11 @@ from .chain_ensemble import (
     ChainEnsemble,
     ConvolutionTables,
     _det_ratio,
-    _pairing,
     build_tables,
     marginal_ensemble,
     pairing_halves,
     rcond_gate,
+    window_pairing,
 )
 from .errors import BudgetExceededError
 from .kernels import KIND_JANOSSY, BlockKernel, kernel_from_tables
@@ -88,8 +89,9 @@ class JanossyKernel:
     ``gram`` is the complement pairing matrix A^c the kernel inverts;
     ``gram_cond`` and ``warnings`` are its condition number and warning
     lines from the one rcond gate it passed.  ``const`` and ``gram`` come
-    from the pairing sweep; ``kernel`` is built from the complement tables
-    the first time it is read.
+    from ``window_pairing``, and ``gram`` is its read-only array;
+    ``kernel`` is built from the complement tables the first time it is
+    read.
     """
 
     ensemble: ChainEnsemble
@@ -110,32 +112,35 @@ def complement_tables(ensemble: ChainEnsemble,
                       windows: WindowFamily) -> ConvolutionTables:
     """Chain tables with every floor integrated over its window's complement.
 
-    The complement pairing matrix A^c is the ``gram`` of the result, taken
-    from the pairing sweep so that it is ``janossy_kernel_explicit``'s
-    ``gram`` bit for bit.
+    The complement pairing matrix A^c is the ``gram`` of the result: the
+    read-only array of ``window_pairing(ensemble, ensemble.tables,
+    windows)``, formed once per window family and shared with
+    ``janossy_kernel_explicit``'s ``gram``.
     """
-    weights = ensemble.check_windows(windows).complement_weights()
+    wf = ensemble.check_windows(windows)
     return replace(
-        build_tables(ensemble.f, ensemble.phi, ensemble.g, weights),
-        gram=_pairing(ensemble, weights))
+        build_tables(ensemble.f, ensemble.phi, ensemble.g,
+                     wf.complement_weights()),
+        gram=window_pairing(ensemble, ensemble.tables, wf)[0])
 
 
 def janossy_kernel_explicit(ensemble: ChainEnsemble,
                             windows: WindowFamily) -> JanossyKernel:
     """Closed-form Janossy kernel of a window family.
 
-    ``const`` and ``gram`` come from the pairing sweep; the kernel is built
-    on the first read of ``.kernel``.  Raises SingularOperatorError naming
-    the windows when the complement pairing matrix is numerically singular,
-    which happens in particular when some window covers every node of the
-    space.
+    ``gram`` and ``const`` are A^c and det A^c / det A from
+    ``window_pairing`` of the ensemble's tables, formed once per window
+    family and shared with ``fredholm_det``, ``complement_tables`` and
+    ``count_distribution``; the kernel is built on the first read of
+    ``.kernel``.  Raises SingularOperatorError naming the windows when the
+    complement pairing matrix is numerically singular, which happens in
+    particular when some window covers every node of the space.
     """
     wf = ensemble.check_windows(windows)
-    gram = _pairing(ensemble, wf.complement_weights())
+    gram, const = window_pairing(ensemble, ensemble.tables, wf)
     cond, warns = rcond_gate(gram, "complement pairing matrix",
                              detail=lambda: f"windows: {wf.describe()}")
-    return JanossyKernel(ensemble=ensemble, windows=wf,
-                         const=complex(_det_ratio(gram, ensemble.tables.gram)),
+    return JanossyKernel(ensemble=ensemble, windows=wf, const=const,
                          gram=gram, gram_cond=cond, warnings=warns)
 
 
@@ -162,8 +167,10 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     Entry ``[k_1, ..., k_M]``, each k_l in 0..n, is the probability of
     exactly k_l floor-l particles in window I_l.  Entries with k_l above
     the node count of I_l lie beyond the FFT grid and are exact zeros.  The
-    all-empty entry is ``const`` of ``janossy_kernel_explicit``, 0 for a
-    full window.  See the module docstring for the generating function.
+    all-empty entry is det A^c / det A from ``window_pairing``, formed once
+    per window family and shared with ``janossy_kernel_explicit``'s
+    ``const``; it is 0 for a full window.  See the module docstring for the
+    generating function.
     Raises BudgetExceededError when the law has more than ``budget`` entries.
 
     The pairing sweep meets in the middle: the floors before the cut and
@@ -198,8 +205,7 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     law = np.zeros((n + 1,) * M, dtype=np.complex128)
     law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
     law /= values.size
-    law[(0,) * M] = _det_ratio(_pairing(ensemble, wf.complement_weights()),
-                               ensemble.tables.gram)
+    law[(0,) * M] = window_pairing(ensemble, ensemble.tables, wf)[1]
     return law
 
 

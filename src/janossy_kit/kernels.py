@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chain_ensemble import (ChainEnsemble, ConvolutionTables, _det_ratio,
-                             _pairing, chain_sweep, rcond_gate)
+from .chain_ensemble import (ChainEnsemble, ConvolutionTables, chain_sweep,
+                             rcond_gate, window_pairing)
 from .measure_space import WindowFamily
 
 KIND_CORRELATION = "correlation"
@@ -203,19 +203,19 @@ def fredholm_det(op: RestrictedOperator) -> complex:
 
     For tables with floor weights W_l and pairing matrix A, det(Id - K_I)
     = det A' / det A, where A' pairs under the weights W_l - w 1_{I_l} (w
-    the node weights): each floor integrates off its window.  For a
-    correlation kernel A' is the complement pairing matrix A^c, so this is
-    ``janossy_kernel_explicit(...).const`` bit for bit.  One pairing sweep
-    over the weights' support boxes B_l, O(sum_l n |B_l| |B_{l+1}|): a
-    half-line window leaves only the transfer sub-block between the
-    complement runs of consecutive floors.  No point list, kernel matrix,
-    g_{l,m} or A^{-1} is formed.
+    the node weights): each floor integrates off its window.  The ratio is
+    ``window_pairing`` of the kernel's tables, formed once per (tables,
+    window family) and shared: for a correlation kernel A' is the
+    complement pairing matrix A^c, and this is
+    ``janossy_kernel_explicit(...).const`` from the same memo entry.  One
+    pairing sweep over the weights' support boxes B_l, O(sum_l n |B_l|
+    |B_{l+1}|): a half-line window leaves only the transfer sub-block
+    between the complement runs of consecutive floors.  No point list,
+    kernel matrix, g_{l,m} or A^{-1} is formed.
     The independent check is the brute-force oracle.
     """
-    t, w = op.kernel.tables, op.kernel.ensemble.space.weights
-    weights = [wl - w * win.mask for wl, win in zip(t.weights,
-                                                     op.windows.windows)]
-    return complex(_det_ratio(_pairing(op.kernel.ensemble, weights), t.gram))
+    return window_pairing(op.kernel.ensemble, op.kernel.tables,
+                          op.windows)[1]
 
 
 def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:

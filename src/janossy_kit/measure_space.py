@@ -247,12 +247,22 @@ def complement(window: Window) -> Window:
 
 
 def window_from_json(space: DiscretizedSpace, doc: dict) -> Window:
+    """Window from ``{"intervals": [...]}`` or ``{"mask": [...]}``.
+
+    A mask is a list of JSON booleans, one per node: ``0``, ``"false"`` or
+    ``null`` is a ValueError, not a truth value.
+    """
     if not isinstance(doc, dict):
         raise ValueError("window document must be an object")
     if "intervals" in doc:
         return space.window_from_intervals(doc["intervals"])
     if "mask" in doc:
-        return space.window(doc["mask"])
+        mask = doc["mask"]
+        if (not isinstance(mask, list) or len(mask) != space.size
+                or not all(isinstance(m, bool) for m in mask)):
+            raise ValueError(f"window mask must be a list of {space.size} "
+                             f"booleans, one per node, got {mask!r}")
+        return space.window(mask)
     raise ValueError("window document needs 'intervals' or 'mask'")
 
 

@@ -22,6 +22,7 @@ from janossy_kit.chain_ensemble import (
     marginal_ensemble,
     pairing_halves,
     partition_function,
+    rcond_gate,
     right_convolve,
 )
 from janossy_kit.errors import SingularOperatorError
@@ -274,3 +275,45 @@ def test_floor_and_function_index_checks():
         ens.check_function(0)
     with pytest.raises(ValueError):
         ens.check_function(ens.n + 1)
+
+
+def test_rcond_gate_condition_number_is_numpys_bit_for_bit():
+    """Real, complex and nearly dependent matrices: the gate's condition
+    number is np.linalg.cond's to the last bit, returned or raised."""
+    rng = np.random.default_rng(8)
+    for k in range(90):
+        n = 1 + k % 5
+        a = rng.standard_normal((n, n))
+        if k % 3 == 1:
+            a = a + 1j * rng.standard_normal((n, n))
+        elif k % 3 == 2:
+            a[-1] = a[0] + 10.0 ** -rng.uniform(3.0, 15.0) * a[-1]
+        expect = float(np.linalg.cond(a))
+        try:
+            cond, _ = rcond_gate(a, "m")
+        except SingularOperatorError as exc:
+            assert exc.rcond == 1.0 / expect
+        else:
+            assert cond == expect
+
+
+def test_rcond_gate_warns_between_the_thresholds_and_raises_below():
+    detail_calls = []
+
+    def detail():
+        detail_calls.append(1)
+        return "where"
+
+    assert rcond_gate(np.diag([1.0, 1e-3]), "m", detail) == (1e3, ())
+    cond, warns = rcond_gate(np.diag([1.0, 1e-8]), "m", detail)
+    assert cond == 1e8
+    assert warns == ("m: rcond 1.000e-08 below warning threshold 1e-06",)
+    assert not detail_calls
+    for a, rcond in [(np.diag([1.0, 1e-13]), 1e-13),
+                     (np.zeros((2, 2)), 0.0),
+                     (np.zeros((3, 3), dtype=complex), 0.0)]:
+        with pytest.raises(SingularOperatorError) as err:
+            rcond_gate(a, "m", detail)
+        assert err.value.rcond == pytest.approx(rcond, rel=1e-12, abs=0.0)
+        assert str(err.value).endswith("; where")
+    assert len(detail_calls) == 3

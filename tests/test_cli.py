@@ -220,6 +220,16 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     dict(GAP_CONFIG, windows=[{"intervals": [[1.0]]},
                               GAP_CONFIG["windows"][1]]),
     dict(GAP_CONFIG, windows=[{"intervals": 5}, GAP_CONFIG["windows"][1]]),
+    # a mask is one JSON boolean per node, not any truthy value
+    dict(GAP_CONFIG, windows=[{"mask": ["false", 0, 0, 0]},
+                              GAP_CONFIG["windows"][1]]),
+    dict(GAP_CONFIG, windows=[{"mask": [0.5, "x", None, {}]},
+                              GAP_CONFIG["windows"][1]]),
+    dict(GAP_CONFIG, windows=[{"mask": [1, 0, 0, 0]},
+                              GAP_CONFIG["windows"][1]]),
+    dict(GAP_CONFIG, windows=[{"mask": [True, False, False]},
+                              GAP_CONFIG["windows"][1]]),
+    dict(GAP_CONFIG, windows=[{"mask": "true"}, GAP_CONFIG["windows"][1]]),
     dict(EXTREMES_CONFIG, model=dict(
         EXTREMES_CONFIG["model"],
         space=dict(EXTREMES_CONFIG["model"]["space"], interval=[1]))),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from janossy_kit.chain_ensemble import (
     marginal_ensemble,
     partition_function,
 )
-from janossy_kit import janossy
+from janossy_kit import chain_ensemble, janossy
 from janossy_kit.errors import BudgetExceededError, SingularOperatorError
 from janossy_kit.janossy import (
     biorthogonal_janossy_recipe,
@@ -226,19 +229,129 @@ def test_each_pairing_matrix_is_gated_once(monkeypatch):
     """One condition number for A (ensemble plus correlation kernel) and
     one for A^c (closed-form Janossy kernel plus its first read)."""
     calls = []
-    cond = np.linalg.cond
+    svd = np.linalg.svd
 
-    def counting(a, *args):
+    def counting(a, *args, **kwargs):
         calls.append(a.shape)
-        return cond(a, *args)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cond", counting)
+    # rcond_gate takes the singular values from np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counting)
     ens, wf = windows_2x4()
     correlation_kernel(ens)
     assert calls == [(2, 2)]
     calls.clear()
     janossy_kernel_explicit(ens, wf).kernel
     assert calls == [(2, 2)]
+
+
+def count_sweeps(monkeypatch) -> list[bool]:
+    """Record every ``pairing_halves`` call: True for a batched sweep (the
+    generating-function grid), False for a single pairing matrix."""
+    calls = []
+    halves = chain_ensemble.pairing_halves
+
+    def counting(ens, weights, split):
+        calls.append(any(np.ndim(w) > 1 for w in weights))
+        return halves(ens, weights, split)
+
+    monkeypatch.setattr(chain_ensemble, "pairing_halves", counting)
+    monkeypatch.setattr(janossy, "pairing_halves", counting)
+    return calls
+
+
+def test_one_complement_pairing_per_window_family(monkeypatch):
+    """The gap probability, the Janossy constant and kernel, and the
+    all-empty count of one family share one complement pairing sweep and
+    one read-only A^c; a new family with equal masks sweeps again."""
+    calls = count_sweeps(monkeypatch)
+    ens, wf = windows_2x4()
+    fred = fredholm_det(restrict(correlation_kernel(ens), wf))
+    jk = janossy_kernel_explicit(ens, wf)
+    tables = jk.kernel.tables
+    law = count_distribution(ens, wf)
+    # one complement pairing, then the batched sweep of the count law
+    assert calls == [False, True]
+    assert fred == jk.const == law[(0, 0)]
+    assert tables.gram is jk.gram
+    with pytest.raises(ValueError):
+        jk.gram[0, 0] = 1.0
+    calls.clear()
+    again = WindowFamily(tuple(ens.space.window(w.mask) for w in wf.windows))
+    assert janossy_kernel_explicit(ens, again).const == fred
+    assert calls == [False]
+    assert len(ens.tables.pairings) == 2
+
+
+def test_pairing_memo_dies_with_its_window_family():
+    ens, wf = windows_2x4()
+    jk = janossy_kernel_explicit(ens, wf)
+    fredholm_det(restrict(correlation_kernel(ens), wf))
+    assert list(ens.tables.pairings) == [wf]
+    del wf, jk
+    gc.collect()
+    assert len(ens.tables.pairings) == 0
+
+
+def test_pairing_memo_under_concurrent_first_use():
+    """Eight threads on fresh families at once, half by the Fredholm route
+    and half by the Janossy route: a race may form a pairing twice, but
+    every thread reads the bits of a single-threaded run, and each family
+    keeps one entry."""
+    def families(ens):
+        rng = np.random.default_rng(5)
+        return [WindowFamily(tuple(ens.space.window(rng.random(6) < 0.3)
+                                   for _ in range(3))) for _ in range(12)]
+
+    ref = build_random(40, 6, 2, 3)
+    expect = [janossy_kernel_explicit(ref, wf).const for wf in families(ref)]
+    ens = build_random(40, 6, 2, 3)
+    wfs, kernel = families(ens), correlation_kernel(ens)
+    got = [[] for _ in range(8)]
+    barrier = threading.Barrier(len(got))
+
+    def work(t):
+        barrier.wait(timeout=10)
+        for wf in wfs:
+            got[t].append(fredholm_det(restrict(kernel, wf)) if t % 2 else
+                          janossy_kernel_explicit(ens, wf).const)
+
+    threads = [threading.Thread(target=work, args=(t,))
+               for t in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [expect] * len(got)
+    assert len(ens.tables.pairings) == len(wfs)
+
+
+def test_restricted_janossy_kernel_keys_its_own_tables(monkeypatch):
+    """A restriction of a Janossy kernel pairs under its complement
+    tables' weights, in those tables' memo, bit for bit a plain pairing
+    and determinant ratio."""
+    ens, wf = windows_2x4()
+    jk = janossy_kernel_explicit(ens, wf)
+    tables = jk.kernel.tables
+    sub = WindowFamily((ens.space.window([True, False, False, False]),
+                        ens.space.window([False, False, False, True])))
+    calls = count_sweeps(monkeypatch)
+    det = fredholm_det(restrict(jk.kernel, sub))
+    assert calls == [False]
+    assert list(tables.pairings) == [sub]
+    assert list(ens.tables.pairings) == [wf]
+    w = ens.space.weights
+    pairing = chain_ensemble._pairing(
+        ens, [wl - w * win.mask for wl, win in zip(tables.weights,
+                                                    sub.windows)])
+    assert det == complex(chain_ensemble._det_ratio(pairing, tables.gram))
+    assert np.array_equal(tables.pairings[sub][0], pairing)
 
 
 def test_count_probability_matches_brute_and_closes():

@@ -138,6 +138,11 @@ def test_window_json_round_trip():
         by_mask.mask.tolist()
     with pytest.raises(ValueError):
         window_from_json(space, {"nothing": 1})
+    # JSON booleans only, one per node
+    for mask in (["false", 0, 0, 0], [1, 0, 0, 0], [0.5, "x", None, {}],
+                 [True, False, False], "true", [[True], False, False, True]):
+        with pytest.raises(ValueError, match="one per node"):
+            window_from_json(space, {"mask": mask})
 
 
 def test_window_family_validation_and_lookup():
