@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain_ensemble import ChainEnsemble, partition_function
-from .errors import BudgetExceededError, ConfigError, SingularOperatorError
+from .errors import BudgetExceededError, ConfigError
 from .janossy import (
     count_distribution,
     janossy_density,
@@ -61,7 +60,7 @@ from .kernels import (
     kernel_to_json,
     restrict,
 )
-from .measure_space import _is_int, window_family_from_json
+from .measure_space import _is_int, _is_number, window_family_from_json
 from .models import ChainModelSpec, build_model
 from .oracle import DEFAULT_BUDGET, real_probability
 from .verify import DEFAULT_INSTANCES, DEFAULT_SEED, SUITES, verify_suite
@@ -128,6 +127,9 @@ class ExperimentConfig:
         output = doc.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError("'output' must be an object")
+        if set(output) - {"formats"}:
+            raise ConfigError(f"'output' reads only 'formats', got "
+                              f"{sorted(output)}")
         formats = output.get("formats", ["json"])
         if not isinstance(formats, list):
             raise ConfigError("'output.formats' must be a list")
@@ -141,8 +143,9 @@ class ExperimentConfig:
         if not isinstance(tolerances, dict):
             raise ConfigError("'tolerances' must be an object")
         for key, val in tolerances.items():
-            if key != "verify" and key not in SUITES:
-                raise ConfigError(f"tolerance {key!r} names no suite")
+            if key not in ("verify", task.get("suite")):
+                raise ConfigError(f"tolerance {key!r} is neither 'verify' "
+                                  "nor the task's suite")
             if not _is_number(val) or val <= 0:
                 raise ConfigError(
                     f"tolerance {key!r} must be a positive finite number")
@@ -151,11 +154,6 @@ class ExperimentConfig:
                                 windows_doc=windows_doc,
                                 formats=tuple(formats),
                                 tolerances=dict(tolerances), raw=doc)
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; booleans, NaN and infinities are not."""
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +258,12 @@ def _task_gap(cfg: ExperimentConfig, ens: ChainEnsemble,
               checked: dict, out_dir: str, opts) -> RunReport:
     wf = checked["windows"]
     kernel = correlation_kernel(ens)
-    det = fredholm_det(restrict(kernel, wf))
     results = {
         "windows": wf.to_json(),
-        "gap_probability": complex_pair(det),
+        "gap_probability": complex_pair(fredholm_det(restrict(kernel, wf))),
     }
-    warnings = list(kernel.warnings)
-    # the Janossy constant, the same ratio det A^c / det A, when the window
-    # construction passes its rcond gate; full floors legitimately fail it
-    try:
-        jk = janossy_kernel_explicit(ens, wf)
-    except SingularOperatorError as exc:
-        results["determinant_ratio"] = None
-        warnings.append(f"no closed-form route: {exc}")
-    else:
-        results["determinant_ratio"] = complex_pair(jk.const)
-        results["route_abs_difference"] = float(abs(jk.const - det))
-        warnings.extend(jk.warnings)
-    return RunReport("gap", True, results, cfg.raw, warnings=warnings)
+    return RunReport("gap", True, results, cfg.raw,
+                     warnings=list(kernel.warnings))
 
 
 def _task_extremes(cfg: ExperimentConfig, ens: ChainEnsemble,
@@ -310,10 +296,9 @@ def _task_verify(cfg: ExperimentConfig, ens: ChainEnsemble | None,
     seed = task.get("seed", DEFAULT_SEED) if opts.seed is None else opts.seed
     instances = int(task.get("instances", DEFAULT_INSTANCES))
     rep = verify_suite(suite, instances=instances, seed=int(seed),
-                       budget=opts.budget, threads=opts.threads)
-    tol_override = cfg.tolerances.get(suite, cfg.tolerances.get("verify"))
-    if tol_override is not None:
-        rep.rejudge(float(tol_override))
+                       budget=opts.budget, threads=opts.threads,
+                       tolerance=cfg.tolerances.get(
+                           suite, cfg.tolerances.get("verify")))
     for line in rep.pass_lines():
         print(line)
     return RunReport("verify", rep.passed, rep.to_json(), cfg.raw)

@@ -16,7 +16,7 @@ caller's control for accuracy.
 from __future__ import annotations
 
 import json
-import numbers
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,6 +24,9 @@ import numpy as np
 
 KIND_DISCRETE = "discrete"
 KIND_QUADRATURE = "quadrature"
+# the keys of a space document, per kind
+_SPACE_KEYS = {KIND_DISCRETE: {"kind", "points", "masses"},
+               KIND_QUADRATURE: {"kind", "interval", "order"}}
 
 _INF = float("inf")
 
@@ -32,6 +35,22 @@ def _is_int(value) -> bool:
     """An int or NumPy integer; booleans are not integers here."""
     return (isinstance(value, (int, np.integer))
             and not isinstance(value, bool))
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans, NaN and infinities are not."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _check_numbers(value, what: str) -> None:
+    """ValueError unless ``value`` is a finite JSON number or a (nested)
+    list of them: a numeric string or a boolean is not a number."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _check_numbers(v, what)
+    elif not _is_number(value):
+        raise ValueError(f"{what} must hold finite JSON numbers, "
+                         f"got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -153,27 +172,21 @@ class DiscretizedSpace:
     def from_json(doc: dict | str) -> DiscretizedSpace:
         if isinstance(doc, str):
             doc = json.loads(doc)
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ValueError("space document must be an object with a 'kind'")
-        kind = doc["kind"]
-        if kind == KIND_DISCRETE:
-            try:
-                points, masses = doc["points"], doc["masses"]
-            except KeyError as exc:
-                raise ValueError(f"discrete space document lacks {exc}") from exc
-            return make_discrete(points, masses)
-        if kind == KIND_QUADRATURE:
-            try:
-                interval, order = doc["interval"], doc["order"]
-            except KeyError as exc:
-                raise ValueError(f"quadrature space document lacks {exc}") from exc
-            if (not isinstance(interval, (list, tuple)) or len(interval) != 2
-                    or not all(isinstance(v, numbers.Real)
-                               and not isinstance(v, bool) for v in interval)):
-                raise ValueError("quadrature interval must be two numbers, "
-                                 f"got {interval!r}")
-            return make_quadrature(tuple(interval), order)
-        raise ValueError(f"unknown space kind {kind!r}")
+        if (not isinstance(doc, dict) or not isinstance(doc.get("kind"), str)
+                or set(doc) != _SPACE_KEYS.get(doc["kind"])):
+            raise ValueError("a space document is {kind: discrete, points, "
+                             "masses} or {kind: quadrature, interval, "
+                             f"order}}, got {doc!r}")
+        if doc["kind"] == KIND_DISCRETE:
+            _check_numbers([doc["points"], doc["masses"]],
+                           "discrete space points and masses")
+            return make_discrete(doc["points"], doc["masses"])
+        interval = doc["interval"]
+        _check_numbers(interval, "quadrature interval")
+        if not isinstance(interval, (list, tuple)) or len(interval) != 2:
+            raise ValueError("quadrature interval must be two numbers, "
+                             f"got {interval!r}")
+        return make_quadrature(tuple(interval), doc["order"])
 
 
 def make_discrete(points: Sequence[float], masses: Sequence[float]) -> DiscretizedSpace:
@@ -224,12 +237,6 @@ class Window(object):
     def count(self) -> int:
         return int(self.mask.sum())
 
-    def is_empty(self) -> bool:
-        return not self.mask.any()
-
-    def is_full(self) -> bool:
-        return bool(self.mask.all())
-
     def to_json(self) -> dict:
         if self.intervals is not None:
             return {"intervals": [[a if np.isfinite(a) else None,
@@ -247,23 +254,30 @@ def complement(window: Window) -> Window:
 
 
 def window_from_json(space: DiscretizedSpace, doc: dict) -> Window:
-    """Window from ``{"intervals": [...]}`` or ``{"mask": [...]}``.
+    """Window from ``{"intervals": [...]}`` or ``{"mask": [...]}``, one key
+    and no other.
 
-    A mask is a list of JSON booleans, one per node: ``0``, ``"false"`` or
-    ``null`` is a ValueError, not a truth value.
+    Interval ends are finite JSON numbers or null (a half-line); a mask is
+    a list of JSON booleans, one per node.  Anything else is a ValueError.
     """
-    if not isinstance(doc, dict):
-        raise ValueError("window document must be an object")
+    if not isinstance(doc, dict) or set(doc) not in ({"intervals"}, {"mask"}):
+        raise ValueError("window document must be an object with exactly "
+                         f"one key, 'intervals' or 'mask', got {doc!r}")
     if "intervals" in doc:
-        return space.window_from_intervals(doc["intervals"])
-    if "mask" in doc:
-        mask = doc["mask"]
-        if (not isinstance(mask, list) or len(mask) != space.size
-                or not all(isinstance(m, bool) for m in mask)):
-            raise ValueError(f"window mask must be a list of {space.size} "
-                             f"booleans, one per node, got {mask!r}")
-        return space.window(mask)
-    raise ValueError("window document needs 'intervals' or 'mask'")
+        ivals = doc["intervals"]
+        if not isinstance(ivals, list) or not all(
+                isinstance(pair, list) and len(pair) == 2
+                and all(end is None or _is_number(end) for end in pair)
+                for pair in ivals):
+            raise ValueError("window intervals must be [a, b] pairs of "
+                             f"finite numbers or null, got {ivals!r}")
+        return space.window_from_intervals(ivals)
+    mask = doc["mask"]
+    if (not isinstance(mask, list) or len(mask) != space.size
+            or not all(isinstance(m, bool) for m in mask)):
+        raise ValueError(f"window mask must be a list of {space.size} "
+                         f"booleans, one per node, got {mask!r}")
+    return space.window(mask)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ from .chain_ensemble import HARD_RCOND, ChainEnsemble
 from .errors import ConfigError, SingularOperatorError
 from .measure_space import (
     DiscretizedSpace,
+    _check_numbers,
     _is_int,
     make_discrete,
     make_quadrature,
@@ -203,7 +204,14 @@ def build_random(seed: int, nodes: int, n: int, floors: int) -> ChainEnsemble:
 # JSON-facing model descriptions
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("unitary", "coupled-chain", "karlin-mcgregor", "random", "explicit")
+# the fields each variant reads, besides "variant"
+VARIANTS = {"unitary": {"potential", "particles", "space"},
+            "coupled-chain": {"particles", "floors", "potentials",
+                              "couplings", "space"},
+            "karlin-mcgregor": {"times", "start", "end", "particles",
+                                "order", "space"},
+            "random": {"seed", "nodes", "particles", "floors"},
+            "explicit": {"space", "f", "phi", "g"}}
 
 
 @dataclass(frozen=True)
@@ -218,11 +226,14 @@ class ChainModelSpec:
         if not isinstance(doc, dict):
             raise ConfigError("model section must be an object")
         variant = doc.get("variant")
-        if variant not in VARIANTS:
+        if not isinstance(variant, str) or variant not in VARIANTS:
             raise ConfigError(
                 f"unknown model variant {variant!r}; known: {', '.join(VARIANTS)}"
             )
         params = {k: v for k, v in doc.items() if k != "variant"}
+        unknown = set(params) - VARIANTS[variant]
+        if unknown:
+            raise ConfigError(f"a {variant} model reads no {sorted(unknown)}")
         return ChainModelSpec(variant=variant, params=params)
 
 
@@ -245,6 +256,10 @@ def build_model(spec: ChainModelSpec) -> ChainEnsemble:
     p = spec.params
     _check_ints(p, "particles", "floors", "nodes", "seed", "order")
     try:
+        # every field but the space is a number or (nested) list of them
+        for name, value in p.items():
+            if name != "space":
+                _check_numbers(value, f"model field {name!r}")
         if spec.variant == "unitary":
             potential, n, space_doc = _require(p, "potential", "particles", "space")
             return build_unitary(potential, n,

@@ -7,10 +7,9 @@ Everything here evaluates the normalized chain density
 
 configuration by configuration and sums, never through the determinantal
 kernel identities the rest of the package implements.  These routines are the
-reference the closed forms are tested against, so they must stay independent:
-no correlation kernels, no Fredholm determinants, no pairing-matrix algebra
-beyond the single normalization Z (which is itself cross-checked against raw
-summation).
+reference the closed forms are tested against, so they stay independent: no
+correlation kernels, no Fredholm determinants, no pairing matrices.  Z is the
+raw sum of the density over every ordered configuration, ``z_raw``.
 
 All sums read one table, ``EnumeratedDistribution.density``: the
 unweighted density of every ordered configuration, one axis of P nodes per
@@ -33,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain_ensemble import ChainEnsemble, partition_function
+from .chain_ensemble import ChainEnsemble
 from .errors import BudgetExceededError
 from .measure_space import WindowFamily, _is_int
 
@@ -61,8 +60,9 @@ class EnumeratedDistribution:
     Tabulates the per-floor determinant factors over the P^n ordered node
     tuples of one floor, and from them ``density``: the unweighted,
     unnormalized density of every ordered configuration, one axis of P
-    nodes per particle slot (floor-major, then slot).  Construction refuses
-    to proceed when the table's P^(M*n) entries exceed the budget.
+    nodes per particle slot (floor-major, then slot), and its weighted sum
+    ``z_raw``, which normalizes every mass.  Construction refuses to
+    proceed when the table's P^(M*n) entries exceed the budget.
     """
 
     def __init__(self, ensemble: ChainEnsemble, budget: int = DEFAULT_BUDGET):
@@ -92,10 +92,8 @@ class EnumeratedDistribution:
         for pair in self.pair:
             density = density[..., None] * pair
         self.density = (density * self.det_phi).reshape((P,) * (M * n))
-        self.z_det = partition_function(ensemble)
         full = [np.arange(P, dtype=np.int64)] * n
         self.z_raw = complex(self.folded_sum([full] * M, [[True] * n] * M))
-        self.total_mass = self.z_raw / self.z_det
 
     # -- raw access ---------------------------------------------------------
 
@@ -114,7 +112,7 @@ class EnumeratedDistribution:
         if not all(_is_int(t) and 0 <= t < P for t in nodes):
             raise ValueError(f"node indices must be integers in 0..{P - 1}")
         weight = np.prod(ens.space.weights[nodes])
-        return complex(self.density[tuple(nodes)] * weight / self.z_det)
+        return complex(self.density[tuple(nodes)] * weight / self.z_raw)
 
     def config_masses(self) -> Iterator[tuple[tuple, complex]]:
         """Lazy iteration over every ordered configuration and its mass.
@@ -132,7 +130,7 @@ class EnumeratedDistribution:
             for c in flat:
                 val = val * self.tuple_weight[c]
             config = tuple(tuple(int(i) for i in self.tuples[c]) for c in flat)
-            yield config, complex(val / self.z_det)
+            yield config, complex(val / self.z_raw)
 
     # -- summation over the table ------------------------------------------
 
@@ -163,12 +161,8 @@ class EnumeratedDistribution:
 
 def enumerate_density(ensemble: ChainEnsemble,
                       budget: int = DEFAULT_BUDGET) -> EnumeratedDistribution:
-    """Enumerate the chain density on a discrete space.
-
-    The distribution records Z both ways: the closed form used for
-    normalization and the raw configuration sum (``z_raw``), whose ratio
-    ``total_mass`` should be 1 for a correctly normalized density.
-    """
+    """Enumerate the chain density on a discrete space, normalized by its
+    own raw configuration sum ``z_raw``."""
     return EnumeratedDistribution(ensemble, budget)
 
 
@@ -192,7 +186,7 @@ def brute_density_grid(dist: EnumeratedDistribution, point_domains,
         domains.append(list(points) + [nodes] * (n - k))
         weighted.append([False] * k + [True] * (n - k))
         factor *= math.factorial(n) / math.factorial(n - k)
-    return factor * dist.folded_sum(domains, weighted) / dist.z_det
+    return factor * dist.folded_sum(domains, weighted) / dist.z_raw
 
 
 def _at_points(dist: EnumeratedDistribution, pts, free) -> complex:
@@ -251,7 +245,7 @@ def brute_count_distribution(dist: EnumeratedDistribution,
             slot = np.moveaxis(u, 0, -1)
             u = slot @ (w * ~inside)
             u[..., 1:] += (slot @ (w * inside))[..., :-1]
-    return u / dist.z_det
+    return u / dist.z_raw
 
 
 def brute_count_probability(dist: EnumeratedDistribution,
@@ -286,5 +280,4 @@ def quad_oracle_m1(ensemble: ChainEnsemble, s: float, k: int) -> float:
     dist = enumerate_density(ensemble)
     space = ensemble.space
     wf = WindowFamily((space.window(space.nodes >= float(s)),))
-    return real_probability(brute_count_probability(dist, wf, [k])
-                            / dist.total_mass)
+    return real_probability(brute_count_probability(dist, wf, [k]))

@@ -39,7 +39,7 @@ from .kernels import (
     restrict,
     rows,
 )
-from .measure_space import WindowFamily, _is_int
+from .measure_space import WindowFamily, _is_int, _is_number
 from .models import build_random
 from .oracle import (
     DEFAULT_BUDGET,
@@ -119,19 +119,6 @@ class SuiteReport:
     def to_json(self) -> dict:
         return dict(vars(self))
 
-    def rejudge(self, tolerance: float) -> None:
-        """Judge every comparison again against another tolerance.
-
-        Records that compare nothing (``judged_error`` None) keep their
-        status.
-        """
-        for r in self.records:
-            if r["judged_error"] is not None:
-                r["status"] = ("pass" if r["judged_error"] <= tolerance
-                               else "fail")
-        self.tolerance = tolerance
-        self.passed = _all_pass(self.records)
-
     def pass_lines(self) -> list[str]:
         lines = []
         for r in self.records:
@@ -169,11 +156,12 @@ def _suite(name: str):
     on a thread pool when ``threads`` > 1, and collects the records in
     instance order, so reports do not depend on the thread count.
     """
-    tol = TOLERANCES[name]
-
     def register(instance_records):
         def run(instances: int = DEFAULT_INSTANCES, seed: int = DEFAULT_SEED,
-                budget: int = DEFAULT_BUDGET, threads: int = 1) -> SuiteReport:
+                budget: int = DEFAULT_BUDGET, threads: int = 1,
+                tolerance: float | None = None) -> SuiteReport:
+            tol = TOLERANCES[name] if tolerance is None else float(tolerance)
+
             def worker(i: int) -> list[dict]:
                 return instance_records(i, seed, budget, tol)
 
@@ -371,13 +359,8 @@ def verify_janossy(i: int, seed: int, budget: int, tol: float) -> list[dict]:
     desc = dict(desc, windows=[w.count for w in wf.windows])
     dist = enumerate_density(ens, budget=budget)
     brute_law = brute_count_distribution(dist, wf)
-    # gap probability: the Fredholm determinant against the oracle, and
-    # against the Janossy constant, the same ratio det A^c / det A
-    gap_fred = fredholm_det(op)
     out = [_record(i, desc, "gap probability (fredholm vs brute)",
-                   brute_law[(0,) * ens.floors], gap_fred, tol),
-           _record(i, desc, "gap probability (const vs fredholm)",
-                   gap_fred, jk.const, tol)]
+                   brute_law[(0,) * ens.floors], fredholm_det(op), tol)]
     inside = [w.node_indices for w in wf.windows]
     outside = [np.flatnonzero(m) for m in wf.complement_masks()]
     # the kernel is built only when some in-window point set exists
@@ -488,8 +471,10 @@ def verify_marginal(i: int, seed: int, budget: int, tol: float) -> list[dict]:
 
 def verify_suite(name: str, instances: int = DEFAULT_INSTANCES,
                  seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
-                 threads: int = 1) -> SuiteReport:
-    """Run one named suite; see SUITES for the catalogue."""
+                 threads: int = 1,
+                 tolerance: float | None = None) -> SuiteReport:
+    """Run one named suite; see SUITES for the catalogue.  Comparisons
+    are judged against ``tolerance``, by default ``TOLERANCES[name]``."""
     if name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
@@ -497,5 +482,8 @@ def verify_suite(name: str, instances: int = DEFAULT_INSTANCES,
     if not _is_int(instances) or instances < 0:
         raise ValueError(f"instances {instances!r} is not a nonnegative "
                          "integer")
+    if tolerance is not None and not (_is_number(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance {tolerance!r} is not a positive finite "
+                         "number")
     return SUITES[name](instances=instances, seed=seed, budget=budget,
-                        threads=threads)
+                        threads=threads, tolerance=tolerance)

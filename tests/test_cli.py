@@ -7,11 +7,16 @@ import os
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from janossy_kit import janossy, verify
 from janossy_kit.cli import main, run_experiment
 from janossy_kit.errors import ConfigError
+from janossy_kit.kernels import correlation_kernel, restrict
+from janossy_kit.measure_space import window_family_from_json
+from janossy_kit.models import ChainModelSpec, build_model
 
 GAP_CONFIG = {
     "model": {"variant": "random", "seed": 31, "nodes": 4, "particles": 2,
@@ -49,6 +54,14 @@ JANOSSY_CONFIG = {
              "counts": [[0, 0], [1, 1]]},
 }
 
+EXPLICIT_CONFIG = {
+    "model": {"variant": "explicit", "f": [[1.0, 2.0, 3.0]],
+              "phi": [[1, 1, 2]],
+              "space": {"kind": "discrete", "points": [0, 1, 2],
+                        "masses": [1, 1, 1]}},
+    "task": {"name": "correlations", "point_sets": [[[1, 0]]]},
+}
+
 VERIFY_CONFIG = {
     "task": {"name": "verify", "suite": "heine", "instances": 4, "seed": 2},
 }
@@ -71,6 +84,22 @@ def run(tmp_path, doc, *args, out="out") -> tuple[int, str]:
     return code, out_dir
 
 
+def dense_gap(doc) -> float:
+    """det(Id - K_I) of a gap config by a dense LU of the restricted kernel
+    matrix: a route independent of the pairing ratio the gap task takes."""
+    ens = build_model(ChainModelSpec.from_json(doc["model"]))
+    op = restrict(correlation_kernel(ens),
+                  window_family_from_json(ens.space, doc["windows"]))
+    return scipy.linalg.det(np.eye(op.size) - op.matrix)
+
+
+def assert_gap_matches_dense_route(out_dir, doc, bound=1e-14) -> None:
+    results = read_json(out_dir)["results"]
+    assert sorted(results) == ["gap_probability", "windows"]
+    re, im = results["gap_probability"]
+    assert abs(complex(re, im) - dense_gap(doc)) < bound
+
+
 def assert_cells_match_header(lines) -> None:
     """Every CSV row has as many cells as the header, lines[0]."""
     width = lines[0].count(",")
@@ -84,7 +113,8 @@ def test_gap_task_end_to_end(tmp_path, capsys):
     report = read_json(out_dir)
     assert report["schema"] == "jk-report-1"
     assert report["task"] == "gap"
-    assert report["results"]["route_abs_difference"] < 1e-10
+    # a signed random model: the two routes part by ~5e-14
+    assert_gap_matches_dense_route(out_dir, GAP_CONFIG, bound=1e-10)
     # timings are printed, never stored
     assert "wall" in capsys.readouterr().out
     assert "wall" not in Path(out_dir, "report.json").read_text()
@@ -254,6 +284,40 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     dict(VERIFY_CONFIG, tolerances={"hiene": 1e-30}),
     dict(GAP_CONFIG, tolerances={"verify": 1e-9}),
     dict(GAP_CONFIG, tolerances={}),
+    # window documents: numeric ends or null, one of intervals or mask,
+    # nothing else
+    dict(GAP_CONFIG, windows=[{"intervals": [[True, "2"]]},
+                              GAP_CONFIG["windows"][1]]),
+    dict(GAP_CONFIG, windows=[{"intervals": [[1.0, None]],
+                               "mask": [True, False, False, False]},
+                              GAP_CONFIG["windows"][1]]),
+    dict(GAP_CONFIG, windows=[{"mask": [True, False, False, False],
+                               "foo": 1}, GAP_CONFIG["windows"][1]]),
+    # model and space arrays hold JSON numbers; each variant and space
+    # kind reads its own keys
+    dict(EXPLICIT_CONFIG, model=dict(EXPLICIT_CONFIG["model"], space={
+        "kind": "discrete", "points": ["0", 1, 2], "masses": [1, 1, 1]})),
+    dict(EXPLICIT_CONFIG, model=dict(EXPLICIT_CONFIG["model"], space={
+        "kind": "discrete", "points": [0, 1, 2],
+        "masses": [True, "1", 1]})),
+    dict(EXTREMES_CONFIG, model=dict(EXTREMES_CONFIG["model"],
+                                     potential=["0", "0", "1"])),
+    dict(EXTREMES_CONFIG, model={
+        "variant": "karlin-mcgregor", "times": ["0", "0.5", True],
+        "start": [0.0], "end": [0.0]}),
+    dict(EXTREMES_CONFIG, model={
+        "variant": "coupled-chain", "particles": 1, "floors": 2,
+        "potentials": [[0, 0, 1], [0, 0, 1]], "couplings": [True],
+        "space": EXTREMES_CONFIG["model"]["space"]}),
+    dict(EXPLICIT_CONFIG, model=dict(EXPLICIT_CONFIG["model"],
+                                     f=[["1", 2, 3]])),
+    dict(GAP_CONFIG, model=dict(GAP_CONFIG["model"], order=7)),
+    dict(EXTREMES_CONFIG, model=dict(
+        EXTREMES_CONFIG["model"],
+        space=dict(EXTREMES_CONFIG["model"]["space"], points=[0.0]))),
+    # a tolerance for another suite, an output key nothing reads
+    dict(VERIFY_CONFIG, tolerances={"janossy": 1e-30}),
+    dict(CORR_CONFIG, output={"format": ["csv"]}),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)
@@ -321,24 +385,37 @@ def test_weight_overflow_exits_3_under_a_runtime_warning_filter(tmp_path,
 
 def test_gue_gap_routes_agree_to_rounding(tmp_path):
     """docs/configs/gue-gap.json: log det A is about 1270, and the
-    Janossy constant still matches the Fredholm determinant."""
+    pairing ratio still matches a dense Fredholm determinant."""
     config = Path(__file__).parent.parent / "docs" / "configs" / "gue-gap.json"
-    code, out_dir = run(tmp_path, json.loads(config.read_text()))
+    doc = json.loads(config.read_text())
+    code, out_dir = run(tmp_path, doc)
     assert code == 0
-    assert read_json(out_dir)["results"]["route_abs_difference"] < 1e-14
+    assert_gap_matches_dense_route(out_dir, doc)
 
 
 def test_chain_gap_routes_agree_across_four_floors(tmp_path):
-    """docs/configs/chain-gap.json: the Fredholm determinant's pairing
-    sweep runs through four floors and matches the Janossy constant."""
+    """docs/configs/chain-gap.json: the pairing sweep runs through four
+    floors and matches a dense Fredholm determinant."""
     config = Path(__file__).parent.parent / "docs" / "configs" / "chain-gap.json"
     doc = json.loads(config.read_text())
     assert len(doc["windows"]) == 4
     code, out_dir = run(tmp_path, doc)
     assert code == 0
-    results = read_json(out_dir)["results"]
-    assert 0.0 < results["gap_probability"][0] < 1.0
-    assert results["route_abs_difference"] < 1e-12
+    assert 0.0 < read_json(out_dir)["results"]["gap_probability"][0] < 1.0
+    assert_gap_matches_dense_route(out_dir, doc)
+
+
+def test_full_window_gap_is_zero_without_warning(tmp_path, capsys):
+    """A window covering the space surely holds a particle: the gap
+    probability is exactly 0, and no route is reported missing."""
+    doc = dict(GAP_CONFIG, windows=[{"mask": [True] * 4},
+                                    GAP_CONFIG["windows"][1]])
+    code, out_dir = run(tmp_path, doc)
+    assert code == 0
+    report = read_json(out_dir)
+    assert report["results"]["gap_probability"] == [0.0, 0.0]
+    assert report["warnings"] == []
+    assert "warning" not in capsys.readouterr().out
 
 
 def test_imaginary_residue_exits_3(tmp_path, monkeypatch, capsys):

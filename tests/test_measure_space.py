@@ -79,7 +79,7 @@ def test_window_from_intervals_truncates_at_nodes():
     assert win.node_indices.tolist() == [1, 2]
     half = space.window_from_intervals([(1.0, None)])
     assert half.node_indices.tolist() == [1, 2, 3]
-    assert win.count == 2 and not win.is_empty() and not win.is_full()
+    assert win.count == 2
 
 
 def test_window_from_intervals_rejects_nan_endpoints():

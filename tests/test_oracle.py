@@ -7,6 +7,7 @@ code with no cleverness at all.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -39,18 +40,38 @@ def test_budget_gate_triggers_before_any_work():
     enumerate_density(ens, budget=16_000)
 
 
-def test_total_mass_is_one_after_normalization():
+def test_configuration_masses_sum_to_one():
     for seed in (1, 2, 3):
-        ens = build_random(seed, 4, 2, 2)
-        dist = enumerate_density(ens)
-        assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
+        dist = enumerate_density(build_random(seed, 4, 2, 2))
+        total = sum(mass for _, mass in dist.config_masses())
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partition_route_matches_closed_form():
     ens = build_random(6, 4, 2, 2)
     dist = enumerate_density(ens)
     assert dist.z_raw == pytest.approx(partition_function(ens), rel=1e-12)
-    assert dist.z_det == pytest.approx(partition_function(ens), rel=1e-12)
+
+
+def test_brute_values_do_not_read_the_closed_form_gram():
+    """The oracle normalizes by its own sum: doubling the pairing matrix
+    the closed forms read moves no brute density or count law."""
+    ens = build_random(5, 4, 2, 2)
+    wf = WindowFamily((ens.space.window([True, False, False, False]),
+                       ens.space.window([False, False, True, True])))
+    points = [(1, 1), (2, 0)]
+
+    def brute():
+        dist = enumerate_density(ens)
+        return (brute_correlation(dist, points),
+                brute_janossy(dist, wf, [(1, 0)]),
+                brute_count_distribution(dist, wf))
+
+    before = brute()
+    ens._tables = dataclasses.replace(ens.tables, gram=2 * ens.tables.gram)
+    after = brute()
+    assert after[0] == before[0] and after[1] == before[1]
+    np.testing.assert_array_equal(after[2], before[2])
 
 
 def test_mass_of_agrees_with_lazy_iteration():

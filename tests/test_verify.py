@@ -38,6 +38,27 @@ def test_instance_count_must_be_a_nonnegative_integer(instances):
         verify_suite("heine", instances=instances)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1e-10, float("nan"),
+                                       float("inf"), True, "1e-10"])
+def test_tolerance_must_be_a_positive_finite_number(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_suite("heine", instances=1, tolerance=tolerance)
+
+
+def test_tolerance_judges_each_comparison_once():
+    """A tolerance judges every record as the suite would with that bar;
+    the record that compares nothing keeps its status."""
+    plain = verify_suite("resolvent", instances=4, seed=5)
+    tight = verify_suite("resolvent", instances=4, seed=5, tolerance=1e-30)
+    assert plain.passed and not tight.passed and tight.tolerance == 1e-30
+    for a, b in zip(plain.records, tight.records):
+        if a["judged_error"] is None:
+            assert b == a and b["status"] == "expected-error"
+        else:
+            assert b == dict(a, status="pass" if b["judged_error"] <= 1e-30
+                             else "fail")
+
+
 def test_suite_reports_are_deterministic_across_reruns():
     a = verify_suite("correlations", instances=8, seed=3).to_json()
     b = verify_suite("correlations", instances=8, seed=3).to_json()
