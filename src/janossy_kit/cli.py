@@ -9,24 +9,25 @@ The config is a single JSON object::
 
     {
       "model":   {"variant": "...", ...},               # see models module
-      "windows": [{"intervals": [[0.5, null]]}, ...],   # optional, per floor
+      "windows": [{"intervals": [[0.5, null]]}, ...],   # gap, janossy
       "task":    {"name": "correlations" | "janossy" | "gap" | "extremes"
                           | "verify", ...},
       "output":  {"formats": ["json", "csv"]},          # optional
       "tolerances": {"verify": 1e-10}                   # optional overrides
     }
 
-Parsing checks the config's structure; the task fields are then checked in
-one pass against the built model (``_check_task``), still before any output
-path is created, so an invalid config leaves no partial files behind.  All
-files are written atomically (temp file then rename) and contain no timing
-or host details, so a rerun with the same config and seed reproduces them
-byte for byte.  Wall times are printed to stdout only.
+Parsing checks the config's structure, and refuses a section or output
+format the task does not read (``SECTIONS``); the task fields are then
+checked in one pass against the built model (``_check_task``), still before
+any output path is created, so an invalid config leaves no partial files
+behind.  All files are written atomically (temp file then rename) and
+contain no timing or host details, so a rerun with the same config and seed
+reproduces them byte for byte.  Wall times are printed to stdout only.
 
 Exit codes: 0 success, 1 a verify suite found a tolerance violation,
 2 invalid config, 3 numerical failure (singular operator or a probability
-with an imaginary residue), 4 budget exceeded (oracle table, count law or
-kernel dump).
+with an imaginary residue), 4 budget exceeded (oracle state chain, count
+law or kernel dump).
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ TASKS = {"correlations": {"point_sets", "dump_kernel"},
          "extremes": {"floor", "k", "thresholds"},
          "verify": {"suite", "instances", "seed"}}
 
+# the config sections each runner reads besides "task" and "output", with
+# "csv" where it writes a CSV file; "model" and "windows" are required
+# where read, and a section or format a task does not read is refused
+SECTIONS = {"correlations": {"model", "csv"},
+            "janossy": {"model", "windows"}, "gap": {"model", "windows"},
+            "extremes": {"model", "csv"}, "verify": {"tolerances"}}
+
 
 # ---------------------------------------------------------------------------
 # config
@@ -112,18 +120,6 @@ class ExperimentConfig:
                 f"unknown task {name!r}; known: {', '.join(TASKS)}"
             )
 
-        model = None
-        if "model" in doc:
-            model = ChainModelSpec.from_json(doc["model"])
-        elif name != "verify":
-            raise ConfigError(f"task {name!r} needs a 'model' section")
-
-        windows_doc = doc.get("windows")
-        if windows_doc is not None and not isinstance(windows_doc, list):
-            raise ConfigError("'windows' must be a list, one entry per floor")
-        if name in ("janossy", "gap") and windows_doc is None:
-            raise ConfigError(f"task {name!r} needs a 'windows' section")
-
         output = doc.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError("'output' must be an object")
@@ -137,9 +133,22 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"unknown output formats: {bad}")
 
+        given = set(doc) & {"model", "windows", "tolerances"}
+        unread = (given | {"csv"} & set(formats)) - SECTIONS[name]
+        if unread:
+            raise ConfigError(f"task {name!r} reads no {sorted(unread)}")
+        missing = sorted({"model", "windows"} & SECTIONS[name] - given)
+        if missing:
+            raise ConfigError(f"task {name!r} needs a {missing[0]!r} section")
+
+        model = None
+        if "model" in doc:
+            model = ChainModelSpec.from_json(doc["model"])
+        windows_doc = doc.get("windows")
+        if windows_doc is not None and not isinstance(windows_doc, list):
+            raise ConfigError("'windows' must be a list, one entry per floor")
+
         tolerances = doc.get("tolerances", {})
-        if "tolerances" in doc and name != "verify":
-            raise ConfigError(f"task {name!r} reads no 'tolerances'")
         if not isinstance(tolerances, dict):
             raise ConfigError("'tolerances' must be an object")
         for key, val in tolerances.items():
@@ -439,8 +448,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--threads", type=int, default=1,
                        help="worker threads for verify suites")
     run_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="configuration cap for brute-force enumeration, "
-                            "count-probability laws and kernel dumps")
+                       help="entry cap for the brute-force oracle's state "
+                            "chain, count-probability laws and kernel dumps")
     args = parser.parse_args(argv)
 
     try:

@@ -34,8 +34,8 @@ class SingularOperatorError(ArithmeticError):
 class BudgetExceededError(RuntimeError):
     """A table, law or dump would hold more items than the budget allows.
 
-    ``counted`` names the items and what holds them, e.g. "configurations
-    for the oracle table", "entries for the count law" or "rows for a
+    ``counted`` names the items and what holds them, e.g. "entries for
+    the oracle's state chain", "entries for the count law" or "rows for a
     kernel dump".
     """
 

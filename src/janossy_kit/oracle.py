@@ -1,34 +1,37 @@
 """Brute-force oracles: literal summation of the joint density.
 
-Everything here evaluates the normalized chain density
+Everything here evaluates the chain density
 
-    p(x^1, ..., x^M) = det f_i(x^1_j) * prod_l det g(x^l_i, x^{l+1}_j)
-                       * det phi_j(x^M_i) / Z
+    p(S_1, ..., S_M) = det f(S_1) w(S_1) * prod_l det g_l(S_l, S_{l+1})
+                       w(S_{l+1}) * det phi(S_M) / Z
 
-configuration by configuration and sums, never through the determinantal
-kernel identities the rest of the package implements.  These routines are the
-reference the closed forms are tested against, so they stay independent: no
-correlation kernels, no Fredholm determinants, no pairing matrices.  Z is the
-raw sum of the density over every ordered configuration, ``z_raw``.
+state by state and sums, never through the determinantal kernel identities
+the rest of the package implements.  These routines are the reference the
+closed forms are tested against, so they stay independent: no correlation
+kernels, no Fredholm determinants, no pairing matrices.
 
-All sums read one table, ``EnumeratedDistribution.density``: the
-unweighted density of every ordered configuration, one axis of P nodes per
-particle slot, built by broadcasting the per-floor determinant factors.  Its
-P^(M*n) entries are what the enumeration budget bounds.  A check is one pass
-over the slots: a summed slot is contracted with its node weights over its
-domain, an evaluation point stays an output axis over its domain (so one
-sum gives a density on a whole grid of point sets), and a counted slot is
-summed once inside and once outside its floor's window into that floor's
-count axis.  ``EnumeratedDistribution.config_masses`` is the plain lazy
-iteration over every ordered configuration, built from the per-floor
-factors without the table.
+A state S_l is the sorted n-subset of nodes that floor l holds: det f(S) is
+det f_i(s_j), det g_l(S, T) the minor of g_l on rows S and columns T, and
+w(S) the product of the nodes' weights.  The sum over states is the sum over
+ordered configurations divided by (n!)^M: reordering a floor's particles
+flips the sign of both determinants that floor enters, and a repeated node
+makes them vanish.  Z is the state sum itself, ``z_states``; ``z_raw`` is
+the raw sum over every ordered configuration, (n!)^M Z.
+
+Summed floor by floor, the states form one chain of M - 1 minor matrices of
+size C(P, n) x C(P, n), ``EnumeratedDistribution.chain_sum``.  Every brute
+quantity is one such sum under a factor per floor and state: a count law
+puts the one-hot count |S ∩ I_l| on an output axis of floor l, and a density
+grid keeps the states that hold the floor's points, one output axis per
+point over its domain, every other particle in the floor's free nodes.  The
+enumeration budget bounds the (M - 1) C(P, n)^2 + C(P, n) entries of the
+minor matrices and the per-state factors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -55,115 +58,81 @@ def real_probability(value) -> float:
 
 
 class EnumeratedDistribution:
-    """Per-configuration masses of a chain ensemble on a discrete space.
+    """The states of a chain ensemble on a discrete space and their factors.
 
-    Tabulates the per-floor determinant factors over the P^n ordered node
-    tuples of one floor, and from them ``density``: the unweighted,
-    unnormalized density of every ordered configuration, one axis of P
-    nodes per particle slot (floor-major, then slot), and its weighted sum
-    ``z_raw``, which normalizes every mass.  Construction refuses to
-    proceed when the table's P^(M*n) entries exceed the budget.
+    ``states`` lists the C(P, n) sorted n-subsets of nodes; ``det_f``,
+    ``det_phi`` and ``weight`` hold det f(S), det phi(S) and w(S) per
+    state, and ``minors[l-1]`` the C x C minors det g_l(S, T).
+    ``z_states`` is the chain summed over every state, ``z_raw`` the raw
+    sum over ordered configurations, (n!)^M ``z_states``.  Construction
+    refuses to proceed when the (M - 1) C^2 + C entries exceed the budget.
     """
 
     def __init__(self, ensemble: ChainEnsemble, budget: int = DEFAULT_BUDGET):
         P = ensemble.space.size
         n, M = ensemble.n, ensemble.floors
-        required = P ** (M * n)
+        C = math.comb(P, n)
+        required = (M - 1) * C * C + C
         if required > budget:
             raise BudgetExceededError(required, int(budget),
-                                      "configurations for the oracle table")
+                                      "entries for the oracle's state chain")
         self.ensemble = ensemble
-        self.budget = int(budget)
-        tuples = np.array(list(itertools.product(range(P), repeat=n)),
-                          dtype=np.int64)
-        self.tuples = tuples
-        # det f_i(x_j): matrix [i, j] = f[i, tuple[j]]
-        self.det_f = np.linalg.det(ensemble.f[:, tuples].transpose(1, 0, 2))
+        states = np.array(list(itertools.combinations(range(P), n)),
+                          dtype=np.int64).reshape(C, n)
+        self.states = states
+        # det f_i(s_j): matrix [i, j] = f[i, state[j]]
+        self.det_f = np.linalg.det(ensemble.f[:, states].transpose(1, 0, 2))
         self.det_phi = np.linalg.det(
-            ensemble.phi[:, tuples].transpose(1, 0, 2))
-        self.pair = [
-            np.linalg.det(gl[tuples[:, None, :, None],
-                             tuples[None, :, None, :]])
-            for gl in ensemble.g
-        ]
-        self.tuple_weight = np.prod(ensemble.space.weights[tuples], axis=1)
-        # density[x^1, ..., x^M] over floor tuples x^l, one axis per slot
-        density = self.det_f
-        for pair in self.pair:
-            density = density[..., None] * pair
-        self.density = (density * self.det_phi).reshape((P,) * (M * n))
-        full = [np.arange(P, dtype=np.int64)] * n
-        self.z_raw = complex(self.folded_sum([full] * M, [[True] * n] * M))
+            ensemble.phi[:, states].transpose(1, 0, 2))
+        self.weight = np.prod(ensemble.space.weights[states], axis=1)
+        self.minors = [np.linalg.det(gl[states[:, None, :, None],
+                                        states[None, :, None, :]])
+                       for gl in ensemble.g]
+        self.z_states = complex(self.chain_sum([np.ones(C)] * M))
+        self.z_raw = math.factorial(n) ** M * self.z_states
 
-    # -- raw access ---------------------------------------------------------
+    def chain_sum(self, factors) -> np.ndarray:
+        """Unnormalized density summed over the states of every floor, the
+        state S of floor l weighted by ``factors[l-1][..., S]``.
 
-    def mass_of(self, config) -> complex:
-        """Probability mass of one ordered configuration.
-
-        ``config`` is a per-floor sequence of n node indices.  Repeated
-        nodes inside a floor are legal and carry zero mass.
+        ``factors[l-1]`` has shape ``batch_l + (C,)``; the result has shape
+        ``batch_1 + ... + batch_M``, each floor's batch axes in floor order.
         """
-        ens = self.ensemble
-        n, M, P = ens.n, ens.floors, ens.space.size
-        config = [tuple(floor) for floor in config]
-        if len(config) != M or any(len(c) != n for c in config):
-            raise ValueError(f"config must be {M} floors of {n} node indices")
-        nodes = [t for floor in config for t in floor]
-        if not all(_is_int(t) and 0 <= t < P for t in nodes):
-            raise ValueError(f"node indices must be integers in 0..{P - 1}")
-        weight = np.prod(ens.space.weights[nodes])
-        return complex(self.density[tuple(nodes)] * weight / self.z_raw)
-
-    def config_masses(self) -> Iterator[tuple[tuple, complex]]:
-        """Lazy iteration over every ordered configuration and its mass.
-
-        The literal product of the per-floor factors, independent of the
-        ``density`` table.
-        """
-        T = self.tuples.shape[0]
-        M = self.ensemble.floors
-        for flat in itertools.product(range(T), repeat=M):
-            val = self.det_f[flat[0]]
-            for l in range(M - 1):
-                val = val * self.pair[l][flat[l], flat[l + 1]]
-            val = val * self.det_phi[flat[-1]]
-            for c in flat:
-                val = val * self.tuple_weight[c]
-            config = tuple(tuple(int(i) for i in self.tuples[c]) for c in flat)
-            yield config, complex(val / self.z_raw)
-
-    # -- summation over the table ------------------------------------------
-
-    def folded_sum(self, slot_domains, slot_weighted) -> np.ndarray:
-        """Unnormalized masses summed over weighted slots, on a grid of
-        evaluation points.
-
-        ``slot_domains[l][j]`` lists the node indices slot j of floor l+1
-        ranges over.  A weighted slot (``slot_weighted[l][j]``) is summed
-        over its domain with its node weight in the product.  An unweighted
-        slot is an evaluation point: it carries no weight and becomes one
-        output axis over its domain, axes ordered by floor, then slot.  With
-        no unweighted slot the result is 0-d.  One pass over the slots of
-        ``density``, in order.
-        """
-        w = self.ensemble.space.weights
-        u, axis = self.density, 0
-        for d, weighted in zip(itertools.chain(*slot_domains),
-                               itertools.chain(*slot_weighted)):
-            d = np.asarray(d, dtype=np.int64)
-            u = u.take(d, axis=axis)
-            if weighted:
-                u = np.moveaxis(u, axis, -1) @ w[d]
-            else:
-                axis += 1
-        return u
+        u = self.det_f
+        for l, factor in enumerate(factors):
+            if l:
+                u = u @ self.minors[l - 1]
+            factor = np.asarray(factor) * self.weight
+            u = u.reshape(u.shape[:-1] + (1,) * (factor.ndim - 1)
+                          + u.shape[-1:]) * factor
+        return u @ self.det_phi
 
 
 def enumerate_density(ensemble: ChainEnsemble,
                       budget: int = DEFAULT_BUDGET) -> EnumeratedDistribution:
     """Enumerate the chain density on a discrete space, normalized by its
-    own raw configuration sum ``z_raw``."""
+    own state sum ``z_states``."""
     return EnumeratedDistribution(ensemble, budget)
+
+
+def _holding(dist: EnumeratedDistribution, points, free) -> np.ndarray:
+    """One floor's state factor on a grid of point sets: 1/w(X) where the
+    state holds the distinct points X and its other particles lie in
+    ``free``, else 0.  One axis per point over its domain, then the state
+    axis."""
+    S, w = dist.states, dist.ensemble.space.weights
+    k = len(points)
+    tuples = list(itertools.product(*points))
+    grid = np.array(tuples, dtype=np.int64).reshape(len(tuples), k)
+    in_free = np.zeros(w.size, dtype=bool)
+    in_free[np.asarray(free, dtype=np.int64)] = True
+    # matched[s, p, i]: node i of state s is one of the points of set p;
+    # k matched nodes means k distinct points, all held
+    matched = (S[:, None, :, None] == grid[None, :, None, :]).any(axis=3)
+    keep = ((matched.sum(axis=2) == k)
+            & (matched | in_free[S][:, None, :]).all(axis=2))
+    factor = keep / np.prod(w[grid], axis=1)
+    return factor.T.reshape(tuple(len(d) for d in points) + (len(S),))
 
 
 def brute_density_grid(dist: EnumeratedDistribution, point_domains,
@@ -172,21 +141,17 @@ def brute_density_grid(dist: EnumeratedDistribution, point_domains,
 
     Floor l holds one evaluation point per entry of ``point_domains[l-1]``,
     each ranging over the node indices that entry lists; the result has one
-    axis per point, floors in order.  The other slots of floor l are
-    summed over ``free[l-1]``, and floor l contributes the ordered-tuple
-    count n!/(n-k_l)! of its k_l points.  Node weights of the points are
-    not included: values are densities against them.
+    axis per point, floors in order.  The other particles of floor l lie
+    in ``free[l-1]``.  Node weights of the points are not included: values
+    are densities against them.
     """
     n = dist.ensemble.n
-    domains, weighted, factor = [], [], 1.0
-    for l, (points, nodes) in enumerate(zip(point_domains, free), start=1):
-        k = len(points)
-        if k > n:
-            raise ValueError(f"{k} points on floor {l} but only {n} particles")
-        domains.append(list(points) + [nodes] * (n - k))
-        weighted.append([False] * k + [True] * (n - k))
-        factor *= math.factorial(n) / math.factorial(n - k)
-    return factor * dist.folded_sum(domains, weighted) / dist.z_raw
+    for l, points in enumerate(point_domains, start=1):
+        if len(points) > n:
+            raise ValueError(
+                f"{len(points)} points on floor {l} but only {n} particles")
+    return dist.chain_sum([_holding(dist, points, nodes) for points, nodes
+                           in zip(point_domains, free)]) / dist.z_states
 
 
 def _at_points(dist: EnumeratedDistribution, pts, free) -> complex:
@@ -200,7 +165,7 @@ def _at_points(dist: EnumeratedDistribution, pts, free) -> complex:
 def brute_correlation(dist: EnumeratedDistribution, points) -> complex:
     """Correlation density at (floor, node) points by direct summation.
 
-    The free coordinates of every floor range over all nodes; see
+    The other particles of every floor range over all nodes; see
     brute_density_grid.
     """
     ens = dist.ensemble
@@ -212,7 +177,7 @@ def brute_janossy(dist: EnumeratedDistribution, windows: WindowFamily,
                   points) -> complex:
     """Janossy density at points inside windows, by direct summation.
 
-    Same as brute_correlation except the free coordinates of each floor are
+    Same as brute_correlation except the other particles of each floor are
     confined to the complement of that floor's window: the value is the
     density of seeing exactly the listed in-window particles and no others
     inside the windows.
@@ -228,24 +193,15 @@ def brute_count_distribution(dist: EnumeratedDistribution,
     """Law of the per-floor window counts, by direct summation.
 
     Entry ``[k_1, ..., k_M]`` is the probability of exactly k_l floor-l
-    particles in window l, an (n+1)^M array.  One pass over the slots of
-    the density table: each slot is summed with its node weight once over
-    its floor's window and once over the complement, and the window part
-    moves that floor's count axis up by one.
+    particles in window l, an (n+1)^M array: one chain sum whose floor-l
+    factor is the one-hot count |S ∩ I_l| of every state.
     """
     ens = dist.ensemble
     wf = ens.check_windows(windows)
-    n, w = ens.n, ens.space.weights
-    u = dist.density
-    for l in range(1, ens.floors + 1):
-        inside = wf.window(l).mask
-        # a new count axis, last, holding everything at count 0
-        u = u[..., None] * (np.arange(n + 1) == 0)
-        for _ in range(n):
-            slot = np.moveaxis(u, 0, -1)
-            u = slot @ (w * ~inside)
-            u[..., 1:] += (slot @ (w * inside))[..., :-1]
-    return u / dist.z_raw
+    counts = np.arange(ens.n + 1)[:, None]
+    return dist.chain_sum(
+        [counts == wf.window(l).mask[dist.states].sum(axis=1)
+         for l in range(1, ens.floors + 1)]) / dist.z_states
 
 
 def brute_count_probability(dist: EnumeratedDistribution,
@@ -264,18 +220,15 @@ def quad_oracle_m1(ensemble: ChainEnsemble, s: float, k: int) -> float:
     The count probability of the window of nodes >= s by direct summation
     (brute_count_probability), each coordinate resolved at node granularity
     by the space's own rule (consistent with how windows truncate), and
-    normalized by the raw sum over the whole space.  n is capped at 3, and
-    the P^n node tuples at the default enumeration budget; no kernel
-    identities are used anywhere.
+    normalized by the state sum over the whole space.  A single floor has
+    no minor matrix, so the default enumeration budget bounds only its
+    C(P, n) states; no kernel identities are used anywhere.
     """
     if ensemble.floors != 1:
         raise ValueError("quad_oracle_m1 needs a single-floor ensemble")
-    n = ensemble.n
-    if n > 3:
-        raise ValueError("quad_oracle_m1 supports at most 3 particles")
     if not _is_int(k) or k < 0:
         raise ValueError(f"k {k!r} is not a nonnegative integer")
-    if k > n:
+    if k > ensemble.n:
         return 0.0
     dist = enumerate_density(ensemble)
     space = ensemble.space

@@ -274,8 +274,8 @@ def point_grid(dist, vectors, domains, free, matrix):
     counts[l-1] points on floor l, each ranging over domains[l-1], for
     every count vector in ``vectors``.
 
-    The oracle takes one folded sum per count vector, its other floor-l
-    slots ranging over free[l-1] (see brute_density_grid); the closed form
+    The oracle takes one chain sum per count vector, the other floor-l
+    particles lying in free[l-1] (see brute_density_grid); the closed form
     takes one batched determinant of the kernel matrix ``matrix()`` at the
     same grid of rows, and calls ``matrix`` only when some point set
     exists.  Both arrays follow the count vectors, then the row-major order

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,25 @@ def gauged(ens: ChainEnsemble, theta: np.ndarray) -> ChainEnsemble:
     g = [gl * u[l].conj()[:, None] * u[l + 1][None, :]
          for l, gl in enumerate(ens.g)]
     return ChainEnsemble(ens.space, ens.f * u[0], ens.phi * u[-1].conj(), g)
+
+
+def configuration_masses(ens: ChainEnsemble):
+    """Every ordered configuration of the chain with its unnormalized mass.
+
+    Yields (config, mass): ``config`` holds one tuple of n node indices per
+    floor, and ``mass`` is the literal product det f(x^1) * prod_l
+    det g_l(x^l, x^{l+1}) * det phi(x^M) * node weights, every determinant
+    taken directly from ``ens.f``, ``ens.g`` and ``ens.phi``.  Repeated
+    nodes are included and carry zero mass.
+    """
+    P, n, M = ens.space.size, ens.n, ens.floors
+    w = ens.space.weights
+    for flat in itertools.product(range(P), repeat=n * M):
+        config = tuple(flat[l * n:(l + 1) * n] for l in range(M))
+        mass = (np.linalg.det(ens.f[:, list(config[0])])
+                * np.linalg.det(ens.phi[:, list(config[-1])]))
+        for l in range(M - 1):
+            mass *= np.linalg.det(ens.g[l][np.ix_(config[l], config[l + 1])])
+        for tup in config:
+            mass *= np.prod(w[list(tup)])
+        yield config, complex(mass)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import configuration_masses
 from janossy_kit.chain_ensemble import (
     ChainEnsemble,
     chain_convolve,
@@ -156,19 +157,7 @@ def test_complement_tables_restrict_each_integration():
 
 def brute_partition_function(ens: ChainEnsemble) -> complex:
     """Direct sum of the unnormalized density over all configurations."""
-    P, n, M = ens.space.size, ens.n, ens.floors
-    w = ens.space.weights
-    total = 0.0 + 0.0j
-    for config in itertools.product(range(P), repeat=n * M):
-        floors = [config[l * n:(l + 1) * n] for l in range(M)]
-        val = np.linalg.det(ens.f[:, floors[0]])
-        val *= np.linalg.det(ens.phi[:, floors[-1]])
-        for l in range(M - 1):
-            val *= np.linalg.det(ens.g[l][np.ix_(floors[l], floors[l + 1])])
-        for tup in floors:
-            val *= np.prod(w[list(tup)])
-        total += val
-    return total
+    return sum(mass for _, mass in configuration_masses(ens))
 
 
 @pytest.mark.parametrize("seed,P,n,M", [(1, 3, 1, 1), (2, 3, 2, 1),

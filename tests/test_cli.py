@@ -318,6 +318,14 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     # a tolerance for another suite, an output key nothing reads
     dict(VERIFY_CONFIG, tolerances={"janossy": 1e-30}),
     dict(CORR_CONFIG, output={"format": ["csv"]}),
+    # sections and output formats the task does not read
+    dict(CORR_CONFIG, windows=[{"mask": "garbage"}]),
+    dict(EXTREMES_CONFIG, windows=[{"intervals": [[0.0, None]]}]),
+    dict(VERIFY_CONFIG, windows=[]),
+    dict(VERIFY_CONFIG, model=GAP_CONFIG["model"]),
+    dict(VERIFY_CONFIG, output={"formats": ["csv"]}),
+    dict(GAP_CONFIG, output={"formats": ["json", "csv"]}),
+    dict(JANOSSY_CONFIG, output={"formats": ["csv"]}),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)
