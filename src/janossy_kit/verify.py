@@ -14,6 +14,7 @@ marginal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -37,14 +38,13 @@ from .kernels import (
     fredholm_det,
     resolvent_kernel,
     restrict,
-    rows,
 )
 from .measure_space import WindowFamily, _is_int, _is_number
 from .models import build_random
 from .oracle import (
     DEFAULT_BUDGET,
+    _holding,
     brute_count_distribution,
-    brute_density_grid,
     enumerate_density,
 )
 
@@ -130,10 +130,6 @@ class SuiteReport:
         return lines
 
 
-def _all_pass(records: list) -> bool:
-    return all(r["status"] in ("pass", "expected-error") for r in records)
-
-
 def _worst(oracle: np.ndarray, closed: np.ndarray):
     """The pair (oracle[i], closed[i]) farthest apart, by |a - b|.
 
@@ -152,40 +148,36 @@ def _suite(name: str):
     """Register a per-instance record function as the suite ``name``.
 
     The function maps ``(instance, seed, budget, tolerance)`` to its list
-    of records.  The registered suite runs it on instances 0..instances-1,
-    on a thread pool when ``threads`` > 1, and collects the records in
-    instance order, so reports do not depend on the thread count.
+    of records; ``SUITES[name]`` runs it over a whole suite (run_suite).
     """
     def register(instance_records):
-        def run(instances: int = DEFAULT_INSTANCES, seed: int = DEFAULT_SEED,
-                budget: int = DEFAULT_BUDGET, threads: int = 1,
-                tolerance: float | None = None) -> SuiteReport:
-            tol = TOLERANCES[name] if tolerance is None else float(tolerance)
-
-            def worker(i: int) -> list[dict]:
-                return instance_records(i, seed, budget, tol)
-
-            if threads <= 1 or instances <= 1:
-                nested = [worker(i) for i in range(instances)]
-            else:
-                with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-                    nested = list(pool.map(worker, range(instances)))
-            records = [r for chunk in nested for r in chunk]
-            compared = [r for r in records if r["status"] != "expected-error"]
-            return SuiteReport(
-                suite=name, instances=instances, seed=seed, tolerance=tol,
-                passed=_all_pass(records),
-                max_abs_error=max((r["abs_error"] for r in compared),
-                                  default=0.0),
-                max_rel_error=max((r["rel_error"] for r in compared),
-                                  default=0.0),
-                records=records)
-
-        run.__name__ = instance_records.__name__
-        run.__doc__ = instance_records.__doc__
-        SUITES[name] = run
-        return run
+        SUITES[name] = functools.partial(run_suite, name, instance_records)
+        return instance_records
     return register
+
+
+def run_suite(name: str, instance_records, instances: int, seed: int,
+              budget: int, threads: int,
+              tolerance: float | None) -> SuiteReport:
+    """Run ``instance_records`` on instances 0..instances-1, on a thread
+    pool when ``threads`` > 1, and collect the records in instance order,
+    so reports do not depend on the thread count."""
+    tol = TOLERANCES[name] if tolerance is None else float(tolerance)
+    work = functools.partial(instance_records, seed=seed, budget=budget,
+                             tol=tol)
+    if threads <= 1 or instances <= 1:
+        nested = [work(i) for i in range(instances)]
+    else:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            nested = list(pool.map(work, range(instances)))
+    records = [r for chunk in nested for r in chunk]
+    compared = [r for r in records if r["status"] != "expected-error"]
+    return SuiteReport(
+        suite=name, instances=instances, seed=seed, tolerance=tol,
+        passed=all(r["status"] == "pass" for r in compared),
+        max_abs_error=max((r["abs_error"] for r in compared), default=0.0),
+        max_rel_error=max((r["rel_error"] for r in compared), default=0.0),
+        records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +266,24 @@ def point_grid(dist, vectors, domains, free, matrix):
     counts[l-1] points on floor l, each ranging over domains[l-1], for
     every count vector in ``vectors``.
 
-    The oracle takes one chain sum per count vector, the other floor-l
-    particles lying in free[l-1] (see brute_density_grid); the closed form
-    takes one batched determinant of the kernel matrix ``matrix()`` at the
-    same grid of rows, and calls ``matrix`` only when some point set
-    exists.  Both arrays follow the count vectors, then the row-major order
-    of the point axes.
+    The oracle builds one state factor per floor and point count, the other
+    floor-l particles lying in free[l-1] (see brute_density_grid), and takes
+    one chain sum per count vector; the closed form takes one batched
+    determinant of the kernel matrix ``matrix()`` at rows (l-1) P + node,
+    and calls ``matrix`` only when some point set exists.  Both arrays
+    follow the count vectors, then the row-major order of the point axes.
     """
     P = dist.ensemble.space.size
+    holding = functools.cache(
+        lambda l, k: _holding(dist, [domains[l]] * k, free[l]))
     oracle, grids = [], []
     for counts in vectors:
-        points = [[d] * k for k, d in zip(counts, domains)]
-        oracle.append(brute_density_grid(dist, points, free).reshape(-1))
-        r = np.meshgrid(*[rows(np.column_stack([np.full(d.size, l), d]), P)
-                          for l, on_floor in enumerate(points, start=1)
-                          for d in on_floor], indexing="ij")
+        oracle.append(dist.chain_sum([holding(l, k) for l, k
+                                      in enumerate(counts)]).reshape(-1))
+        r = np.meshgrid(*[l * P + domains[l] for l, k in enumerate(counts)
+                          for _ in range(k)], indexing="ij")
         grids.append(np.stack(r, axis=-1).reshape(-1, sum(counts)))
-    oracle = np.concatenate(oracle)
+    oracle = np.concatenate(oracle) / dist.z_states
     if not oracle.size:
         return oracle, oracle
     m = matrix()
@@ -443,16 +436,15 @@ def verify_marginal(i: int, seed: int, budget: int, tol: float) -> list[dict]:
     ens, desc, rng = draw_ensemble(seed, i, floors=3)
     kernel = correlation_kernel(ens)
     P = ens.space.size
+    # one-point values on every floor and node: the kernel's diagonal
+    one_point = np.diagonal(kernel.matrix).reshape(ens.floors, P)
     out = []
     for floors in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]:
         marg = marginal_ensemble(ens, list(floors))
         km = correlation_kernel(marg)
         gram_err = float(np.abs(marg.tables.gram - ens.tables.gram).max())
-        # one-point values on every floor and node: the diagonals of the
-        # floor blocks
-        parent = [np.diagonal(kernel.block(l, l)) for l in floors]
-        child = [np.diagonal(km.block(j, j))
-                 for j in range(1, len(floors) + 1)]
+        parent = [one_point[l - 1] for l in floors]
+        child = [np.diagonal(km.matrix)]
         # one cross-floor pair when available
         if len(floors) == 2:
             x, y = int(rng.integers(P)), int(rng.integers(P))
@@ -474,16 +466,18 @@ def verify_suite(name: str, instances: int = DEFAULT_INSTANCES,
                  threads: int = 1,
                  tolerance: float | None = None) -> SuiteReport:
     """Run one named suite; see SUITES for the catalogue.  Comparisons
-    are judged against ``tolerance``, by default ``TOLERANCES[name]``."""
+    are judged against ``tolerance``, by default ``TOLERANCES[name]``.
+    Arguments are checked before any instance runs."""
     if name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
-    if not _is_int(instances) or instances < 0:
-        raise ValueError(f"instances {instances!r} is not a nonnegative "
-                         "integer")
+    for what, value, least in (("instances", instances, 0), ("seed", seed, 0),
+                               ("budget", budget, 1), ("threads", threads, 1)):
+        if not _is_int(value) or value < least:
+            raise ValueError(f"{what} {value!r} is not an integer >= {least}")
     if tolerance is not None and not (_is_number(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance {tolerance!r} is not a positive finite "
                          "number")
-    return SUITES[name](instances=instances, seed=seed, budget=budget,
-                        threads=threads, tolerance=tolerance)
+    return SUITES[name](int(instances), int(seed), int(budget), int(threads),
+                        tolerance)

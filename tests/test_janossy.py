@@ -80,8 +80,8 @@ def test_janossy_density_matches_brute_sums():
         closed = janossy_density(jk, points)
         brute = brute_janossy(dist, wf, points)
         assert closed == pytest.approx(brute, abs=1e-11)
-    # the janossy suite's one grid call per count vector: each oracle entry
-    # is brute_janossy and each batched determinant is the determinant of
+    # the janossy suite's point grid, one count vector at a time: each oracle
+    # entry is brute_janossy and each batched determinant is the determinant of
     # the Janossy kernel at that entry's point set
     inside = [w.node_indices for w in wf.windows]
     outside = [np.flatnonzero(m) for m in wf.complement_masks()]

@@ -93,8 +93,8 @@ def test_correlation_determinants_match_brute_enumeration():
         det_form = correlation_function(kernel, points)
         brute = brute_correlation(dist, points)
         assert det_form == pytest.approx(brute, abs=1e-11)
-    # the correlations suite's one grid call per count vector: each oracle
-    # entry is brute_correlation and each batched determinant is the
+    # the correlations suite's point grid, one count vector at a time: each
+    # oracle entry is brute_correlation and each batched determinant is the
     # determinant of the kernel at that entry's point set, in the row-major
     # order of the points (correlation_function takes it by LU instead)
     nodes = [np.arange(4)] * 2

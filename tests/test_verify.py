@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from janossy_kit import verify
+from janossy_kit.janossy import janossy_kernel_explicit
+from janossy_kit.kernels import correlation_kernel, rows
+from janossy_kit.measure_space import WindowFamily
+from janossy_kit.models import build_random
+from janossy_kit.oracle import brute_density_grid, enumerate_density
 from janossy_kit.verify import (
     SUITES,
     _worst,
+    count_vectors,
     draw_ensemble,
+    point_grid,
     verify_suite,
 )
 
@@ -43,6 +50,38 @@ def test_instance_count_must_be_a_nonnegative_integer(instances):
 def test_tolerance_must_be_a_positive_finite_number(tolerance):
     with pytest.raises(ValueError, match="tolerance"):
         verify_suite("heine", instances=1, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("what", ["instances", "seed"])
+def test_numpy_integer_arguments_give_a_json_report(what):
+    # a NumPy integer used to reach the report, where json.dumps refused it
+    report = verify_suite("heine", **{"instances": 2, "seed": 5,
+                                      what: np.int64(2)})
+    assert type(getattr(report, what)) is int
+    assert report == verify_suite("heine", **{"instances": 2, "seed": 5,
+                                              what: 2})
+    json.dumps(report.to_json())
+
+
+@pytest.mark.parametrize("what, value", [
+    ("seed", True), ("seed", -1), ("seed", 5.0), ("seed", "5"),
+    ("budget", 0), ("budget", -5), ("budget", 2.5), ("budget", True),
+    ("threads", 0), ("threads", -2), ("threads", 1.5), ("threads", True)])
+def test_seed_budget_and_threads_must_be_integers_in_range(what, value):
+    # seed=True used to write "seed": true into the report, and budget=0 or
+    # threads=0 used to pass silently
+    with pytest.raises(ValueError, match=what):
+        verify_suite("heine", instances=2, **{what: value})
+
+
+def test_arguments_are_refused_before_any_instance_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "heine", lambda **kw: ran.append(kw))
+    for bad in ({"instances": -1}, {"seed": True}, {"budget": 0},
+                {"threads": 0}, {"tolerance": 0.0}):
+        with pytest.raises(ValueError):
+            verify_suite("heine", **bad)
+    assert not ran
 
 
 def test_tolerance_judges_each_comparison_once():
@@ -161,3 +200,53 @@ def test_dyson_mehta_asserts_every_floor_pair():
         assert 1 <= r["description"]["worst_l"] <= r["description"]["floors"]
         assert r["judged_error"] <= 1e-10
         assert r["status"] == "pass"
+
+
+def _grids_per_vector(dist, vectors, domains, free, matrix):
+    """point_grid's two arrays, one brute_density_grid call and one
+    determinant gather per count vector."""
+    P = dist.ensemble.space.size
+    oracle, dets = [], []
+    for counts in vectors:
+        points = [[d] * k for k, d in zip(counts, domains)]
+        oracle.append(brute_density_grid(dist, points, free).reshape(-1))
+        r = np.meshgrid(*[rows(np.column_stack([np.full(d.size, l), d]), P)
+                          for l, on_floor in enumerate(points, start=1)
+                          for d in on_floor], indexing="ij")
+        r = np.stack(r, axis=-1).reshape(-1, sum(counts))
+        dets.append(np.linalg.det(matrix[r[:, :, None], r[:, None]]))
+    return np.concatenate(oracle), np.concatenate(dets)
+
+
+def test_point_grid_matches_per_vector_grids_bit_for_bit(monkeypatch):
+    """point_grid equals one brute_density_grid call and one determinant
+    gather per count vector, bit for bit, building one oracle factor per
+    floor and point count: on correlation domains, and on Janossy domains
+    whose second floor has an empty window."""
+    ens = build_random(12, 4, 2, 3)
+    dist = enumerate_density(ens)
+    wf = WindowFamily((ens.space.window([True, True, False, False]),
+                       ens.space.window([False] * 4),
+                       ens.space.window([False, True, False, True])))
+    jk = janossy_kernel_explicit(ens, wf)
+    nodes = [np.arange(4)] * 3
+    inside = [w.node_indices for w in wf.windows]
+    outside = [np.flatnonzero(m) for m in wf.complement_masks()]
+    holding = verify._holding
+    calls = []
+    monkeypatch.setattr(verify, "_holding",
+                        lambda *args: calls.append(args) or holding(*args))
+    for domains, free, matrix, most in (
+            (nodes, nodes, correlation_kernel(ens).matrix, 3),
+            (inside, outside, jk.kernel.matrix, 4)):
+        vectors = count_vectors(ens.n, ens.floors, most)
+        calls.clear()
+        oracle, dets = point_grid(dist, vectors, domains, free,
+                                  lambda: matrix)
+        assert len(calls) == len({(l, k) for v in vectors
+                                  for l, k in enumerate(v)})
+        want_oracle, want_dets = _grids_per_vector(dist, vectors, domains,
+                                                   free, matrix)
+        assert oracle.size and oracle.shape == dets.shape
+        assert np.array_equal(oracle, want_oracle)
+        assert np.array_equal(dets, want_dets)
