@@ -13,11 +13,8 @@ from __future__ import annotations
 from .chain_ensemble import (
     ChainEnsemble,
     ConvolutionTables,
-    chain_convolve,
-    left_convolve,
     marginal_ensemble,
     partition_function,
-    right_convolve,
 )
 from .errors import BudgetExceededError, ConfigError, SingularOperatorError
 from .janossy import (
@@ -101,7 +98,6 @@ __all__ = [
     "build_model",
     "build_random",
     "build_unitary",
-    "chain_convolve",
     "complement",
     "correlation_function",
     "correlation_kernel",
@@ -115,7 +111,6 @@ __all__ = [
     "janossy_kernel_explicit",
     "kernel_to_json",
     "kth_extreme_distribution",
-    "left_convolve",
     "make_discrete",
     "make_quadrature",
     "marginal_ensemble",
@@ -123,7 +118,6 @@ __all__ = [
     "quad_oracle_m1",
     "resolvent_kernel",
     "restrict",
-    "right_convolve",
     "verify_suite",
     "window_family_from_json",
     "window_from_json",

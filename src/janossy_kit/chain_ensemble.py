@@ -17,6 +17,9 @@ the chain's factors under per-floor weights: the adjacent transfers, the
 left convolutions ``f_j * g_{1,m}`` and right convolutions
 ``g_{l,M} * phi_s`` for every floor, and the pairing (Gram) matrix
 ``A[j,k] = f_j * g_{1,M} * phi_k`` with all M floor integrations applied.
+The tables are self-contained: f is ``left[0].T``, phi is
+``right[-1].T`` and the transfers are ``g``, so a pairing sweep or a
+kernel reads only the tables it is given, never an ensemble.
 The transfer kernel ``g_{l,m}`` from floor l to floor m (floors strictly
 between integrated out, zero when m <= l) is not stored: ``chain_sweep``
 forms it where a dense kernel, one product or a marginal chain needs it.
@@ -26,10 +29,10 @@ transposed transfers, from phi; ``pairing_halves`` meets a left and a
 right sweep, each over the sub-blocks of the transfers that the floors'
 nonzero weights reach.
 
-Floor and function indices are 1-based in every public signature, matching
-the transfer-chain conventions (``f_j * g_{1,1} = f_j``,
-``g_{M,M} * phi_s = phi_s``); node indices are 0-based positions into
-``space.nodes``.  The tables are built once at construction.  Their
+Floor indices are 1-based in every public signature, matching the
+transfer-chain conventions (``f_j * g_{1,1} = f_j``, ``g_{M,M} * phi_s =
+phi_s``); node indices are 0-based positions into ``space.nodes``.
+An ensemble's tables are built once at construction.  Their
 ``window_pairing`` memo fills on first use per window family without a
 lock: two threads that race on one family both compute it, and store the
 same bits.
@@ -188,12 +191,6 @@ class ChainEnsemble:
                              f"1..{self.floors}")
         return int(floor)
 
-    def check_function(self, j: int) -> int:
-        if not _is_int(j) or not 1 <= j <= self.n:
-            raise ValueError(f"function index {j!r} is not an integer in "
-                             f"1..{self.n}")
-        return int(j)
-
     def check_points(self, points) -> list[tuple[int, int]]:
         """Validate a list of (floor, node-index) pairs of integers."""
         out = []
@@ -255,8 +252,11 @@ class ConvolutionTables:
     weights that integrate each floor.  ``left[m-1][:, j]`` holds
     ``f_{j+1} * g_{1,m}`` (integrations over floors 1..m-1) and
     ``right[l-1][:, s]`` holds ``g_{l,M} * phi_{s+1}`` (integrations over
-    floors l+1..M).  ``gram`` applies all M integrations.  Products
-    ``g_{l,m}`` are not stored; ``chain_sweep`` forms them.
+    floors l+1..M), so ``left[0].T`` is f and ``right[-1].T`` is phi.
+    ``gram`` applies all M integrations: the pairing of that f and phi,
+    which a caller may set from another route (``complement_tables``
+    from ``window_pairing``; the biorthogonal recipe as exactly I).
+    Products ``g_{l,m}`` are not stored; ``chain_sweep`` forms them.
     ``pairings`` memoises ``window_pairing`` per window family, weakly
     keyed by the family object; ``dataclasses.replace`` starts it empty.
     """
@@ -325,14 +325,16 @@ def _support(w: np.ndarray) -> slice:
     return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
 
 
-def pairing_halves(ensemble: ChainEnsemble,
+def pairing_halves(tables: ConvolutionTables,
                    floor_weights: Sequence[np.ndarray],
                    split: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairing matrix ``f W_1 g_1 W_2 ... g_{M-1} W_M phi^T`` cut at a floor.
 
-    Returns ``(left, right)`` with ``left = f W_1 g_1 ... g_{split-1}
-    W_split`` and ``right = phi W_M g_{M-1}^T ... W_{split+1} g_split^T``,
-    so the pairing matrix is ``left @ right^T`` for every split in 1..M.
+    f, phi and the g_l are the tables' own: ``tables.left[0].T``,
+    ``tables.right[-1].T`` and ``tables.g``.  Returns ``(left, right)``
+    with ``left = f W_1 g_1 ... g_{split-1} W_split`` and ``right = phi W_M
+    g_{M-1}^T ... W_{split+1} g_split^T``, so the pairing matrix is ``left
+    @ right^T`` for every split in 1..M.
     Only sweeps run, so this is the cheap route when nothing but the
     pairing matrix is needed.  ``floor_weights[l-1]`` has shape ``batch +
     (P,)``; the batch axes broadcast within each half, so a batch axis only
@@ -347,32 +349,33 @@ def pairing_halves(ensemble: ChainEnsemble,
     w = [np.asarray(x) for x in floor_weights]
     box = [_support(x) for x in w]
     w = [x[..., None, b] for x, b in zip(w, box)]
-    g = [t[a, b] for t, a, b in zip(ensemble.g, box, box[1:])]
+    g = [t[a, b] for t, a, b in zip(tables.g, box, box[1:])]
     # keep only the last value of each sweep: batch arrays can be large
-    left = deque(_sweep(ensemble.f[:, box[0]], g[:split - 1],
+    left = deque(_sweep(tables.left[0].T[:, box[0]], g[:split - 1],
                         w[:split - 1]), 1).pop()
-    right = deque(_sweep(ensemble.phi[:, box[-1]],
+    right = deque(_sweep(tables.right[-1].T[:, box[-1]],
                          [t.T for t in reversed(g[split - 1:])],
                          w[split:][::-1]), 1).pop()
     return left * w[split - 1], right
 
 
-def _pairing(ensemble: ChainEnsemble,
+def _pairing(tables: ConvolutionTables,
              floor_weights: Sequence[np.ndarray]) -> np.ndarray:
-    """The pairing matrix under ``floor_weights``, met at floor M."""
-    left, right = pairing_halves(ensemble, floor_weights, ensemble.floors)
+    """The tables' pairing matrix under ``floor_weights``, met at floor M."""
+    left, right = pairing_halves(tables, floor_weights, len(tables.weights))
     return left @ right.T
 
 
-def window_pairing(ensemble: ChainEnsemble, tables: ConvolutionTables,
+def window_pairing(tables: ConvolutionTables,
                    windows: WindowFamily) -> tuple[np.ndarray, complex]:
     """``(A', det A' / det A)`` of a table set and a window family.
 
     A' is the pairing matrix under the weights ``tables.weights[l-1] - w
-    1_{I_l}`` (w the node weights): every floor integrates off its window.
-    A is ``tables.gram``.  For the ensemble's own tables A' is the
-    complement pairing matrix A^c, and the ratio is det(Id - K_I), the
-    probability that every window is empty.
+    1_{I_l}`` (w the node weights of ``windows.space``): every floor
+    integrates off its window.  A is ``tables.gram``.  For an ensemble's
+    own tables A' is the complement pairing matrix A^c, and the ratio is
+    det(Id - K_I), the probability that every window is empty.  Callers
+    check the family against the ensemble first.
 
     Both are formed once per (tables, window family), by one pairing sweep
     and one determinant ratio, and kept in ``tables.pairings`` while the
@@ -382,9 +385,10 @@ def window_pairing(ensemble: ChainEnsemble, tables: ConvolutionTables,
     """
     hit = tables.pairings.get(windows)
     if hit is None:
-        w = ensemble.check_windows(windows).space.weights
-        pairing = _pairing(ensemble, [wl - w * win.mask for wl, win
-                                      in zip(tables.weights, windows.windows)])
+        w = windows.space.weights
+        pairing = _pairing(tables, [
+            wl - w * win.mask
+            for wl, win in zip(tables.weights, windows.windows, strict=True)])
         pairing.setflags(write=False)
         hit = pairing, complex(_det_ratio(pairing, tables.gram))
         tables.pairings[windows] = hit
@@ -394,35 +398,6 @@ def window_pairing(ensemble: ChainEnsemble, tables: ConvolutionTables,
 # ---------------------------------------------------------------------------
 # public chain operations
 # ---------------------------------------------------------------------------
-
-def chain_convolve(ensemble: ChainEnsemble, l: int, m: int) -> np.ndarray:
-    """Transfer kernel from floor l to floor m as a fresh (P, P) node matrix.
-
-    Zero for m <= l.  For m > l+1 the floors strictly between are
-    integrated out.
-    """
-    l = ensemble.check_floor(l, "source floor")
-    m = ensemble.check_floor(m, "target floor")
-    if m <= l:
-        P = ensemble.space.size
-        return np.zeros((P, P), dtype=ensemble.dtype)
-    sweep = itertools.islice(chain_sweep(ensemble.tables, l), m - l)
-    return deque(sweep, 1).pop().copy()
-
-
-def left_convolve(ensemble: ChainEnsemble, j: int, m: int) -> np.ndarray:
-    """``f_j * g_{1,m}`` sampled at the nodes; equals ``f_j`` for m = 1."""
-    j = ensemble.check_function(j)
-    m = ensemble.check_floor(m, "target floor")
-    return ensemble.tables.left[m - 1][:, j - 1].copy()
-
-
-def right_convolve(ensemble: ChainEnsemble, s: int, l: int) -> np.ndarray:
-    """``g_{l,M} * phi_s`` sampled at the nodes; equals ``phi_s`` for l = M."""
-    s = ensemble.check_function(s)
-    l = ensemble.check_floor(l, "source floor")
-    return ensemble.tables.right[l - 1][:, s - 1].copy()
-
 
 def partition_function(ensemble: ChainEnsemble) -> complex:
     """Mass ``(n!)^M det A`` of the chain density; FloatingPointError
@@ -449,6 +424,7 @@ def marginal_ensemble(ensemble: ChainEnsemble, floors: Sequence[int]) -> ChainEn
     first, last = floors[0], floors[-1]
     f_new = t.left[first - 1].T
     phi_new = t.right[last - 1].T
-    g_new = [chain_convolve(ensemble, a, b)
+    # copies: the sweep starts at the parent's own transfer g_a
+    g_new = [deque(itertools.islice(chain_sweep(t, a), b - a), 1).pop().copy()
              for a, b in zip(floors, floors[1:])]
     return ChainEnsemble(ensemble.space, f_new, phi_new, g_new)

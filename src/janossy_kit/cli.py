@@ -396,8 +396,9 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
                    threads: int = 1, budget: int = DEFAULT_BUDGET) -> RunReport:
     """Validate, run, and write one experiment; returns the report.
 
-    Raises ConfigError before creating `out_dir` when the config, the seed,
-    ``threads`` or ``budget`` is invalid.
+    Raises ConfigError when the config, the seed, ``threads`` or
+    ``budget`` is invalid.  ``out_dir`` is made at the first file write,
+    so a run that fails before writing leaves no directory.
     """
     if seed is not None and (not _is_int(seed) or seed < 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -424,7 +425,6 @@ def run_experiment(config_doc, out_dir: str, seed: int | None = None,
     except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} task: {exc}") from exc
 
-    os.makedirs(out_dir, exist_ok=True)
     report = _RUNNERS[name](cfg, ens, checked, out_dir, opts)
     _write_json(os.path.join(out_dir, "report.json"), report.to_json())
     report.files.append("report.json")

@@ -70,7 +70,7 @@ from .chain_ensemble import (
     window_pairing,
 )
 from .errors import BudgetExceededError
-from .kernels import KIND_JANOSSY, BlockKernel, kernel_from_tables
+from .kernels import KIND_JANOSSY, BlockKernel, kernel_from_tables, rows
 from .measure_space import Window, WindowFamily, _is_int
 from .oracle import DEFAULT_BUDGET, real_probability
 
@@ -113,15 +113,15 @@ def complement_tables(ensemble: ChainEnsemble,
     """Chain tables with every floor integrated over its window's complement.
 
     The complement pairing matrix A^c is the ``gram`` of the result: the
-    read-only array of ``window_pairing(ensemble, ensemble.tables,
-    windows)``, formed once per window family and shared with
+    read-only array of ``window_pairing(ensemble.tables, windows)``,
+    formed once per window family and shared with
     ``janossy_kernel_explicit``'s ``gram``.
     """
     wf = ensemble.check_windows(windows)
     return replace(
         build_tables(ensemble.f, ensemble.phi, ensemble.g,
                      wf.complement_weights()),
-        gram=window_pairing(ensemble, ensemble.tables, wf)[0])
+        gram=window_pairing(ensemble.tables, wf)[0])
 
 
 def janossy_kernel_explicit(ensemble: ChainEnsemble,
@@ -137,7 +137,7 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
     particular when some window covers every node of the space.
     """
     wf = ensemble.check_windows(windows)
-    gram, const = window_pairing(ensemble, ensemble.tables, wf)
+    gram, const = window_pairing(ensemble.tables, wf)
     cond, warns = rcond_gate(gram, "complement pairing matrix",
                              detail=lambda: f"windows: {wf.describe()}")
     return JanossyKernel(ensemble=ensemble, windows=wf, const=const,
@@ -152,8 +152,10 @@ def janossy_density(jk: JanossyKernel, points) -> complex:
     and nowhere else inside I_l, jointly over all floors.  The empty list
     gives const(I), as the 0 x 0 determinant is 1.
     """
-    pts = jk.ensemble.check_window_points(jk.windows, points)
-    return complex(jk.const * scipy.linalg.det(jk.kernel.matrix_at(pts)))
+    # gathered by rows: matrix_at would check the points a second time
+    r = rows(jk.ensemble.check_window_points(jk.windows, points),
+             jk.ensemble.space.size)
+    return complex(jk.const * scipy.linalg.det(jk.kernel.matrix[np.ix_(r, r)]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
         floor_weights.append(weights.reshape(axes + (w.size,)))
     split = min(range(1, M + 1), key=lambda m: max(math.prod(grid[:m]),
                                                    math.prod(grid[m:])))
-    left, right = pairing_halves(ensemble, floor_weights, split)
+    left, right = pairing_halves(ensemble.tables, floor_weights, split)
     left = left.reshape(-1, left.shape[-1])
     right = right.reshape(-1, right.shape[-1]).T
     n_left, n_right = left.shape[0] // n, right.shape[1] // n
@@ -205,7 +207,7 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     law = np.zeros((n + 1,) * M, dtype=np.complex128)
     law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
     law /= values.size
-    law[(0,) * M] = window_pairing(ensemble, ensemble.tables, wf)[1]
+    law[(0,) * M] = window_pairing(ensemble.tables, wf)[1]
     return law
 
 
@@ -280,7 +282,11 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
         L(x, y) = sum_i phitilde_i(x) ftilde_i(y)
 
     extended to all nodes.  An independent construction of the same object
-    as janossy_kernel_explicit for single-floor ensembles.
+    as janossy_kernel_explicit for single-floor ensembles.  The kernel
+    keeps one-floor tables (left ftilde^T, right phitilde^T, gram I, the
+    complement weights), so it restricts like any other: det(Id - L_J) =
+    det(ftilde W' phitilde^T), W' the complement weights minus the window
+    J's.
     """
     if ensemble.floors != 1:
         raise ValueError("the biorthogonal recipe applies to single-floor "
@@ -304,8 +310,10 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     jk = JanossyKernel(ensemble=ensemble, windows=wf,
                        const=complex(_det_ratio(a_comp, ensemble.tables.gram)),
                        gram=a_comp, gram_cond=cond, warnings=warns)
-    # instance attributes take precedence over the cached properties
-    jk.kernel = BlockKernel(ensemble=ensemble, tables=None,
-                            kind=KIND_BIORTHOGONAL, warnings=warns)
-    jk.kernel.matrix = phi_t.T @ f_t
+    # one-floor tables of the biorthogonal families, paired to exactly I;
+    # an instance attribute takes precedence over the cached property
+    tables = ConvolutionTables(
+        g=(), weights=(wc,), left=(f_t.T,), right=(phi_t.T,),
+        gram=np.eye(ensemble.n, dtype=ensemble.dtype))
+    jk.kernel = kernel_from_tables(ensemble, tables, KIND_BIORTHOGONAL, warns)
     return jk

@@ -13,12 +13,14 @@ the Janossy kernel computed in closed form by the janossy module.
 
 K is one operator on M copies of the space, K = -G + R A^{-1} L^T: R and
 L stack every floor's right and left convolutions and G holds the
-g_{l,m}.  A kernel keeps the convolution tables (R, L, A, the adjacent
-transfers) and sweeps the g_{l,m} into the (M P, M P) matrix, where point
-(floor l, node x) is row (l-1) P + x (``rows``), only when it is first
-read.  Point matrices, restricted matrices and resolvents gather or
-scatter the rows of their points.  A restriction keeps only the kernel and
-the window family, and lists its points only when one of those reads them.
+g_{l,m}.  Every kernel, the Janossy and biorthogonal ones included, is
+its convolution tables (R, L, A, the adjacent transfers; self-contained,
+see chain_ensemble) and sweeps the g_{l,m} into the (M P, M P) matrix,
+where point (floor l, node x) is row (l-1) P + x (``rows``), only when it
+is first read.  Point matrices and restricted matrices gather the rows of
+their points, and a resolvent is indexed by the points of its
+restriction.  A restriction keeps only the kernel and the window family,
+and lists its points only when one of those reads them.
 
 Restriction symmetrizes with sqrt-weights, so operator products and
 determinants become plain matrix products and determinants.  The sqrt-weight
@@ -53,7 +55,6 @@ from .chain_ensemble import (ChainEnsemble, ConvolutionTables, chain_sweep,
 from .measure_space import WindowFamily
 
 KIND_CORRELATION = "correlation"
-KIND_RESOLVENT = "resolvent"
 KIND_JANOSSY = "janossy-explicit"
 
 CSV_SCHEMA = "jk-csv-1"
@@ -74,11 +75,11 @@ class BlockKernel:
     ``matrix[(l-1) P + x, (m-1) P + y]`` is the kernel value at (floor l,
     node x; floor m, node y), and so is ``blocks[l-1, m-1, x, y]``.
     ``kind`` records the construction route.  ``matrix`` is assembled from
-    ``tables`` on first read, or set directly when there are none.
+    ``tables`` on first read.
     """
 
     ensemble: ChainEnsemble
-    tables: ConvolutionTables | None
+    tables: ConvolutionTables
     kind: str
     warnings: tuple[str, ...] = ()
 
@@ -186,10 +187,7 @@ class RestrictedOperator:
 
 
 def restrict(kernel: BlockKernel, windows: WindowFamily) -> RestrictedOperator:
-    """Restriction of a kernel that keeps its tables to a window family."""
-    if kernel.tables is None:
-        raise ValueError(f"cannot restrict a {kernel.kind} kernel: it keeps "
-                         "no convolution tables")
+    """Restriction of a kernel to a window family."""
     return RestrictedOperator(kernel=kernel,
                               windows=kernel.ensemble.check_windows(windows))
 
@@ -214,36 +212,32 @@ def fredholm_det(op: RestrictedOperator) -> complex:
     kernel matrix, g_{l,m} or A^{-1} is formed.
     The independent check is the brute-force oracle.
     """
-    return window_pairing(op.kernel.ensemble, op.kernel.tables,
-                          op.windows)[1]
+    return window_pairing(op.kernel.tables, op.windows)[1]
 
 
-def resolvent_kernel(op: RestrictedOperator) -> BlockKernel:
-    """Resolvent K_I (Id - K_I)^{-1} of a restriction, as a block kernel.
+def resolvent_kernel(op: RestrictedOperator) -> np.ndarray:
+    """Resolvent K_I (Id - K_I)^{-1} of a restriction, at its points.
 
-    The returned blocks are zero outside the windows.  A single LU
-    factorization of Id - K_I is reused for every right-hand side.  Raises
-    SingularOperatorError when Id - K_I is numerically singular (e.g. full
-    windows on a discrete space, where some window surely holds particles).
+    Entry ``[i, j]`` is the unscaled resolvent value at (``op.index[i]``;
+    ``op.index[j]``), in the ensemble's dtype; empty windows give a 0 x 0
+    array.  One LU factorization of Id - K_I serves every right-hand side.
+    Raises SingularOperatorError when Id - K_I is numerically singular
+    (e.g. full windows on a discrete space, where some window surely holds
+    particles); ``op.gate`` keeps its warning lines.
     """
-    kernel = op.kernel
-    if kernel.kind != KIND_CORRELATION:
+    if op.kernel.kind != KIND_CORRELATION:
         raise ValueError(
-            f"resolvent_kernel needs a correlation kernel, got {kernel.kind!r}"
-        )
-    ens = kernel.ensemble
-    res = BlockKernel(ensemble=ens, tables=None, kind=KIND_RESOLVENT)
-    # an instance attribute takes precedence over the cached property
-    res.matrix = np.zeros_like(kernel.matrix)
-    if op.size:
-        _, res.warnings = op.gate
-        lu = scipy.linalg.lu_factor(np.eye(op.size) - op.matrix)
-        # L (Id - K) = K  =>  (Id - K)^T L^T = K^T
-        lmat = scipy.linalg.lu_solve(lu, op.matrix.T, trans=1).T
-        r = rows(op.index, ens.space.size)
-        sw = np.sqrt(ens.space.weights)[r % ens.space.size]
-        res.matrix[r[:, None], r] = lmat / (sw[:, None] * sw)
-    return res
+            "resolvent_kernel needs a correlation kernel, got "
+            f"{op.kernel.kind!r}")
+    if not op.size:
+        return np.zeros_like(op.matrix)
+    op.gate  # raises when Id - K_I is singular
+    lu = scipy.linalg.lu_factor(np.eye(op.size) - op.matrix)
+    # L (Id - K) = K  =>  (Id - K)^T L^T = K^T
+    lmat = scipy.linalg.lu_solve(lu, op.matrix.T, trans=1).T
+    P = op.kernel.ensemble.space.size
+    sw = np.sqrt(op.kernel.ensemble.space.weights)[rows(op.index, P) % P]
+    return lmat / (sw[:, None] * sw)
 
 
 def dyson_mehta_check(kernel: BlockKernel) -> tuple[np.ndarray, float]:
@@ -267,7 +261,7 @@ def dyson_mehta_check(kernel: BlockKernel) -> tuple[np.ndarray, float]:
     M, P, w = ens.floors, ens.space.size, ens.space.weights
     proj = kernel.matrix.copy()
     for l in range(1, M):
-        for m, g in enumerate(chain_sweep(ens.tables, l), start=l + 1):
+        for m, g in enumerate(chain_sweep(kernel.tables, l), start=l + 1):
             proj.reshape(M, P, M, P)[l - 1, :, m - 1] += g
     residual = np.empty((M, M, M))
     for l in range(M):
@@ -293,10 +287,13 @@ def atomic_open(path: str):
     """Text handle whose content replaces ``path`` only if the block succeeds.
 
     Writes go to a temp file beside ``path``, renamed over it on success and
-    removed on failure, so readers never see a partial file.
+    removed on failure, so readers never see a partial file.  The parent
+    directory is made on the first write, so a run that fails before it
+    leaves no directory.
     """
-    tmp = os.path.join(os.path.dirname(path) or ".",
-                       f".tmp-{os.path.basename(path)}")
+    parent = os.path.dirname(path) or "."
+    os.makedirs(parent, exist_ok=True)
+    tmp = os.path.join(parent, f".tmp-{os.path.basename(path)}")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh

@@ -399,8 +399,7 @@ def verify_resolvent(i: int, seed: int, budget: int,
         return [_note(i, desc, "window conditioning")]
     wf, jk, op = drawn
     desc = dict(desc, windows=[w.count for w in wf.windows])
-    res = resolvent_kernel(op)
-    a, b = res.matrix_at(op.index), jk.kernel.matrix_at(op.index)
+    a, b = resolvent_kernel(op), jk.kernel.matrix_at(op.index)
     scale, pair = 1.0, (0.0 + 0.0j, 0.0 + 0.0j)
     if a.size:
         pos = np.unravel_index(int(np.abs(a - b).argmax()), a.shape)

@@ -18,13 +18,11 @@ from hypothesis import strategies as st
 from conftest import configuration_masses
 from janossy_kit.chain_ensemble import (
     ChainEnsemble,
-    chain_convolve,
-    left_convolve,
+    chain_sweep,
     marginal_ensemble,
     pairing_halves,
     partition_function,
     rcond_gate,
-    right_convolve,
 )
 from janossy_kit.errors import SingularOperatorError
 from janossy_kit.janossy import complement_tables
@@ -49,50 +47,61 @@ def naive_chain(ens: ChainEnsemble, l: int, m: int) -> np.ndarray:
 def test_chain_convolution_matches_naive_composition():
     ens = small_ensemble(M=4)
     for l in range(1, ens.floors):
-        for m in range(l + 1, ens.floors + 1):
-            got = chain_convolve(ens, l, m)
+        for m, got in enumerate(chain_sweep(ens.tables, l), start=l + 1):
             assert np.allclose(got, naive_chain(ens, l, m), atol=1e-13)
 
 
-def test_chain_convolve_returns_a_fresh_array():
-    """The sweep from floor l starts at the transfer g_l itself, so an
-    adjacent product must come back as a copy: writing to it leaves the
-    ensemble and every kernel built from it unchanged."""
+def test_marginal_ensemble_copies_its_transfers():
+    """The sweep from floor l starts at the transfer g_l itself, so the
+    marginal on consecutive floors must keep a copy: writing to its
+    transfers leaves the parent and every kernel built from it unchanged."""
     ens = small_ensemble(M=3)
     g_before = [gl.copy() for gl in ens.g]
     matrix_before = correlation_kernel(ens).matrix.copy()
-    for l in range(1, ens.floors):
-        chain_convolve(ens, l, l + 1)[...] = 7.0
+    marg = marginal_ensemble(ens, [1, 2, 3])
+    assert all(map(np.array_equal, marg.g, g_before))
+    for gl in marg.g:
+        assert not any(np.shares_memory(gl, parent) for parent in ens.g)
+        gl[...] = 7.0
     assert all(map(np.array_equal, ens.g, g_before))
     assert np.array_equal(correlation_kernel(ens).matrix, matrix_before)
 
 
 def test_chain_convolution_vanishes_at_or_below_diagonal():
+    """The sweep from floor l yields g_{l,m} for m = l+1..M only, and the
+    kernel blocks at or below the diagonal are the rank-n part alone."""
     ens = small_ensemble(M=3)
+    t = ens.tables
+    for l in range(1, ens.floors):
+        assert len(list(chain_sweep(t, l))) == ens.floors - l
+    kernel = correlation_kernel(ens)
+    inv = np.linalg.inv(t.gram)
     for l in range(1, 4):
         for m in range(1, l + 1):
-            assert np.all(chain_convolve(ens, l, m) == 0)
+            rank_n = t.right[l - 1] @ inv @ t.left[m - 1].T
+            assert np.allclose(kernel.block(l, m), rank_n, rtol=0,
+                               atol=1e-13)
 
 
 def test_left_and_right_convolutions_match_naive_sums():
+    """The tables hold f and phi themselves at their end floors, and the
+    convolutions f_j * g_{1,m} and g_{l,M} * phi_k in between."""
     ens = small_ensemble(M=3)
-    w = ens.space.weights
+    t, w = ens.tables, ens.space.weights
+    for end, given in ((t.left[0].T, ens.f), (t.right[-1].T, ens.phi)):
+        assert np.array_equal(end, given) and np.shares_memory(end, given)
     # left: f_j carried from floor 1 up to floor m
     for m in range(2, 4):
         expect = ens.f.astype(complex)
         for j in range(1, m):
             expect = (expect * w[None, :]) @ ens.g[j - 1]
-        for j in range(1, ens.n + 1):
-            got = left_convolve(ens, j, m)
-            assert np.allclose(got, expect[j - 1], atol=1e-13)
+        assert np.allclose(t.left[m - 1].T, expect, atol=1e-13)
     # right: phi_k carried from floor M down to floor l
     for l in range(1, 3):
         expect = ens.phi.astype(complex)
         for j in range(ens.floors - 1, l - 1, -1):
             expect = (expect * w[None, :]) @ ens.g[j - 1].T
-        for k in range(1, ens.n + 1):
-            got = right_convolve(ens, k, l)
-            assert np.allclose(got, expect[k - 1], atol=1e-13)
+        assert np.allclose(t.right[l - 1].T, expect, atol=1e-13)
 
 
 def test_gram_matrix_is_full_chain_pairing():
@@ -130,7 +139,7 @@ def test_pairing_halves_give_the_gram_at_every_split(dtype):
                            complement_tables(ens, wf).gram)]:
         assert gram.dtype == dtype
         for split in range(1, 5):
-            left, right = pairing_halves(ens, weights, split)
+            left, right = pairing_halves(ens.tables, weights, split)
             nz = np.flatnonzero(weights[split - 1])
             assert left.shape == right.shape == (ens.n, nz[-1] - nz[0] + 1)
             got = left @ right.T
@@ -252,7 +261,7 @@ def test_marginal_partition_function_scales_by_dropped_floors():
             partition_function(ens), rel=1e-12)
 
 
-def test_floor_and_function_index_checks():
+def test_floor_index_checks():
     ens = small_ensemble()
     assert ens.check_floor(1) == 1
     assert ens.check_floor(ens.floors) == ens.floors
@@ -260,10 +269,6 @@ def test_floor_and_function_index_checks():
         ens.check_floor(0)
     with pytest.raises(ValueError):
         ens.check_floor(ens.floors + 1)
-    with pytest.raises(ValueError):
-        ens.check_function(0)
-    with pytest.raises(ValueError):
-        ens.check_function(ens.n + 1)
 
 
 def test_rcond_gate_condition_number_is_numpys_bit_for_bit():

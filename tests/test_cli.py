@@ -553,6 +553,29 @@ def test_kernel_dump_respects_the_budget(tmp_path, capsys):
     assert len(lines) == 2 + 64
 
 
+@pytest.mark.parametrize("doc,args,code", [
+    # a window covering every node: the complement pairing is singular
+    ({"model": {"variant": "random", "seed": 31, "nodes": 4,
+                "particles": 2, "floors": 1},
+      "windows": [{"mask": [True] * 4}],
+      "task": {"name": "janossy", "point_sets": [[[1, 0]]]}}, (), 3),
+    # a count law of (n + 1)^M = 27 entries against a budget of 5
+    ({"model": {"variant": "random", "seed": 31, "nodes": 4,
+                "particles": 2, "floors": 3},
+      "windows": [{"mask": [True, False, False, False]}] * 3,
+      "task": {"name": "janossy", "counts": [[0, 0, 0]]}},
+     ("--budget", "5"), 4),
+], ids=["full-window", "count-budget"])
+def test_failure_after_the_model_is_built_leaves_no_output_dir(
+        tmp_path, capsys, doc, args, code):
+    """The output directory is made at the first file write, so a run that
+    fails while computing leaves none behind."""
+    got, out_dir = run(tmp_path, doc, *args)
+    assert got == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 @pytest.mark.parametrize("vec", [[3, 0], [0, 0, 0]])
 def test_count_vector_outside_the_model_exits_2(tmp_path, vec):
     doc = {"model": GAP_CONFIG["model"], "windows": GAP_CONFIG["windows"],

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +135,26 @@ def test_janossy_density_validates_points():
         janossy_density(jk, [(1, 0)] * 3)  # more than n points on a floor
 
 
+def test_janossy_density_checks_its_points_once(monkeypatch):
+    """One check_points call per density, inside check_window_points."""
+    ens, wf = windows_2x4()
+    jk = janossy_kernel_explicit(ens, wf)
+    calls = []
+    check = ChainEnsemble.check_points
+
+    def counting(self, points):
+        calls.append(points)
+        return check(self, points)
+
+    monkeypatch.setattr(ChainEnsemble, "check_points", counting)
+    for points in ([], [(1, 0)], [(1, 1), (2, 2)]):
+        calls.clear()
+        value = janossy_density(jk, points)
+        assert len(calls) == 1
+        assert value == complex(
+            jk.const * scipy.linalg.det(jk.kernel.matrix_at(points)))
+
+
 def test_janossy_kernel_rejects_full_windows():
     ens = build_random(12, 4, 2, 2)
     wf = WindowFamily(tuple(ens.space.full_window() for _ in range(2)))
@@ -251,9 +272,9 @@ def count_sweeps(monkeypatch) -> list[bool]:
     calls = []
     halves = chain_ensemble.pairing_halves
 
-    def counting(ens, weights, split):
+    def counting(tables, weights, split):
         calls.append(any(np.ndim(w) > 1 for w in weights))
-        return halves(ens, weights, split)
+        return halves(tables, weights, split)
 
     monkeypatch.setattr(chain_ensemble, "pairing_halves", counting)
     monkeypatch.setattr(janossy, "pairing_halves", counting)
@@ -348,8 +369,8 @@ def test_restricted_janossy_kernel_keys_its_own_tables(monkeypatch):
     assert list(ens.tables.pairings) == [wf]
     w = ens.space.weights
     pairing = chain_ensemble._pairing(
-        ens, [wl - w * win.mask for wl, win in zip(tables.weights,
-                                                    sub.windows)])
+        tables, [wl - w * win.mask for wl, win in zip(tables.weights,
+                                                       sub.windows)])
     assert det == complex(chain_ensemble._det_ratio(pairing, tables.gram))
     assert np.array_equal(tables.pairings[sub][0], pairing)
 

@@ -185,7 +185,8 @@ def test_restrict_orders_rows_by_floor_then_node():
 @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 2),
        st.integers(1, 3), st.data())
 def test_window_points_index_restriction_and_resolvent(seed, P, n, M, data):
-    """Restriction reads, and the resolvent writes, exactly the window points.
+    """Restriction reads, and the resolvent is indexed by, exactly the
+    window points.
 
     Masks are arbitrary, so whole floors may be empty (or full).
     """
@@ -210,14 +211,11 @@ def test_window_points_index_restriction_and_resolvent(seed, P, n, M, data):
         res = resolvent_kernel(op)
     except SingularOperatorError:
         return
-    inside = np.zeros(res.blocks.shape, dtype=bool)
-    for l, x in op.index:
-        for m, y in op.index:
-            inside[l - 1, m - 1, x, y] = True
-    assert np.all(res.blocks[~inside] == 0)
-    # and inside, R_I = K_I (Id - K_I)^{-1} in the symmetrized convention
-    r = np.array([[sqrtw[x] * res.value(l, x, m, y) * sqrtw[y]
-                   for m, y in op.index] for l, x in op.index],
+    assert res.shape == (op.size, op.size)
+    # R_I = K_I (Id - K_I)^{-1} in the symmetrized convention
+    r = np.array([[sqrtw[x] * res[i, j] * sqrtw[y]
+                   for j, (m, y) in enumerate(op.index)]
+                  for i, (l, x) in enumerate(op.index)],
                  dtype=complex).reshape(op.size, op.size)
     t = np.eye(op.size) - op.matrix
     bound = 1e-10 * (1 + np.abs(r).max(initial=0)) * max(1, op.size)
@@ -421,7 +419,7 @@ def test_trimmed_pairing_agrees_with_the_plain_product_chain(complex_gauge):
         weights = wf.complement_weights()
         ref = plain_pairing(ens, weights)
         for split in range(1, M + 1):
-            left, right = pairing_halves(ens, weights, split)
+            left, right = pairing_halves(ens.tables, weights, split)
             got = left @ right.T
             assert got.dtype == ens.dtype
             assert (np.abs(got - ref).max()
@@ -452,7 +450,7 @@ def test_batched_pairing_halves_trim_to_the_union_of_supports():
     weights = [r.reshape((1,) * l + (3,) + (1,) * (M - l - 1) + (P,))
                for l, r in enumerate(rows)]
     for split in range(1, M + 1):
-        left, right = pairing_halves(ens, weights, split)
+        left, right = pairing_halves(ens.tables, weights, split)
         nz = np.flatnonzero(wf.complement_weights()[split - 1])
         assert left.shape[-1] == right.shape[-1] == nz[-1] - nz[0] + 1 < P
         got = np.einsum("...ip,...jp->...ij", left, right)
@@ -499,17 +497,26 @@ def test_gap_chain_tables_and_fredholm_allocate_less_than_one_transfer():
     assert built < limit and det < limit
 
 
-def test_restrict_needs_a_kernel_with_tables():
-    """Resolvent and biorthogonal kernels carry only their matrix, so they
-    cannot be restricted."""
-    ens = build_random(12, 5, 2, 1)
-    wf = WindowFamily((ens.space.window([True, True, False, False, False]),))
-    res = resolvent_kernel(restrict(correlation_kernel(ens), wf))
-    recipe = biorthogonal_janossy_recipe(ens, wf.window(1)).kernel
-    for kernel in (res, recipe):
-        assert kernel.tables is None and kernel.matrix.shape == (5, 5)
-        with pytest.raises(ValueError, match="no convolution tables"):
-            restrict(kernel, wf)
+def test_restricted_biorthogonal_kernel_matches_the_dense_determinant():
+    """The biorthogonal kernel keeps one-floor tables paired to I, so its
+    restriction's Fredholm determinant det(ftilde W' phitilde^T) equals
+    det(Id - L_J) of the gathered restriction and the explicit Janossy
+    kernel's, for windows J inside, across and outside the window I."""
+    ens = build_random(15, 5, 2, 1)
+    window = ens.space.window([True, True, False, False, False])
+    recipe = biorthogonal_janossy_recipe(ens, window).kernel
+    explicit = janossy_kernel_explicit(ens, WindowFamily((window,))).kernel
+    for mask in ([False] * 5, [True, False, False, False, False],
+                 [True, True, False, False, False],
+                 [False, True, True, False, False],
+                 [False, False, False, True, False]):
+        wf = WindowFamily((ens.space.window(mask),))
+        op = restrict(recipe, wf)
+        det = fredholm_det(op)
+        assert abs(det - dense_fredholm(op)) <= 1e-12
+        assert abs(det - fredholm_det(restrict(explicit, wf))) <= 1e-12
+    assert recipe.tables.g == () and np.array_equal(
+        recipe.tables.gram, np.eye(ens.n))
 
 
 def test_resolvent_matches_explicit_window_kernel():
@@ -517,24 +524,20 @@ def test_resolvent_matches_explicit_window_kernel():
     kernel = correlation_kernel(ens)
     wf = WindowFamily((ens.space.window([True, True, False, False, False]),
                        ens.space.window([False, False, False, True, True])))
-    res = resolvent_kernel(restrict(kernel, wf))
+    op = restrict(kernel, wf)
+    res = resolvent_kernel(op)
     jk = janossy_kernel_explicit(ens, wf)
-    for l in (1, 2):
-        il = wf.window(l).node_indices
-        for m in (1, 2):
-            im = wf.window(m).node_indices
-            a = res.blocks[l - 1, m - 1][np.ix_(il, im)]
-            b = jk.kernel.blocks[l - 1, m - 1][np.ix_(il, im)]
-            assert np.allclose(a, b, atol=1e-10)
+    assert res.shape == (4, 4)
+    assert np.allclose(res, jk.kernel.matrix_at(op.index), atol=1e-10)
 
 
 def test_resolvent_of_empty_windows_is_the_zero_operator():
-    """Restricting to nothing leaves nothing to resolve: all blocks zero."""
+    """Restricting to nothing leaves nothing to resolve: a 0 x 0 array."""
     ens = build_random(12, 4, 2, 2)
     kernel = correlation_kernel(ens)
     wf = WindowFamily(tuple(ens.space.empty_window() for _ in range(2)))
     res = resolvent_kernel(restrict(kernel, wf))
-    assert np.all(res.blocks == 0)
+    assert res.shape == (0, 0) and res.dtype == ens.dtype
 
 
 def test_resolvent_rejects_singular_restriction():
@@ -549,11 +552,13 @@ def test_resolvent_rejects_singular_restriction():
 
 def test_correlation_function_requires_correlation_kind():
     ens = build_random(12, 4, 2, 2)
-    kernel = correlation_kernel(ens)
-    wf = WindowFamily(tuple(ens.space.empty_window() for _ in range(2)))
-    res = resolvent_kernel(restrict(kernel, wf))
+    wf = WindowFamily(tuple(ens.space.window([True, False, False, False])
+                            for _ in range(2)))
+    jk = janossy_kernel_explicit(ens, wf)
     with pytest.raises(ValueError):
-        correlation_function(res, [(1, 0)])
+        correlation_function(jk.kernel, [(1, 0)])
+    with pytest.raises(ValueError):
+        resolvent_kernel(restrict(jk.kernel, wf))
 
 
 def test_csv_export_round_trips_values(tmp_path):
@@ -597,8 +602,8 @@ def test_kernel_json_layout():
 
 
 def test_restrict_matrix_at_and_resolvent_agree_through_rows():
-    """restrict and matrix_at gather, and the resolvent scatters, the rows
-    of the window points, bit for bit."""
+    """restrict and matrix_at gather the rows of the window points, bit for
+    bit, and the resolvent unscales by the same rows' sqrt-weights."""
     ens = build_random(9, 5, 2, 3)
     kernel = correlation_kernel(ens)
     wf = WindowFamily((ens.space.window([True, False, True, False, True]),
@@ -614,10 +619,10 @@ def test_restrict_matrix_at_and_resolvent_agree_through_rows():
     assert np.array_equal(kernel.matrix_at(op.index),
                           kernel.matrix[np.ix_(r, r)])
     res = resolvent_kernel(op)
-    outside = np.ones(res.matrix.shape, dtype=bool)
-    outside[np.ix_(r, r)] = False
-    assert np.all(res.matrix[outside] == 0)
-    assert np.array_equal(res.matrix_at(op.index), res.matrix[np.ix_(r, r)])
+    sym = op.matrix @ np.linalg.inv(np.eye(op.size) - op.matrix)
+    assert res.dtype == op.matrix.dtype
+    assert np.allclose(res * (sw[:, None] * sw[None, :]), sym, rtol=0,
+                       atol=1e-12 * np.abs(sym).max())
 
 
 def test_blocks_is_a_write_through_view_of_the_matrix():
@@ -660,7 +665,7 @@ def test_real_models_stay_float64(name):
         "tables.gram": ens.tables.gram,
         "correlation kernel": kernel.blocks,
         "restriction": op.matrix,
-        "resolvent": resolvent_kernel(op).blocks,
+        "resolvent": resolvent_kernel(op),
         "janossy kernel": janossy_kernel_explicit(ens, wf).kernel.blocks,
     }
     assert ens.dtype == np.float64
