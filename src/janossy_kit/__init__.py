@@ -43,7 +43,6 @@ from .measure_space import (
     DiscretizedSpace,
     Window,
     WindowFamily,
-    complement,
     make_discrete,
     make_quadrature,
     window_family_from_json,
@@ -98,7 +97,6 @@ __all__ = [
     "build_model",
     "build_random",
     "build_unitary",
-    "complement",
     "correlation_function",
     "correlation_kernel",
     "count_distribution",

@@ -13,10 +13,11 @@ determinant ``det f_i(x^1_j)``, the adjacent-floor determinants
 ``det g(x^l_i, x^{l+1}_j)`` and ``det phi_j(x^M_i)``.  Everything downstream
 (correlation kernels, Fredholm determinants, Janossy densities) is built from
 iterated convolutions of these ingredients.  ``ConvolutionTables`` keeps
-the chain's factors under per-floor weights: the adjacent transfers, the
-left convolutions ``f_j * g_{1,m}`` and right convolutions
-``g_{l,M} * phi_s`` for every floor, and the pairing (Gram) matrix
-``A[j,k] = f_j * g_{1,M} * phi_k`` with all M floor integrations applied.
+the chain's factors under one (M, P) array of floor weights: the adjacent
+transfers, the left convolutions ``f_j * g_{1,m}`` and right convolutions
+``g_{l,M} * phi_s`` for every floor, the pairing (Gram) matrix ``A[j,k] =
+f_j * g_{1,M} * phi_k`` with all M floor integrations applied, and the
+gram's determinant scale (``unit_scale``, formed once per table set).
 The tables are self-contained: f is ``left[0].T``, phi is
 ``right[-1].T`` and the transfers are ``g``, so a pairing sweep or a
 kernel reads only the tables it is given, never an ensemble.
@@ -40,6 +41,7 @@ same bits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -82,20 +84,18 @@ def rcond_gate(matrix: np.ndarray, name: str,
     return cond, ()
 
 
-def _det_ratio(num: np.ndarray, den: np.ndarray):
-    """det(num)/det(den) via log-determinants of unit-scaled matrices.
+def _det_ratio(num: np.ndarray, tables: ConvolutionTables):
+    """det(num)/det(gram) via log-determinants of unit-scaled matrices.
 
-    Both are multiplied by the power of two c that brings |det(c den)|
-    within a factor 2^(n/2) of 1: that is exact, and the log-determinants
+    Both are multiplied by the power of two c of ``tables.unit_scale``
+    (|det(c gram)| within 2^(n/2) of 1): exact, and the log-determinants
     stay small, so their difference carries no rounding from the size of
-    det den.  ``num`` may carry leading batch axes.  A singular ``num``
+    det gram.  ``num`` may carry leading batch axes.  A singular ``num``
     gives 0 through exp(-inf); adding 0.0 clears the sign that a negative
-    or complex det(den) gives that zero.
+    or complex det(gram) gives that zero.
     """
-    _, logdet = np.linalg.slogdet(den)
-    c = math.ldexp(1.0, -round(logdet / (den.shape[-1] * math.log(2.0))))
+    c, s2, l2 = tables.unit_scale
     s1, l1 = np.linalg.slogdet(num * c)
-    s2, l2 = np.linalg.slogdet(den * c)
     return s1 / s2 * np.exp(l1 - l2) + 0.0
 
 
@@ -160,8 +160,8 @@ class ChainEnsemble:
         self.n = n
         self.floors = len(self.g) + 1
 
-        self._tables = build_tables(self.f, self.phi, self.g,
-                                    [space.weights] * self.floors)
+        self._tables = build_tables(self.f, self.phi, self.g, np.broadcast_to(
+            space.weights, (self.floors, P)))
         self.gram_cond, self.warnings = rcond_gate(self._tables.gram,
                                                    "pairing matrix")
 
@@ -248,8 +248,8 @@ class ChainEnsemble:
 class ConvolutionTables:
     """The chain's factors under per-floor weights.
 
-    ``g`` holds the M-1 adjacent transfers and ``weights`` the M floor
-    weights that integrate each floor.  ``left[m-1][:, j]`` holds
+    ``g`` holds the M-1 adjacent transfers and row l-1 of the (M, P)
+    array ``weights`` integrates floor l.  ``left[m-1][:, j]`` holds
     ``f_{j+1} * g_{1,m}`` (integrations over floors 1..m-1) and
     ``right[l-1][:, s]`` holds ``g_{l,M} * phi_{s+1}`` (integrations over
     floors l+1..M), so ``left[0].T`` is f and ``right[-1].T`` is phi.
@@ -258,16 +258,25 @@ class ConvolutionTables:
     from ``window_pairing``; the biorthogonal recipe as exactly I).
     Products ``g_{l,m}`` are not stored; ``chain_sweep`` forms them.
     ``pairings`` memoises ``window_pairing`` per window family, weakly
-    keyed by the family object; ``dataclasses.replace`` starts it empty.
+    keyed by the family object, and ``unit_scale`` is formed on its first
+    read; ``dataclasses.replace`` starts both afresh.
     """
 
     g: tuple
-    weights: tuple
+    weights: np.ndarray
     left: tuple
     right: tuple
     gram: np.ndarray
     pairings: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
                                         init=False, repr=False)
+
+    @functools.cached_property
+    def unit_scale(self) -> tuple[float, complex, float]:
+        """``(c, *slogdet(c gram))``: the power of two c that brings
+        |det(c gram)| within 2^(n/2) of 1, formed on the first ratio."""
+        _, logdet = np.linalg.slogdet(self.gram)
+        c = math.ldexp(1.0, -round(logdet / (len(self.gram) * math.log(2.0))))
+        return (c, *np.linalg.slogdet(self.gram * c))
 
 
 def _sweep(start: np.ndarray, transfers: Sequence[np.ndarray],
@@ -291,14 +300,14 @@ def chain_sweep(tables: ConvolutionTables, l: int):
 
 
 def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
-                 floor_weights: Sequence[np.ndarray]) -> ConvolutionTables:
+                 floor_weights: np.ndarray) -> ConvolutionTables:
     """Compute the chain's factors once, under per-floor weights.
 
     Parameters
     ----------
     f, phi : ndarray, shape (n, P)
     g : sequence of (P, P) arrays, length M-1
-    floor_weights : sequence of M (P,) arrays
+    floor_weights : ndarray, shape (M, P)
         Integration over floor l is against ``floor_weights[l-1]``: the
         node weights for the plain tables, the weights times a window's
         complement mask for Janossy tables.
@@ -311,7 +320,7 @@ def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
     *left, gram = _sweep(f, [*g, phi.T], wm)
     right = list(_sweep(phi, [t.T for t in reversed(g)], wm[1:][::-1]))
     return ConvolutionTables(
-        g=tuple(g), weights=tuple(wm), left=tuple(x.T for x in left),
+        g=tuple(g), weights=wm, left=tuple(x.T for x in left),
         right=tuple(y.T for y in reversed(right)), gram=gram,
     )
 
@@ -319,9 +328,7 @@ def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
 def _support(w: np.ndarray) -> slice:
     """Nodes from the first to the last nonzero weight, over every batch
     axis of ``w``; an empty slice when every weight is 0."""
-    if w.ndim > 1:
-        w = np.logical_or.reduce(w.reshape(-1, w.shape[-1]))
-    nz = np.flatnonzero(w)
+    nz = np.flatnonzero(w.any(axis=tuple(range(w.ndim - 1))))
     return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
 
 
@@ -370,12 +377,12 @@ def window_pairing(tables: ConvolutionTables,
                    windows: WindowFamily) -> tuple[np.ndarray, complex]:
     """``(A', det A' / det A)`` of a table set and a window family.
 
-    A' is the pairing matrix under the weights ``tables.weights[l-1] - w
-    1_{I_l}`` (w the node weights of ``windows.space``): every floor
-    integrates off its window.  A is ``tables.gram``.  For an ensemble's
-    own tables A' is the complement pairing matrix A^c, and the ratio is
-    det(Id - K_I), the probability that every window is empty.  Callers
-    check the family against the ensemble first.
+    A' is the pairing matrix under the weights ``tables.weights - w
+    windows.masks`` (w the node weights): every floor integrates off its
+    window.  A is ``tables.gram``.  For an ensemble's own tables A' is the
+    complement pairing matrix A^c, and the ratio is det(Id - K_I), the
+    probability that every window is empty.  Callers check the family
+    against the ensemble first.
 
     Both are formed once per (tables, window family), by one pairing sweep
     and one determinant ratio, and kept in ``tables.pairings`` while the
@@ -386,11 +393,9 @@ def window_pairing(tables: ConvolutionTables,
     hit = tables.pairings.get(windows)
     if hit is None:
         w = windows.space.weights
-        pairing = _pairing(tables, [
-            wl - w * win.mask
-            for wl, win in zip(tables.weights, windows.windows, strict=True)])
+        pairing = _pairing(tables, tables.weights - w * windows.masks)
         pairing.setflags(write=False)
-        hit = pairing, complex(_det_ratio(pairing, tables.gram))
+        hit = pairing, complex(_det_ratio(pairing, tables))
         tables.pairings[windows] = hit
     return hit
 
@@ -422,9 +427,9 @@ def marginal_ensemble(ensemble: ChainEnsemble, floors: Sequence[int]) -> ChainEn
         raise ValueError("floors must be strictly increasing")
     t = ensemble.tables
     first, last = floors[0], floors[-1]
-    f_new = t.left[first - 1].T
-    phi_new = t.right[last - 1].T
-    # copies: the sweep starts at the parent's own transfer g_a
+    # copies: left[0].T, right[-1].T and the sweep's start are f, phi, g_a
+    f_new = t.left[first - 1].T.copy()
+    phi_new = t.right[last - 1].T.copy()
     g_new = [deque(itertools.islice(chain_sweep(t, a), b - a), 1).pop().copy()
              for a, b in zip(floors, floors[1:])]
     return ChainEnsemble(ensemble.space, f_new, phi_new, g_new)

@@ -23,9 +23,10 @@ also the Fredholm determinant of the restriction, read from the same
 memo entry.  The sweep reads each floor only over the support box B_l of
 its complement weights, O(sum_l n |B_l| |B_{l+1}|) instead of M n P^2.
 Both matrices are first multiplied by one power of two that brings |det A|
-near 1; that is exact, and keeps the rounding of the two log-determinants,
-whose difference gives the ratio, from growing with |log det A|.  The complement tables
-and the M^2 P^2 kernel L, whose assembly sweeps the chain products
+near 1, formed with log det A once per table set (``unit_scale``); that is
+exact, and keeps the rounding of the two log-determinants, whose
+difference gives the ratio, from growing with |log det A|.  The complement
+tables and the M^2 P^2 kernel L, whose assembly sweeps the chain products
 g^c_{l,m}, are built the first time the kernel is read, and never when
 only const(I) is asked for.  Kernels keep the ensemble's dtype (float64
 for real models); const(I) and densities are Python complex numbers.
@@ -203,7 +204,7 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     for a in range(0, n_left, step):
         block = (left[a * n:(a + step) * n] @ right).reshape(-1, n, n_right, n)
         values[a:a + step] = _det_ratio(block.transpose(0, 2, 1, 3),
-                                        ensemble.tables.gram)
+                                        ensemble.tables)
     law = np.zeros((n + 1,) * M, dtype=np.complex128)
     law[tuple(slice(size) for size in grid)] = np.fft.fftn(values.reshape(grid))
     law /= values.size
@@ -294,8 +295,8 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     if window.space is not ensemble.space:
         raise ValueError("window lives on a different space")
     wf = WindowFamily((window,))
-    (wc,) = wf.complement_weights()
-    a_comp = (ensemble.f * wc[None, :]) @ ensemble.phi.T
+    wc = wf.complement_weights()
+    a_comp = (ensemble.f * wc) @ ensemble.phi.T
     cond, warns = rcond_gate(
         a_comp, "pairing matrix on window complement",
         detail=lambda: (f"window keeps {window.count}/"
@@ -308,12 +309,12 @@ def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
     phi_t = scipy.linalg.solve_triangular(up, ensemble.phi, trans="T",
                                           lower=False)
     jk = JanossyKernel(ensemble=ensemble, windows=wf,
-                       const=complex(_det_ratio(a_comp, ensemble.tables.gram)),
+                       const=complex(_det_ratio(a_comp, ensemble.tables)),
                        gram=a_comp, gram_cond=cond, warnings=warns)
     # one-floor tables of the biorthogonal families, paired to exactly I;
     # an instance attribute takes precedence over the cached property
     tables = ConvolutionTables(
-        g=(), weights=(wc,), left=(f_t.T,), right=(phi_t.T,),
+        g=(), weights=wc, left=(f_t.T,), right=(phi_t.T,),
         gram=np.eye(ensemble.n, dtype=ensemble.dtype))
     jk.kernel = kernel_from_tables(ensemble, tables, KIND_BIORTHOGONAL, warns)
     return jk

@@ -15,6 +15,7 @@ caller's control for accuracy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -129,8 +130,8 @@ class DiscretizedSpace:
         """Window covering the nodes inside a union of closed intervals.
 
         Interval ends may be ``None`` (or +/-inf) for half-lines; a NaN
-        end is a ValueError.  The mask keeps exactly the nodes lying inside;
-        boundaries between nodes truncate at node granularity.
+        end is a ValueError.  The mask keeps exactly the nodes inside: one
+        run of the increasing nodes per interval, cut at node granularity.
         """
         ivals = []
         mask = np.zeros(self.size, dtype=bool)
@@ -143,7 +144,8 @@ class DiscretizedSpace:
                 raise ValueError(f"interval [{a}, {b}] has a NaN endpoint")
             if b < a:
                 raise ValueError(f"empty interval [{a}, {b}]")
-            mask |= (self.nodes >= a) & (self.nodes <= b)
+            mask[self.nodes.searchsorted(a, "left"):
+                 self.nodes.searchsorted(b, "right")] = True
             ivals.append((a, b))
         return Window(self, mask, intervals=tuple(ivals))
 
@@ -245,14 +247,6 @@ class Window(object):
         return {"mask": [bool(m) for m in self.mask]}
 
 
-def complement(window: Window) -> Window:
-    """Window selecting exactly the nodes the given window leaves out.
-
-    Applying it twice recovers the original node set.
-    """
-    return Window(window.space, ~window.mask)
-
-
 def window_from_json(space: DiscretizedSpace, doc: dict) -> Window:
     """Window from ``{"intervals": [...]}`` or ``{"mask": [...]}``, one key
     and no other.
@@ -282,7 +276,8 @@ def window_from_json(space: DiscretizedSpace, doc: dict) -> Window:
 
 @dataclass(frozen=True, eq=False)
 class WindowFamily:
-    """One window per particle class, all over the same space."""
+    """One window per particle class, all over the same space; ``masks``
+    stacks their masks, and ``~masks`` selects the complements."""
 
     windows: tuple[Window, ...]
 
@@ -311,13 +306,14 @@ class WindowFamily:
                              f"1..{self.floors}")
         return self.windows[floor - 1]
 
-    def complement_masks(self) -> list[np.ndarray]:
-        return [~w.mask for w in self.windows]
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """Read-only (M, P) stack of the window masks, built on first read."""
+        return _readonly(np.array([w.mask for w in self.windows]))
 
-    def complement_weights(self) -> list[np.ndarray]:
-        """Per-floor weights of integration over the window complements."""
-        w = self.space.weights
-        return [w * m for m in self.complement_masks()]
+    def complement_weights(self) -> np.ndarray:
+        """(M, P) weights of integration over the window complements."""
+        return self.space.weights * ~self.masks
 
     def points(self) -> tuple[tuple[int, int], ...]:
         """The (floor, node) pairs inside the windows, floor-major.

@@ -185,7 +185,7 @@ def brute_janossy(dist: EnumeratedDistribution, windows: WindowFamily,
     ens = dist.ensemble
     wf = ens.check_windows(windows)
     return _at_points(dist, ens.check_window_points(wf, points),
-                      [np.flatnonzero(m) for m in wf.complement_masks()])
+                      [np.flatnonzero(m) for m in ~wf.masks])
 
 
 def brute_count_distribution(dist: EnumeratedDistribution,

@@ -355,7 +355,7 @@ def verify_janossy(i: int, seed: int, budget: int, tol: float) -> list[dict]:
     out = [_record(i, desc, "gap probability (fredholm vs brute)",
                    brute_law[(0,) * ens.floors], fredholm_det(op), tol)]
     inside = [w.node_indices for w in wf.windows]
-    outside = [np.flatnonzero(m) for m in wf.complement_masks()]
+    outside = [np.flatnonzero(m) for m in ~wf.masks]
     # the kernel is built only when some in-window point set exists
     oracle, dets = point_grid(dist, count_vectors(ens.n, ens.floors, 2),
                               inside, outside, lambda: jk.kernel.matrix)

@@ -52,19 +52,24 @@ def test_chain_convolution_matches_naive_composition():
 
 
 def test_marginal_ensemble_copies_its_transfers():
-    """The sweep from floor l starts at the transfer g_l itself, so the
-    marginal on consecutive floors must keep a copy: writing to its
-    transfers leaves the parent and every kernel built from it unchanged."""
+    """The sweep from floor l starts at the transfer g_l itself, and the
+    tables' left[0].T and right[-1].T are the parent's f and phi, so the
+    marginal must keep copies: writing to its f, phi and transfers leaves
+    the parent, its tables and every kernel built from it unchanged."""
     ens = small_ensemble(M=3)
-    g_before = [gl.copy() for gl in ens.g]
+    t = ens.tables
+    parent = [ens.f, ens.phi, *ens.g, *t.left, *t.right]
+    before = [a.copy() for a in parent]
     matrix_before = correlation_kernel(ens).matrix.copy()
-    marg = marginal_ensemble(ens, [1, 2, 3])
-    assert all(map(np.array_equal, marg.g, g_before))
-    for gl in marg.g:
-        assert not any(np.shares_memory(gl, parent) for parent in ens.g)
-        gl[...] = 7.0
-    assert all(map(np.array_equal, ens.g, g_before))
-    assert np.array_equal(correlation_kernel(ens).matrix, matrix_before)
+    for floors in ([1, 2, 3], [1, 3], [2], [3]):
+        marg = marginal_ensemble(ens, floors)
+        assert np.array_equal(marg.f, t.left[floors[0] - 1].T)
+        assert np.array_equal(marg.phi, t.right[floors[-1] - 1].T)
+        for a in (marg.f, marg.phi, *marg.g):
+            assert not any(np.shares_memory(a, p) for p in parent)
+            a[...] = 7.0
+        assert all(map(np.array_equal, parent, before))
+        assert np.array_equal(correlation_kernel(ens).matrix, matrix_before)
 
 
 def test_chain_convolution_vanishes_at_or_below_diagonal():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import tracemalloc
 
@@ -14,10 +15,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gauged
-from janossy_kit.chain_ensemble import ChainEnsemble, pairing_halves
+from janossy_kit.chain_ensemble import (
+    ChainEnsemble,
+    pairing_halves,
+    window_pairing,
+)
 from janossy_kit.errors import SingularOperatorError
 from janossy_kit.janossy import (
     biorthogonal_janossy_recipe,
+    complement_tables,
     janossy_kernel_explicit,
 )
 from janossy_kit.kernels import (
@@ -291,7 +297,7 @@ def test_factored_fredholm_of_a_janossy_kernel():
     jk = janossy_kernel_explicit(ens, wf)
     for masks in ([[True, False, True, False, True, False]] * 3,
                   [[False] * 6, [True] * 6, [False, True] * 3],
-                  [m.tolist() for m in wf.complement_masks()]):
+                  (~wf.masks).tolist()):
         sub = WindowFamily(tuple(ens.space.window(m) for m in masks))
         op = restrict(jk.kernel, sub)
         dense = dense_fredholm(op)
@@ -310,11 +316,22 @@ def gap_chain() -> tuple[ChainEnsemble, WindowFamily]:
         ens.space.window_from_intervals([(s, None)]) for s in starts))
 
 
+def unit_scaled_ratio(num: np.ndarray, den: np.ndarray):
+    """det(num)/det(den) with den's power-of-two unit scale formed afresh:
+    three log-determinants, none of them cached."""
+    _, logdet = np.linalg.slogdet(den)
+    c = math.ldexp(1.0, -round(logdet / (den.shape[-1] * math.log(2.0))))
+    s1, l1 = np.linalg.slogdet(num * c)
+    s2, l2 = np.linalg.slogdet(den * c)
+    return s1 / s2 * np.exp(l1 - l2) + 0.0
+
+
 def test_fredholm_is_the_janossy_normalization_bit_for_bit():
     """The Fredholm determinant of a correlation kernel's restriction is
     the complement pairing ratio det A^c / det A itself: equal to the
-    Janossy constant to the last bit on random, complex-gauged and
-    Karlin-McGregor chains."""
+    Janossy constant, and to the ratio with the unit scale formed afresh,
+    to the last bit on random, complex-gauged and Karlin-McGregor
+    chains."""
     cases = [gap_chain()]
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -328,6 +345,27 @@ def test_fredholm_is_the_janossy_normalization_bit_for_bit():
     for ens, wf in cases:
         det = fredholm_det(restrict(correlation_kernel(ens), wf))
         assert det == janossy_kernel_explicit(ens, wf).const
+        pairing, ratio = window_pairing(ens.tables, wf)
+        assert ratio == det == complex(unit_scaled_ratio(pairing,
+                                                         ens.tables.gram))
+
+
+def test_each_table_set_owns_its_unit_scale():
+    """Complement tables and the biorthogonal recipe's tables (gram I)
+    scale their own gram, not the ensemble's: here the three scales are
+    4, 2 and 1, and each table set's Fredholm determinant is its own
+    pairing's ratio to its own gram."""
+    ens = build_random(15, 5, 2, 1)
+    window = ens.space.window([True, True, False, False, False])
+    sub = WindowFamily((ens.space.window([False, False, False, True, False]),))
+    sets = (ens.tables, complement_tables(ens, WindowFamily((window,))),
+            biorthogonal_janossy_recipe(ens, window).kernel.tables)
+    assert [t.unit_scale[0] for t in sets] == [4.0, 2.0, 1.0]
+    for t in sets:
+        c = t.unit_scale[0]
+        assert t.unit_scale[1:] == tuple(np.linalg.slogdet(t.gram * c))
+        pairing, ratio = window_pairing(t, sub)
+        assert ratio == complex(unit_scaled_ratio(pairing, t.gram))
 
 
 def test_gap_chain_fredholm_never_forms_the_kernel_matrix():

@@ -11,7 +11,6 @@ from janossy_kit.measure_space import (
     DiscretizedSpace,
     Window,
     WindowFamily,
-    complement,
     make_discrete,
     make_quadrature,
     window_family_from_json,
@@ -74,12 +73,40 @@ def test_quadrature_validation():
 
 
 def test_window_from_intervals_truncates_at_nodes():
+    """Each window keeps exactly the nodes x with a_k <= x <= b_k for
+    some interval k, an end on a node included, on a discrete and on a
+    quadrature space."""
     space = make_discrete([0.0, 1.0, 2.0, 3.0], [1.0] * 4)
     win = space.window_from_intervals([(0.5, 2.5)])
     assert win.node_indices.tolist() == [1, 2]
     half = space.window_from_intervals([(1.0, None)])
     assert half.node_indices.tolist() == [1, 2, 3]
     assert win.count == 2
+    for space in (space, make_quadrature((-1.0, 4.0), 9)):
+        x = space.nodes
+        # a and b lie strictly between nodes 0 and 1 and nodes 2 and 3
+        a, b = (x[0] + x[1]) / 2, (x[2] + x[3]) / 2
+        gap = ((2 * x[1] + x[2]) / 3, (x[1] + 2 * x[2]) / 3)
+        cases = [
+            [(a, b)], [(x[1], None)],
+            [(x[1], b)], [(a, x[2])], [(x[1], x[2])],
+            [(None, None)], [(None, x[0])], [(x[-1], None)],
+            [(x[2], x[2])],
+            [gap],
+            [(x[0], x[2]), (x[1], x[3])],
+            [(x[0], x[1]), (x[1], x[3])],
+            [(None, x[0]), (x[-1], None)],
+        ]
+        for intervals in cases:
+            expect = np.zeros(space.size, dtype=bool)
+            for lo, hi in intervals:
+                expect |= ((x >= (-np.inf if lo is None else lo))
+                           & (x <= (np.inf if hi is None else hi)))
+            got = space.window_from_intervals(intervals).mask
+            assert got.tolist() == expect.tolist(), intervals
+        # the point interval keeps its node, the gap between two nodes none
+        assert space.window_from_intervals([(x[2], x[2])]).count == 1
+        assert space.window_from_intervals([gap]).count == 0
 
 
 def test_window_from_intervals_rejects_nan_endpoints():
@@ -100,13 +127,6 @@ def test_window_mask_shape_checked():
     space = make_discrete([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         Window(space, np.array([True, False, True]))
-
-
-def test_complement_is_involutive():
-    space = make_discrete([0.0, 1.0, 2.0], [1.0] * 3)
-    win = space.window([True, False, True])
-    assert complement(complement(win)).mask.tolist() == win.mask.tolist()
-    assert complement(win).node_indices.tolist() == [1]
 
 
 def test_space_json_round_trip():
@@ -181,12 +201,23 @@ def test_window_family_json_round_trip():
 
 
 @settings(derandomize=True, max_examples=40)
-@given(st.lists(st.booleans(), min_size=1, max_size=8))
-def test_complement_partitions_nodes(mask):
-    points = np.arange(len(mask), dtype=float)
-    space = make_discrete(points, np.ones(len(mask)))
-    win = space.window(mask)
-    comp = complement(win)
-    assert not np.any(win.mask & comp.mask)
-    assert np.all(win.mask | comp.mask)
-    assert win.count + comp.count == space.size
+@given(st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
+                min_size=1, max_size=4))
+def test_complement_partitions_nodes(masks):
+    """``wf.masks`` stacks the windows' masks, read-only; ``~wf.masks``
+    holds every other node, and the complement weights are the node
+    weights there."""
+    space = make_discrete(np.arange(4.0), [0.5, 1.0, 2.0, 3.0])
+    wf = WindowFamily(tuple(map(space.window, masks)))
+    assert wf.masks.shape == (wf.floors, space.size)
+    for l, row in enumerate(wf.masks):
+        assert row.tolist() == wf.window(l + 1).mask.tolist()
+    with pytest.raises(ValueError):
+        wf.masks[0, 0] = not wf.masks[0, 0]
+    comp = ~wf.masks
+    assert not np.any(wf.masks & comp)
+    assert np.all(wf.masks | comp)
+    assert (wf.masks.sum(axis=1) + comp.sum(axis=1)).tolist() == \
+        [space.size] * wf.floors
+    assert np.array_equal(wf.complement_weights(),
+                          np.where(comp, space.weights, 0.0))

@@ -147,9 +147,9 @@ def test_janossy_suite_builds_each_accepted_complement_once(
     assert len(accepted) == 10
     kinds = set()
     for ens, wf in accepted:
-        weights = [ens.space.weights * m for m in wf.complement_masks()]
-        same = [ws for f, _, _, ws in complement_builds if f is ens.f
-                and all(np.array_equal(a, b) for a, b in zip(ws, weights))]
+        weights = ens.space.weights * ~wf.masks
+        same = [ws for f, _, _, ws in complement_builds
+                if f is ens.f and np.array_equal(ws, weights)]
         empty = all(w.count == 0 for w in wf.windows)
         kinds.add(empty)
         assert len(same) == (0 if empty else 1)
@@ -231,7 +231,7 @@ def test_point_grid_matches_per_vector_grids_bit_for_bit(monkeypatch):
     jk = janossy_kernel_explicit(ens, wf)
     nodes = [np.arange(4)] * 3
     inside = [w.node_indices for w in wf.windows]
-    outside = [np.flatnonzero(m) for m in wf.complement_masks()]
+    outside = [np.flatnonzero(m) for m in ~wf.masks]
     holding = verify._holding
     calls = []
     monkeypatch.setattr(verify, "_holding",
