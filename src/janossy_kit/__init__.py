@@ -64,7 +64,6 @@ from .oracle import (
     brute_density_grid,
     brute_janossy,
     enumerate_density,
-    quad_oracle_m1,
 )
 from .verify import SuiteReport, verify_suite
 
@@ -113,7 +112,6 @@ __all__ = [
     "make_quadrature",
     "marginal_ensemble",
     "partition_function",
-    "quad_oracle_m1",
     "resolvent_kernel",
     "restrict",
     "verify_suite",

@@ -42,9 +42,7 @@ same bits.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 from weakref import WeakKeyDictionary
@@ -71,12 +69,12 @@ def rcond_gate(matrix: np.ndarray, name: str,
     WARN_RCOND.  ``detail`` is called only when the gate raises.
     """
     s = np.linalg.svd(matrix, compute_uv=False)
-    # the ratio np.linalg.cond forms, without its wrapper; a zero matrix
-    # gives nan here and raises below with rcond 0
-    with np.errstate(all="ignore"):
-        cond = float(s[0] / s[-1])
+    # the ratio np.linalg.cond forms, in Python floats: the same IEEE
+    # division, and a zero smallest value gives inf, as numpy's cond does
+    hi, lo = float(s[0]), float(s[-1])
+    cond = hi / lo if lo else math.inf
     rcond = 1.0 / cond if cond > 0 else 0.0
-    if not np.isfinite(cond) or rcond < HARD_RCOND:
+    if not math.isfinite(cond) or rcond < HARD_RCOND:
         raise SingularOperatorError(name, rcond, detail())
     if rcond < WARN_RCOND:
         return cond, (f"{name}: rcond {rcond:.3e} below warning threshold "
@@ -279,24 +277,33 @@ class ConvolutionTables:
         return (c, *np.linalg.slogdet(self.gram * c))
 
 
-def _sweep(start: np.ndarray, transfers: Sequence[np.ndarray],
-           weights: Sequence[np.ndarray]):
-    """Yield ``start``, then ``x = (x * w) @ t`` for each step in turn.
+def _sweep(x: np.ndarray, transfers: Sequence[np.ndarray],
+           weights: Sequence[np.ndarray], trail: list | None = None
+           ) -> np.ndarray:
+    """Apply ``x = (x * w) @ t`` for each step in turn; return the last x.
 
     The one chain recurrence: ``w`` integrates the floor ``x`` sits on and
-    ``t`` carries it to the next floor.
+    ``t`` carries it to the next floor.  ``trail``, when given, receives
+    every value, the start first and the returned one last.
     """
-    x = start
-    yield x
+    if trail is not None:
+        trail.append(x)
     for t, w in zip(transfers, weights, strict=True):
         x = (x * w) @ t
-        yield x
+        if trail is not None:
+            trail.append(x)
+    return x
 
 
 def chain_sweep(tables: ConvolutionTables, l: int):
-    """Yield ``g_{l,m}`` for m = l+1..M under the tables' weights; the
-    first value is the transfer ``g[l-1]`` itself, not a copy."""
-    return _sweep(tables.g[l - 1], tables.g[l:], tables.weights[l:-1])
+    """Yield ``g_{l,m}`` for m = l+1..M under the tables' weights, one
+    step at a time; the first value is the transfer ``g[l-1]`` itself,
+    not a copy."""
+    x = tables.g[l - 1]
+    yield x
+    for k in range(l, len(tables.g)):
+        x = _sweep(x, tables.g[k:k + 1], tables.weights[k:k + 1])
+        yield x
 
 
 def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
@@ -317,19 +324,13 @@ def build_tables(f: np.ndarray, phi: np.ndarray, g: Sequence[np.ndarray],
         raise ValueError(f"need {M} weight vectors, got {len(floor_weights)}")
     wm = floor_weights
     # f_j * g_{1,m} for m = 1..M; one more step pairs floor M with phi
-    *left, gram = _sweep(f, [*g, phi.T], wm)
-    right = list(_sweep(phi, [t.T for t in reversed(g)], wm[1:][::-1]))
+    left, right = [], []
+    gram = _sweep(f, [*g, phi.T], wm, left)
+    _sweep(phi, [t.T for t in reversed(g)], wm[1:][::-1], right)
     return ConvolutionTables(
-        g=tuple(g), weights=wm, left=tuple(x.T for x in left),
+        g=tuple(g), weights=wm, left=tuple(x.T for x in left[:-1]),
         right=tuple(y.T for y in reversed(right)), gram=gram,
     )
-
-
-def _support(w: np.ndarray) -> slice:
-    """Nodes from the first to the last nonzero weight, over every batch
-    axis of ``w``; an empty slice when every weight is 0."""
-    nz = np.flatnonzero(w.any(axis=tuple(range(w.ndim - 1))))
-    return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
 
 
 def pairing_halves(tables: ConvolutionTables,
@@ -347,22 +348,30 @@ def pairing_halves(tables: ConvolutionTables,
     (P,)``; the batch axes broadcast within each half, so a batch axis only
     one half carries costs the other half nothing.
 
-    Each floor contributes only its weight support box B_l (``_support``):
-    a step multiplies the view ``g_l[B_l, B_{l+1}]``, so the sweeps cost
-    ``sum_l n |B_l| |B_{l+1}|`` and read no transfer entry outside the
-    boxes.  Zero weights inside a box stay exact zeros.  Both halves are
-    as wide as the split floor's box, columns ``B_split`` of the nodes.
+    Each floor contributes only its weight support box B_l, the nodes from
+    its first to its last nonzero weight over every batch axis: a step
+    multiplies the view ``g_l[B_l, B_{l+1}]``, so the sweeps cost ``sum_l
+    n |B_l| |B_{l+1}|`` and read no transfer entry outside the boxes.
+    All M boxes come from one pass over the stacked (M, P) nonzero
+    pattern, each floor's batch axes reduced first; an all-zero floor
+    gives an empty box.  Zero weights inside a box stay exact zeros.  Both
+    halves are as wide as the split floor's box, columns ``B_split`` of the
+    nodes.
     """
     w = [np.asarray(x) for x in floor_weights]
-    box = [_support(x) for x in w]
+    P = w[0].shape[-1]
+    nz = np.array([x if x.ndim == 1 else x.reshape(-1, P).any(axis=0)
+                   for x in w], dtype=bool)
+    first = nz.argmax(axis=1).tolist()
+    stop = (P - nz[:, ::-1].argmax(axis=1)).tolist()
+    # argmax puts an all-zero floor's box at node 0; it has none
+    box = [slice(a, b) if row[a] else slice(0, 0)
+           for a, b, row in zip(first, stop, nz)]
     w = [x[..., None, b] for x, b in zip(w, box)]
     g = [t[a, b] for t, a, b in zip(tables.g, box, box[1:])]
-    # keep only the last value of each sweep: batch arrays can be large
-    left = deque(_sweep(tables.left[0].T[:, box[0]], g[:split - 1],
-                        w[:split - 1]), 1).pop()
-    right = deque(_sweep(tables.right[-1].T[:, box[-1]],
-                         [t.T for t in reversed(g[split - 1:])],
-                         w[split:][::-1]), 1).pop()
+    left = _sweep(tables.left[0].T[:, box[0]], g[:split - 1], w[:split - 1])
+    right = _sweep(tables.right[-1].T[:, box[-1]],
+                   [t.T for t in reversed(g[split - 1:])], w[split:][::-1])
     return left * w[split - 1], right
 
 
@@ -427,9 +436,10 @@ def marginal_ensemble(ensemble: ChainEnsemble, floors: Sequence[int]) -> ChainEn
         raise ValueError("floors must be strictly increasing")
     t = ensemble.tables
     first, last = floors[0], floors[-1]
-    # copies: left[0].T, right[-1].T and the sweep's start are f, phi, g_a
+    # copies: left[0].T and right[-1].T are f and phi, and a sweep with no
+    # step (b = a + 1) returns g[a-1] itself
     f_new = t.left[first - 1].T.copy()
     phi_new = t.right[last - 1].T.copy()
-    g_new = [deque(itertools.islice(chain_sweep(t, a), b - a), 1).pop().copy()
+    g_new = [_sweep(t.g[a - 1], t.g[a:b - 1], t.weights[a:b - 1]).copy()
              for a, b in zip(floors, floors[1:])]
     return ChainEnsemble(ensemble.space, f_new, phi_new, g_new)

@@ -27,7 +27,7 @@ reproduces them byte for byte.  Wall times are printed to stdout only.
 Exit codes: 0 success, 1 a verify suite found a tolerance violation,
 2 invalid config, 3 numerical failure (singular operator or a probability
 with an imaginary residue), 4 budget exceeded (oracle state chain, count
-law or kernel dump).
+law or kernel dump, or an allocation that numpy refuses).
 """
 
 from __future__ import annotations
@@ -466,7 +466,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, MemoryError) as exc:
+        # MemoryError: numpy refused an allocation (for example a
+        # quadrature rule of too high an order)
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 4
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -186,12 +186,12 @@ def count_distribution(ensemble: ChainEnsemble, windows: WindowFamily,
     if (n + 1) ** M > budget:
         raise BudgetExceededError((n + 1) ** M, budget,
                                   "entries for the count law")
-    grid = tuple(min(n, win.count) + 1 for win in wf.windows)
+    grid = tuple(min(n, c) + 1 for c in wf.masks.sum(axis=1).tolist())
     floor_weights = []
-    for l, (win, size) in enumerate(zip(wf.windows, grid)):
+    for l, (mask, size) in enumerate(zip(wf.masks, grid)):
         z = np.exp(2j * np.pi * np.arange(size) / size)
         axes = (1,) * l + (size,) + (1,) * (M - l - 1)
-        weights = w * np.where(win.mask, z[:, None], 1.0)
+        weights = w * np.where(mask, z[:, None], 1.0)
         floor_weights.append(weights.reshape(axes + (w.size,)))
     split = min(range(1, M + 1), key=lambda m: max(math.prod(grid[:m]),
                                                    math.prod(grid[m:])))

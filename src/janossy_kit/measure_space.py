@@ -10,7 +10,9 @@ construction and JSON serialization differ.
 Windows are per-node boolean masks.  On quadrature spaces a window may carry
 the interval description it was built from; a boundary that falls between
 nodes truncates at node granularity, and refining the quadrature order is the
-caller's control for accuracy.
+caller's control for accuracy.  A window built from intervals finds its mask
+on first read, and a window family writes the masks of all its windows into
+one array (``_stack_masks``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -132,22 +134,9 @@ class DiscretizedSpace:
         Interval ends may be ``None`` (or +/-inf) for half-lines; a NaN
         end is a ValueError.  The mask keeps exactly the nodes inside: one
         run of the increasing nodes per interval, cut at node granularity.
+        The mask is found on its first read, or with its family's masks.
         """
-        ivals = []
-        mask = np.zeros(self.size, dtype=bool)
-        for pair in intervals:
-            if len(pair) != 2:
-                raise ValueError("each interval needs two endpoints")
-            a = -_INF if pair[0] is None else float(pair[0])
-            b = _INF if pair[1] is None else float(pair[1])
-            if np.isnan(a) or np.isnan(b):
-                raise ValueError(f"interval [{a}, {b}] has a NaN endpoint")
-            if b < a:
-                raise ValueError(f"empty interval [{a}, {b}]")
-            mask[self.nodes.searchsorted(a, "left"):
-                 self.nodes.searchsorted(b, "right")] = True
-            ivals.append((a, b))
-        return Window(self, mask, intervals=tuple(ivals))
+        return Window(self, intervals=intervals)
 
     def full_window(self) -> Window:
         return Window(self, np.ones(self.size, dtype=bool))
@@ -215,21 +204,57 @@ def make_quadrature(interval: tuple[float, float], order: int) -> DiscretizedSpa
                             interval=(a, b), order=int(order))
 
 
-@dataclass(frozen=True, eq=False)
-class Window(object):
-    """Per-node boolean mask over a space, optionally with interval origin."""
+@dataclass(frozen=True, eq=False, init=False)
+class Window:
+    """Per-node boolean mask over a space, or a union of closed intervals.
+
+    ``Window(space, mask)`` checks the mask's shape and keeps it read-only.
+    ``Window(space, intervals=...)`` checks the interval ends and keeps
+    them as float pairs, ``None`` ends as -inf or +inf; its read-only
+    ``mask`` is found on first read, or with its family's masks, so making
+    a window does no array work.  Two threads that race on a first read
+    both find the mask and store the same bits.
+    """
 
     space: DiscretizedSpace
-    mask: np.ndarray
-    intervals: tuple[tuple[float, float], ...] | None = None
+    intervals: tuple[tuple[float, float], ...] | None
+    _mask: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.shape != self.space.nodes.shape:
-            raise ValueError(
-                f"mask has {mask.size} entries, space has {self.space.size} nodes"
-            )
-        object.__setattr__(self, "mask", _readonly(mask))
+    def __init__(self, space: DiscretizedSpace, mask=None,
+                 intervals: Iterable | None = None):
+        if (mask is None) == (intervals is None):
+            raise ValueError("a window needs exactly one of mask and "
+                             "intervals")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool, order="C")
+            if mask.shape != space.nodes.shape:
+                raise ValueError(f"mask has {mask.size} entries, space has "
+                                 f"{space.size} nodes")
+            mask.setflags(write=False)
+        else:
+            ivals = []
+            for pair in intervals:
+                if len(pair) != 2:
+                    raise ValueError("each interval needs two endpoints")
+                a = -_INF if pair[0] is None else float(pair[0])
+                b = _INF if pair[1] is None else float(pair[1])
+                if math.isnan(a) or math.isnan(b):
+                    raise ValueError(f"interval [{a}, {b}] has a NaN "
+                                     "endpoint")
+                if b < a:
+                    raise ValueError(f"empty interval [{a}, {b}]")
+                ivals.append((a, b))
+            intervals = tuple(ivals)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "_mask", mask)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Read-only (P,) mask: the given one, or the intervals' nodes."""
+        if self._mask is None:
+            object.__setattr__(self, "_mask", _stack_masks((self,))[0])
+        return self._mask
 
     @property
     def node_indices(self) -> np.ndarray:
@@ -245,6 +270,27 @@ class Window(object):
                                    b if np.isfinite(b) else None]
                                   for a, b in self.intervals]}
         return {"mask": [bool(m) for m in self.mask]}
+
+
+def _stack_masks(windows: Sequence[Window]) -> np.ndarray:
+    """Read-only (len(windows), P) stack of the masks of windows on one
+    space, written into one array.
+
+    A window's known mask is copied in; each interval of the others sets
+    one run of the strictly increasing nodes, from ``searchsorted`` left
+    at its start to ``searchsorted`` right at its end.
+    """
+    nodes = windows[0].space.nodes
+    masks = np.zeros((len(windows), nodes.size), dtype=bool)
+    for l, w in enumerate(windows):
+        if w._mask is not None:
+            masks[l] = w._mask
+            continue
+        for a, b in w.intervals:
+            masks[l, nodes.searchsorted(a, "left"):
+                  nodes.searchsorted(b, "right")] = True
+    masks.setflags(write=False)
+    return masks
 
 
 def window_from_json(space: DiscretizedSpace, doc: dict) -> Window:
@@ -308,8 +354,9 @@ class WindowFamily:
 
     @functools.cached_property
     def masks(self) -> np.ndarray:
-        """Read-only (M, P) stack of the window masks, built on first read."""
-        return _readonly(np.array([w.mask for w in self.windows]))
+        """Read-only (M, P) stack of the window masks, written on first
+        read straight from the intervals (``_stack_masks``)."""
+        return _stack_masks(self.windows)
 
     def complement_weights(self) -> np.ndarray:
         """(M, P) weights of integration over the window complements."""

@@ -37,7 +37,7 @@ import numpy as np
 
 from .chain_ensemble import ChainEnsemble
 from .errors import BudgetExceededError
-from .measure_space import WindowFamily, _is_int
+from .measure_space import WindowFamily
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -212,25 +212,3 @@ def brute_count_probability(dist: EnumeratedDistribution,
     wf = ens.check_windows(windows)
     counts = ens.check_counts(counts)
     return complex(brute_count_distribution(dist, wf)[tuple(counts)])
-
-
-def quad_oracle_m1(ensemble: ChainEnsemble, s: float, k: int) -> float:
-    """Pr(exactly k particles at or above s) for a single-floor ensemble.
-
-    The count probability of the window of nodes >= s by direct summation
-    (brute_count_probability), each coordinate resolved at node granularity
-    by the space's own rule (consistent with how windows truncate), and
-    normalized by the state sum over the whole space.  A single floor has
-    no minor matrix, so the default enumeration budget bounds only its
-    C(P, n) states; no kernel identities are used anywhere.
-    """
-    if ensemble.floors != 1:
-        raise ValueError("quad_oracle_m1 needs a single-floor ensemble")
-    if not _is_int(k) or k < 0:
-        raise ValueError(f"k {k!r} is not a nonnegative integer")
-    if k > ensemble.n:
-        return 0.0
-    dist = enumerate_density(ensemble)
-    space = ensemble.space
-    wf = WindowFamily((space.window(space.nodes >= float(s)),))
-    return real_probability(brute_count_probability(dist, wf, [k]))

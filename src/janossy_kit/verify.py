@@ -64,6 +64,8 @@ TOLERANCES = {
 # conditioning gate used when a suite must invert window-restricted matrices;
 # 1e4 keeps inversion noise around 1e-12, well under the 1e-10 suite bars
 WINDOW_COND_GATE = 1e4
+# window draws per instance before draw_conditioned_windows gives up
+WINDOW_ATTEMPTS = 64
 
 # instance draws redraw their sub-seed until the pairing matrix clears this;
 # small random Gram matrices go near-singular often enough that unconditioned
@@ -212,7 +214,7 @@ def draw_ensemble(seed: int, index: int, floors: int | None = None):
 
 
 def draw_conditioned_windows(
-        ens: ChainEnsemble, rng: np.random.Generator, attempts: int = 64
+        ens: ChainEnsemble, rng: np.random.Generator
 ) -> tuple[WindowFamily, JanossyKernel, RestrictedOperator] | None:
     """Random windows conditioned on well-posed restricted inversions.
 
@@ -224,12 +226,12 @@ def draw_conditioned_windows(
     pass their rcond gate with condition number at most the gate (the
     second is the operator's cached ``gate``).  Returns the accepted windows
     with their closed-form Janossy kernel and the correlation kernel
-    restricted to them, or None when every attempt fails (recorded by
-    callers as a skip).
+    restricted to them, or None when all WINDOW_ATTEMPTS draws fail
+    (recorded by callers as a skip).
     """
     kernel = correlation_kernel(ens)
     P = ens.space.size
-    for _ in range(attempts):
+    for _ in range(WINDOW_ATTEMPTS):
         masks = []
         for _ in range(ens.floors):
             mask = rng.random(P) < 0.4

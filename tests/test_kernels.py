@@ -405,19 +405,34 @@ def plain_pairing(ens: ChainEnsemble, weights) -> np.ndarray:
 def test_gap_queries_read_only_the_weight_support_of_the_transfers():
     """NaN in every transfer entry outside the complement weights' support
     boxes: the gap probability and the Janossy normalization come out
-    finite and bit-equal to the clean chain's, so no sweep reads them."""
+    finite and bit-equal to the clean chain's, so no sweep reads them.
+    With floor 2's window full, its complement weights are all zero
+    between two non-empty boxes: its box is empty, so both transfers at
+    floor 2 are NaN throughout, and the gap probability is exactly 0."""
+    def nan_outside_boxes(full_floor=None):
+        ens, wf = small_gap_chain()
+        if full_floor is not None:
+            windows = list(wf.windows)
+            windows[full_floor - 1] = ens.space.full_window()
+            wf = WindowFamily(tuple(windows))
+        P = ens.space.size
+        box = []
+        for l, w in enumerate(wf.complement_weights(), start=1):
+            nz = np.flatnonzero(w)
+            if l == full_floor:
+                assert nz.size == 0
+                box.append(slice(0, 0))
+                continue
+            box.append(slice(nz[0], nz[-1] + 1))
+            assert 0 < nz.size < P
+        for g, a, b in zip(ens.g, box, box[1:]):
+            outside = np.ones((P, P), dtype=bool)
+            outside[a, b] = False
+            g[outside] = np.nan
+        return ens, wf
+
     clean, clean_wf = small_gap_chain()
-    ens, wf = small_gap_chain()
-    P = ens.space.size
-    box = []
-    for w in wf.complement_weights():
-        nz = np.flatnonzero(w)
-        box.append(slice(nz[0], nz[-1] + 1))
-        assert 0 < nz.size < P
-    for g, a, b in zip(ens.g, box, box[1:]):
-        outside = np.ones((P, P), dtype=bool)
-        outside[a, b] = False
-        g[outside] = np.nan
+    ens, wf = nan_outside_boxes()
     fred = fredholm_det(restrict(correlation_kernel(ens), wf))
     jk = janossy_kernel_explicit(ens, wf)
     assert np.isfinite(fred)
@@ -426,6 +441,13 @@ def test_gap_queries_read_only_the_weight_support_of_the_transfers():
     assert jk.const == fred
     assert np.array_equal(jk.gram, janossy_kernel_explicit(clean,
                                                            clean_wf).gram)
+
+    ens, wf = nan_outside_boxes(full_floor=2)
+    assert np.isnan(ens.g[0]).all() and np.isnan(ens.g[1]).all()
+    fred = fredholm_det(restrict(correlation_kernel(ens), wf))
+    assert fred == 0 and np.isfinite(fred)
+    with pytest.raises(SingularOperatorError):
+        janossy_kernel_explicit(ens, wf)
 
 
 @pytest.mark.parametrize("complex_gauge", [False, True])

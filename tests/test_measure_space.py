@@ -97,6 +97,7 @@ def test_window_from_intervals_truncates_at_nodes():
             [(x[0], x[1]), (x[1], x[3])],
             [(None, x[0]), (x[-1], None)],
         ]
+        expects = []
         for intervals in cases:
             expect = np.zeros(space.size, dtype=bool)
             for lo, hi in intervals:
@@ -104,6 +105,14 @@ def test_window_from_intervals_truncates_at_nodes():
                            & (x <= (np.inf if hi is None else hi)))
             got = space.window_from_intervals(intervals).mask
             assert got.tolist() == expect.tolist(), intervals
+            assert not got.flags.writeable
+            expects.append(expect)
+        # a family writes every interval window's mask into one array,
+        # beside a mask window and an interval window read before
+        windows = [space.window_from_intervals(iv) for iv in cases]
+        windows[1].mask
+        wf = WindowFamily((*windows, space.window(expects[0])))
+        assert wf.masks.tolist() == [e.tolist() for e in expects + expects[:1]]
         # the point interval keeps its node, the gap between two nodes none
         assert space.window_from_intervals([(x[2], x[2])]).count == 1
         assert space.window_from_intervals([gap]).count == 0
@@ -127,6 +136,11 @@ def test_window_mask_shape_checked():
     space = make_discrete([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         Window(space, np.array([True, False, True]))
+    # a window is a mask or intervals, never neither or both
+    with pytest.raises(ValueError, match="one of mask and intervals"):
+        Window(space)
+    with pytest.raises(ValueError, match="one of mask and intervals"):
+        Window(space, [True, False], intervals=[(0.0, 0.5)])
 
 
 def test_space_json_round_trip():

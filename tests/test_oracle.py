@@ -26,7 +26,7 @@ from janossy_kit.oracle import (
     brute_count_probability,
     brute_janossy,
     enumerate_density,
-    quad_oracle_m1,
+    real_probability,
 )
 from janossy_kit.verify import INSTANCE_COND_GATE, TOLERANCES
 
@@ -198,12 +198,19 @@ def test_state_chain_reaches_twenty_nodes_on_four_floors():
                                rtol=0, atol=tol)
 
 
+def largest_particle_law(ens, s) -> np.ndarray:
+    """The oracle's law of the count of nodes >= s, on a single floor."""
+    space = ens.space
+    wf = WindowFamily((space.window(space.nodes >= s),))
+    return brute_count_distribution(enumerate_density(ens), wf)
+
+
 def test_quad_oracle_matches_fredholm_route_for_largest_particle():
     space = make_quadrature((-6.0, 6.0), 48)
     ens = build_unitary([0.0, 0.0, 0.5], 2, space)
     kernel = correlation_kernel(ens)
     for s in (-1.0, 0.0, 1.0):
-        oracle = quad_oracle_m1(ens, s, 0)
+        oracle = real_probability(largest_particle_law(ens, s)[0])
         wf = WindowFamily((space.window(space.nodes >= s),))
         det = fredholm_det(restrict(kernel, wf))
         assert oracle == pytest.approx(det.real, abs=1e-8)
@@ -214,30 +221,17 @@ def test_quad_oracle_counts_partition_unity():
     space = make_quadrature((-6.0, 6.0), 24)
     ens = build_unitary([0.0, 0.0, 0.5], 2, space)
     for s in (-0.5, 0.7):
-        probs = [quad_oracle_m1(ens, s, k) for k in range(3)]
+        probs = [real_probability(p) for p in largest_particle_law(ens, s)]
+        assert len(probs) == 3
         assert sum(probs) == pytest.approx(1.0, abs=1e-10)
         assert all(p >= -1e-12 for p in probs)
-    assert quad_oracle_m1(ens, 0.0, 5) == 0.0
 
 
-def test_quad_oracle_validation():
-    ens2 = build_random(1, 4, 2, 2)
-    with pytest.raises(ValueError):
-        quad_oracle_m1(ens2, 0.0, 0)  # multi-floor
-    space = make_quadrature((-6.0, 6.0), 12)
+def test_single_floor_oracle_law_enumerates_only_its_states():
     # four particles: a single floor enumerates only its C(12, 4) states
+    space = make_quadrature((-6.0, 6.0), 12)
     big = build_unitary([0.0, 0.0, 0.5], 4, space)
     wf = WindowFamily((space.window(space.nodes >= 0.3),))
     law = count_distribution(big, wf)
-    for k in range(5):
-        assert quad_oracle_m1(big, 0.3, k) == pytest.approx(law[k].real,
-                                                             abs=1e-12)
-    ens1 = build_unitary([0.0, 0.0, 0.5], 2, space)
-    with pytest.raises(ValueError):
-        quad_oracle_m1(ens1, 0.0, -1)
-    # k = 1.7 and k = True used to run as k = 1
-    for k in (1.7, True, 1.0):
-        with pytest.raises(ValueError, match="not a nonnegative integer"):
-            quad_oracle_m1(ens1, 0.0, k)
-    assert (quad_oracle_m1(ens1, 0.0, np.int64(1))
-            == quad_oracle_m1(ens1, 0.0, 1))
+    np.testing.assert_allclose(largest_particle_law(big, 0.3), law,
+                               rtol=0, atol=1e-12)
