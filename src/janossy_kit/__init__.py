@@ -20,7 +20,6 @@ from .errors import BudgetExceededError, ConfigError, SingularOperatorError
 from .janossy import (
     ExtremePoint,
     JanossyKernel,
-    biorthogonal_janossy_recipe,
     count_distribution,
     count_probability,
     janossy_density,
@@ -85,7 +84,6 @@ __all__ = [
     "SuiteReport",
     "Window",
     "WindowFamily",
-    "biorthogonal_janossy_recipe",
     "brute_correlation",
     "brute_count_distribution",
     "brute_count_probability",

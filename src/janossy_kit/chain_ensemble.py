@@ -171,14 +171,6 @@ class ChainEnsemble:
         return self.f.dtype
 
     @property
-    def nodes(self) -> np.ndarray:
-        return self.space.nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.space.weights
-
-    @property
     def tables(self) -> ConvolutionTables:
         """Unrestricted convolution tables, built at construction."""
         return self._tables
@@ -253,7 +245,7 @@ class ConvolutionTables:
     floors l+1..M), so ``left[0].T`` is f and ``right[-1].T`` is phi.
     ``gram`` applies all M integrations: the pairing of that f and phi,
     which a caller may set from another route (``complement_tables``
-    from ``window_pairing``; the biorthogonal recipe as exactly I).
+    takes it from ``window_pairing``).
     Products ``g_{l,m}`` are not stored; ``chain_sweep`` forms them.
     ``pairings`` memoises ``window_pairing`` per window family, weakly
     keyed by the family object, and ``unit_scale`` is formed on its first
@@ -271,7 +263,8 @@ class ConvolutionTables:
     @functools.cached_property
     def unit_scale(self) -> tuple[float, complex, float]:
         """``(c, *slogdet(c gram))``: the power of two c that brings
-        |det(c gram)| within 2^(n/2) of 1, formed on the first ratio."""
+        |det(c gram)| within 2^(n/2) of 1, formed on the first ratio from
+        this table set's own gram (A^c for complement tables, not A)."""
         _, logdet = np.linalg.slogdet(self.gram)
         c = math.ldexp(1.0, -round(logdet / (len(self.gram) * math.log(2.0))))
         return (c, *np.linalg.slogdet(self.gram * c))

@@ -115,7 +115,7 @@ class ExperimentConfig:
         if not isinstance(task, dict) or "name" not in task:
             raise ConfigError("config needs a 'task' object with a 'name'")
         name = task["name"]
-        if name not in TASKS:
+        if not isinstance(name, str) or name not in TASKS:
             raise ConfigError(
                 f"unknown task {name!r}; known: {', '.join(TASKS)}"
             )

@@ -72,10 +72,8 @@ from .chain_ensemble import (
 )
 from .errors import BudgetExceededError
 from .kernels import KIND_JANOSSY, BlockKernel, kernel_from_tables, rows
-from .measure_space import Window, WindowFamily, _is_int
+from .measure_space import WindowFamily, _is_int
 from .oracle import DEFAULT_BUDGET, real_probability
-
-KIND_BIORTHOGONAL = "janossy-biorthogonal"
 
 # complex entries of one chunk of pairing matrices in count_distribution
 CHUNK_ENTRIES = 1 << 20
@@ -91,8 +89,8 @@ class JanossyKernel:
     ``gram_cond`` and ``warnings`` are its condition number and warning
     lines from the one rcond gate it passed.  ``const`` and ``gram`` come
     from ``window_pairing``, and ``gram`` is its read-only array;
-    ``kernel`` is built from the complement tables the first time it is
-    read.
+    ``kernel`` is the kernel of ``complement_tables``, built the first
+    time it is read and then kept.
     """
 
     ensemble: ChainEnsemble
@@ -265,56 +263,3 @@ def kth_extreme_distribution(ensemble: ChainEnsemble, floor: int, k: int,
                                   prob_ge=math.fsum(probs[k:]),
                                   cdf=math.fsum(probs[:k])))
     return curve
-
-
-# ---------------------------------------------------------------------------
-# single-floor recipe via biorthogonalization
-# ---------------------------------------------------------------------------
-
-def biorthogonal_janossy_recipe(ensemble: ChainEnsemble,
-                                window: Window) -> JanossyKernel:
-    """Single-floor Janossy kernel built by explicit biorthogonalization.
-
-    Pairs the row functions against the column functions over the
-    complement of the window, LU-factors the pairing matrix to produce
-    biorthogonal families (ftilde_i in span f, phitilde_i in span phi with
-    restricted pairing delta_ij), and returns their rank-n kernel
-
-        L(x, y) = sum_i phitilde_i(x) ftilde_i(y)
-
-    extended to all nodes.  An independent construction of the same object
-    as janossy_kernel_explicit for single-floor ensembles.  The kernel
-    keeps one-floor tables (left ftilde^T, right phitilde^T, gram I, the
-    complement weights), so it restricts like any other: det(Id - L_J) =
-    det(ftilde W' phitilde^T), W' the complement weights minus the window
-    J's.
-    """
-    if ensemble.floors != 1:
-        raise ValueError("the biorthogonal recipe applies to single-floor "
-                         "ensembles only")
-    if window.space is not ensemble.space:
-        raise ValueError("window lives on a different space")
-    wf = WindowFamily((window,))
-    wc = wf.complement_weights()
-    a_comp = (ensemble.f * wc) @ ensemble.phi.T
-    cond, warns = rcond_gate(
-        a_comp, "pairing matrix on window complement",
-        detail=lambda: (f"window keeps {window.count}/"
-                        f"{ensemble.space.size} nodes"),
-    )
-    perm, low, up = scipy.linalg.lu(a_comp)
-    # rows of f_t: ftilde_i = sum_j [L^{-1} P^T]_{ij} f_j
-    f_t = scipy.linalg.solve_triangular(low, perm.T @ ensemble.f, lower=True)
-    # rows of phi_t: phitilde_i = sum_m [U^{-1}]_{mi} phi_m
-    phi_t = scipy.linalg.solve_triangular(up, ensemble.phi, trans="T",
-                                          lower=False)
-    jk = JanossyKernel(ensemble=ensemble, windows=wf,
-                       const=complex(_det_ratio(a_comp, ensemble.tables)),
-                       gram=a_comp, gram_cond=cond, warnings=warns)
-    # one-floor tables of the biorthogonal families, paired to exactly I;
-    # an instance attribute takes precedence over the cached property
-    tables = ConvolutionTables(
-        g=(), weights=wc, left=(f_t.T,), right=(phi_t.T,),
-        gram=np.eye(ensemble.n, dtype=ensemble.dtype))
-    jk.kernel = kernel_from_tables(ensemble, tables, KIND_BIORTHOGONAL, warns)
-    return jk

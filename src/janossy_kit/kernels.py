@@ -13,9 +13,9 @@ the Janossy kernel computed in closed form by the janossy module.
 
 K is one operator on M copies of the space, K = -G + R A^{-1} L^T: R and
 L stack every floor's right and left convolutions and G holds the
-g_{l,m}.  Every kernel, the Janossy and biorthogonal ones included, is
-its convolution tables (R, L, A, the adjacent transfers; self-contained,
-see chain_ensemble) and sweeps the g_{l,m} into the (M P, M P) matrix,
+g_{l,m}.  Every kernel, the correlation and Janossy ones alike, is its
+convolution tables (R, L, A, the adjacent transfers; self-contained, see
+chain_ensemble) and sweeps the g_{l,m} into the (M P, M P) matrix,
 where point (floor l, node x) is row (l-1) P + x (``rows``), only when it
 is first read.  Point matrices and restricted matrices gather the rows of
 their points, and a resolvent is indexed by the points of its
@@ -99,15 +99,6 @@ class BlockKernel:
         """(M, M, P, P) view of ``matrix``; writes go through to it."""
         M, P = self.ensemble.floors, self.ensemble.space.size
         return self.matrix.reshape(M, P, M, P).transpose(0, 2, 1, 3)
-
-    def value(self, l: int, x: int, m: int, y: int) -> complex:
-        """Kernel value at (floor l, node x; floor m, node y)."""
-        return complex(self.matrix_at([(l, x), (m, y)])[0, 1])
-
-    def block(self, l: int, m: int) -> np.ndarray:
-        self.ensemble.check_floor(l)
-        self.ensemble.check_floor(m)
-        return self.blocks[l - 1, m - 1]
 
     def matrix_at(self, points) -> np.ndarray:
         """Square matrix of kernel values at a list of (floor, node) points."""

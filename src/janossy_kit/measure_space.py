@@ -56,12 +56,6 @@ def _check_numbers(value, what: str) -> None:
                          f"got {value!r}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class DiscretizedSpace:
     """Finite node/weight model of a measure on a subset of the real line.
@@ -88,8 +82,9 @@ class DiscretizedSpace:
     order: int | None = None
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        # copies: freezing them leaves the caller's arrays writable
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or weights.ndim != 1:
             raise ValueError("nodes and weights must be one-dimensional")
         if nodes.size == 0:
@@ -106,25 +101,20 @@ class DiscretizedSpace:
             raise ValueError("weights must be strictly positive")
         if self.kind not in (KIND_DISCRETE, KIND_QUADRATURE):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        object.__setattr__(self, "nodes", _readonly(nodes))
-        object.__setattr__(self, "weights", _readonly(weights))
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def size(self) -> int:
         return self.nodes.size
 
-    def integrate(self, values: np.ndarray) -> complex:
-        """Weighted sum of node samples: the discretized integral."""
-        values = np.asarray(values)
-        if values.shape != self.nodes.shape:
-            raise ValueError("values must be sampled on the space nodes")
-        return complex(np.sum(values * self.weights))
-
     # -- windows ----------------------------------------------------------
 
     def window(self, mask: Sequence[bool] | np.ndarray) -> Window:
         """Window from an explicit per-node boolean mask."""
-        return Window(self, np.asarray(mask, dtype=bool))
+        return Window(self, mask)
 
     def window_from_intervals(
         self, intervals: Iterable[tuple[float | None, float | None]]
@@ -182,8 +172,7 @@ class DiscretizedSpace:
 
 def make_discrete(points: Sequence[float], masses: Sequence[float]) -> DiscretizedSpace:
     """Exact finite space: the listed points with the listed masses."""
-    return DiscretizedSpace(np.asarray(points, float), np.asarray(masses, float),
-                            KIND_DISCRETE)
+    return DiscretizedSpace(points, masses, KIND_DISCRETE)
 
 
 def make_quadrature(interval: tuple[float, float], order: int) -> DiscretizedSpace:
@@ -208,7 +197,8 @@ def make_quadrature(interval: tuple[float, float], order: int) -> DiscretizedSpa
 class Window:
     """Per-node boolean mask over a space, or a union of closed intervals.
 
-    ``Window(space, mask)`` checks the mask's shape and keeps it read-only.
+    ``Window(space, mask)`` checks the mask's shape and keeps a read-only
+    copy.
     ``Window(space, intervals=...)`` checks the interval ends and keeps
     them as float pairs, ``None`` ends as -inf or +inf; its read-only
     ``mask`` is found on first read, or with its family's masks, so making
@@ -226,7 +216,8 @@ class Window:
             raise ValueError("a window needs exactly one of mask and "
                              "intervals")
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool, order="C")
+            # a copy: freezing it leaves the caller's array writable
+            mask = np.array(mask, dtype=bool)
             if mask.shape != space.nodes.shape:
                 raise ValueError(f"mask has {mask.size} entries, space has "
                                  f"{space.size} nodes")

@@ -6,9 +6,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from janossy_kit import janossy
-from janossy_kit.chain_ensemble import ChainEnsemble
+from janossy_kit.chain_ensemble import ChainEnsemble, ConvolutionTables
+from janossy_kit.kernels import BlockKernel, kernel_from_tables
+from janossy_kit.measure_space import Window, WindowFamily
+
+KIND_BIORTHOGONAL = "janossy-biorthogonal"
 
 
 @pytest.fixture
@@ -63,3 +68,34 @@ def configuration_masses(ens: ChainEnsemble):
         for tup in config:
             mass *= np.prod(w[list(tup)])
         yield config, complex(mass)
+
+
+def biorthogonal_janossy_recipe(ens: ChainEnsemble,
+                                window: Window) -> tuple[complex, BlockKernel]:
+    """Single-floor Janossy data by explicit biorthogonalization.
+
+    The Borodin-Soshnikov route, a reference independent of
+    ``janossy_kernel_explicit``.  Pairs f against phi over the window's
+    complement, LU-factors the pairing matrix A^c into biorthogonal
+    families (ftilde_i in span f, phitilde_i in span phi, restricted
+    pairing delta_ij) and returns ``(const, kernel)``: const is det A^c /
+    det A, and kernel is the rank-n L(x, y) = sum_i phitilde_i(x)
+    ftilde_i(y) on all nodes.  The kernel keeps one-floor tables (left
+    ftilde^T, right phitilde^T, gram I, the complement weights), so it
+    restricts like any other: det(Id - L_J) = det(ftilde W' phitilde^T),
+    W' the complement weights minus the window J's.
+    """
+    assert ens.floors == 1, "the recipe is for single-floor ensembles"
+    wc = WindowFamily((window,)).complement_weights()
+    a_comp = (ens.f * wc) @ ens.phi.T
+    perm, low, up = scipy.linalg.lu(a_comp)
+    # rows of f_t: ftilde_i = sum_j [L^{-1} P^T]_{ij} f_j
+    f_t = scipy.linalg.solve_triangular(low, perm.T @ ens.f, lower=True)
+    # rows of phi_t: phitilde_i = sum_m [U^{-1}]_{mi} phi_m
+    phi_t = scipy.linalg.solve_triangular(up, ens.phi, trans="T",
+                                          lower=False)
+    tables = ConvolutionTables(g=(), weights=wc, left=(f_t.T,),
+                               right=(phi_t.T,),
+                               gram=np.eye(ens.n, dtype=ens.dtype))
+    const = complex(np.linalg.det(a_comp) / np.linalg.det(ens.tables.gram))
+    return const, kernel_from_tables(ens, tables, KIND_BIORTHOGONAL, ())

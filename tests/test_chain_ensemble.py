@@ -84,7 +84,7 @@ def test_chain_convolution_vanishes_at_or_below_diagonal():
     for l in range(1, 4):
         for m in range(1, l + 1):
             rank_n = t.right[l - 1] @ inv @ t.left[m - 1].T
-            assert np.allclose(kernel.block(l, m), rank_n, rtol=0,
+            assert np.allclose(kernel.blocks[l - 1, m - 1], rank_n, rtol=0,
                                atol=1e-13)
 
 
@@ -139,7 +139,7 @@ def test_pairing_halves_give_the_gram_at_every_split(dtype):
     masks = [[True, False, False, False], [False, True, True, False],
              [False, False, False, True], [True, False, True, False]]
     wf = WindowFamily(tuple(ens.space.window(m) for m in masks))
-    for weights, gram in [([ens.weights] * 4, ens.tables.gram),
+    for weights, gram in [([ens.space.weights] * 4, ens.tables.gram),
                           (wf.complement_weights(),
                            complement_tables(ens, wf).gram)]:
         assert gram.dtype == dtype

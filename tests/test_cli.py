@@ -326,6 +326,9 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     dict(VERIFY_CONFIG, output={"formats": ["csv"]}),
     dict(GAP_CONFIG, output={"formats": ["json", "csv"]}),
     dict(JANOSSY_CONFIG, output={"formats": ["csv"]}),
+    # a task name is a string: an unhashable one is refused, not looked up
+    dict(GAP_CONFIG, task={"name": ["gap"]}),
+    dict(GAP_CONFIG, task={"name": {"x": 1}}),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)

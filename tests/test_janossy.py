@@ -1,4 +1,5 @@
-"""Window statistics: densities, counts, extremes, biorthogonal recipe."""
+"""Window statistics: densities, counts, extremes; the Janossy kernel
+against the biorthogonal reference recipe of conftest."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import gauged
+from conftest import biorthogonal_janossy_recipe, gauged
 from janossy_kit.chain_ensemble import (
     ChainEnsemble,
     marginal_ensemble,
@@ -25,7 +26,6 @@ from janossy_kit.chain_ensemble import (
 from janossy_kit import chain_ensemble, janossy
 from janossy_kit.errors import BudgetExceededError, SingularOperatorError
 from janossy_kit.janossy import (
-    biorthogonal_janossy_recipe,
     count_distribution,
     count_probability,
     janossy_density,
@@ -598,19 +598,13 @@ def test_biorthogonal_recipe_matches_explicit_route():
     ens = build_random(15, 5, 2, 1)
     window = ens.space.window([True, True, False, False, False])
     wf = WindowFamily((window,))
-    recipe = biorthogonal_janossy_recipe(ens, window)
+    const, kernel = biorthogonal_janossy_recipe(ens, window)
     explicit = janossy_kernel_explicit(ens, wf)
     idx = window.node_indices
-    a = recipe.kernel.blocks[0, 0][np.ix_(idx, idx)]
+    a = kernel.blocks[0, 0][np.ix_(idx, idx)]
     b = explicit.kernel.blocks[0, 0][np.ix_(idx, idx)]
     assert np.allclose(a, b, atol=1e-11)
-    assert recipe.const == pytest.approx(explicit.const, rel=1e-11)
-
-
-def test_biorthogonal_recipe_needs_single_floor():
-    ens = build_random(15, 4, 2, 2)
-    with pytest.raises(ValueError):
-        biorthogonal_janossy_recipe(ens, ens.space.window([True] + [False] * 3))
+    assert const == pytest.approx(explicit.const, rel=1e-11)
 
 
 def test_correlation_kernel_matches_hermite_projection():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import gauged
+from conftest import biorthogonal_janossy_recipe, gauged
 from janossy_kit.chain_ensemble import (
     ChainEnsemble,
     pairing_halves,
@@ -22,7 +22,6 @@ from janossy_kit.chain_ensemble import (
 )
 from janossy_kit.errors import SingularOperatorError
 from janossy_kit.janossy import (
-    biorthogonal_janossy_recipe,
     complement_tables,
     janossy_kernel_explicit,
 )
@@ -61,13 +60,13 @@ def test_kernel_block_layout_and_value_agree():
     assert kernel.blocks.shape == (3, 3, 4, 4)
     for l in (1, 3):
         for m in (1, 2):
-            block = kernel.block(l, m)
+            block = kernel.blocks[l - 1, m - 1]
             assert block.shape == (4, 4)
-            assert kernel.value(l, 1, m, 2) == block[1, 2]
+            assert kernel.matrix_at([(l, 1), (m, 2)])[0, 1] == block[1, 2]
     with pytest.raises(ValueError):
-        kernel.block(0, 1)
+        kernel.matrix_at([(0, 0), (1, 0)])
     with pytest.raises(ValueError):
-        kernel.value(1, 4, 1, 0)
+        kernel.matrix_at([(1, 4), (1, 0)])
 
 
 def test_check_points_validates_floors_and_nodes():
@@ -183,7 +182,7 @@ def test_restrict_orders_rows_by_floor_then_node():
     assert op.matrix.shape == (3, 3)
     # symmetrized entries: sqrt(w_x) K sqrt(w_y)
     w = ens.space.weights
-    expect = np.sqrt(w[0]) * kernel.value(1, 0, 2, 1) * np.sqrt(w[1])
+    expect = np.sqrt(w[0]) * kernel.blocks[0, 1, 0, 1] * np.sqrt(w[1])
     assert op.matrix[0, 2] == pytest.approx(expect, rel=1e-13)
 
 
@@ -211,7 +210,7 @@ def test_window_points_index_restriction_and_resolvent(seed, P, n, M, data):
     sqrtw = np.sqrt(ens.space.weights)
     for i, (l, x) in enumerate(op.index):
         for j, (m, y) in enumerate(op.index):
-            expect = sqrtw[x] * kernel.value(l, x, m, y) * sqrtw[y]
+            expect = sqrtw[x] * kernel.blocks[l - 1, m - 1, x, y] * sqrtw[y]
             assert abs(op.matrix[i, j] - expect) <= 1e-14 * abs(expect)
     try:
         res = resolvent_kernel(op)
@@ -359,7 +358,7 @@ def test_each_table_set_owns_its_unit_scale():
     window = ens.space.window([True, True, False, False, False])
     sub = WindowFamily((ens.space.window([False, False, False, True, False]),))
     sets = (ens.tables, complement_tables(ens, WindowFamily((window,))),
-            biorthogonal_janossy_recipe(ens, window).kernel.tables)
+            biorthogonal_janossy_recipe(ens, window)[1].tables)
     assert [t.unit_scale[0] for t in sets] == [4.0, 2.0, 1.0]
     for t in sets:
         c = t.unit_scale[0]
@@ -473,7 +472,7 @@ def test_trimmed_pairing_agrees_with_the_plain_product_chain(complex_gauge):
         "mixed": [i >= 23, i < 16, (i >= 19) & (i < 21), i < 0],
         "mixed, one floor full": [i >= 23, i >= 0, i < 16, i < 0],
     }
-    full = plain_pairing(ens, [ens.weights] * M)
+    full = plain_pairing(ens, [ens.space.weights] * M)
     for name, family in masks.items():
         wf = WindowFamily(tuple(map(ens.space.window, family)))
         weights = wf.complement_weights()
@@ -564,7 +563,7 @@ def test_restricted_biorthogonal_kernel_matches_the_dense_determinant():
     kernel's, for windows J inside, across and outside the window I."""
     ens = build_random(15, 5, 2, 1)
     window = ens.space.window([True, True, False, False, False])
-    recipe = biorthogonal_janossy_recipe(ens, window).kernel
+    recipe = biorthogonal_janossy_recipe(ens, window)[1]
     explicit = janossy_kernel_explicit(ens, WindowFamily((window,))).kernel
     for mask in ([False] * 5, [True, False, False, False, False],
                  [True, True, False, False, False],
@@ -634,7 +633,7 @@ def test_csv_export_round_trips_values(tmp_path):
         l, x = int(row["floor_row"]), int(row["node_row"])
         m, y = int(row["floor_col"]), int(row["node_col"])
         val = complex(float(row["re"]), float(row["im"]))
-        assert val == kernel.value(l, x, m, y)
+        assert val == kernel.blocks[l - 1, m - 1, x, y]
     assert os.listdir(tmp_path) == ["kernel.csv"]
 
 
@@ -657,7 +656,7 @@ def test_kernel_json_layout():
     assert doc["kind"] == kernel.kind
     assert doc["floors"] == 2
     val = doc["blocks"][0][1][0][2]
-    assert complex(val[0], val[1]) == kernel.value(1, 0, 2, 2)
+    assert complex(val[0], val[1]) == kernel.blocks[0, 1, 0, 2]
     json.dumps(doc)  # must be serializable as-is
 
 
@@ -696,7 +695,7 @@ def test_blocks_is_a_write_through_view_of_the_matrix():
                                                           4 * (m - 1) + y]
     kernel.blocks[2, 0, 1, 3] = 7.0
     assert kernel.matrix[9, 3] == 7.0
-    assert kernel.value(3, 1, 1, 3) == 7.0
+    assert kernel.matrix_at([(3, 1), (1, 3)])[0, 1] == 7.0
 
 
 REAL_MODELS = {

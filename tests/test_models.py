@@ -39,8 +39,7 @@ def test_gaussian_one_point_profile():
     space = make_quadrature((-7.0, 7.0), 48)
     ens = build_unitary([0.0, 0.0, 0.5], 1, space)
     kernel = correlation_kernel(ens)
-    rho = np.array([kernel.value(1, x, 1, x).real
-                    for x in range(space.size)])
+    rho = kernel.blocks[0, 0].diagonal().real
     expect = np.exp(-space.nodes ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
     assert np.max(np.abs(rho - expect)) < 1e-12
 
@@ -50,9 +49,8 @@ def test_unitary_density_mass_is_particle_count():
     for n in (1, 2, 3):
         ens = build_unitary([0.0, 0.0, 0.5], n, space)
         kernel = correlation_kernel(ens)
-        rho = np.array([kernel.value(1, x, 1, x).real
-                        for x in range(space.size)])
-        assert complex(space.integrate(rho)).real == pytest.approx(
+        rho = kernel.blocks[0, 0].diagonal().real
+        assert np.sum(rho * space.weights) == pytest.approx(
             float(n), abs=1e-10)
 
 
@@ -81,8 +79,8 @@ def test_large_unitary_basis_is_orthonormalized_for_stability():
     ens = build_unitary([0.0, 0.0, 0.5], 12, space)
     assert ens.gram_cond < 1e3
     kernel = correlation_kernel(ens)
-    rho = np.array([kernel.value(1, x, 1, x).real for x in range(space.size)])
-    assert complex(space.integrate(rho)).real == pytest.approx(12.0, abs=1e-8)
+    rho = kernel.blocks[0, 0].diagonal().real
+    assert np.sum(rho * space.weights) == pytest.approx(12.0, abs=1e-8)
 
 
 def hermite_functions(x: np.ndarray, n: int) -> np.ndarray:
@@ -186,7 +184,7 @@ def test_coupled_chain_validates_lengths():
 def test_heat_kernel_mass_and_symmetry():
     space = make_quadrature((-10.0, 10.0), 96)
     vals = heat_kernel(0.0, 1.0, 0.5, space.nodes)
-    assert complex(space.integrate(vals)).real == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(vals * space.weights) == pytest.approx(1.0, abs=1e-12)
     assert heat_kernel(0.0, 1.0, 0.3, 0.8) == pytest.approx(
         heat_kernel(0.0, 1.0, 0.8, 0.3))
     with pytest.raises(ValueError):
@@ -224,7 +222,7 @@ def test_karlin_mcgregor_single_path_is_a_brownian_bridge():
     ens = build_karlin_mcgregor([0.0, 0.5, 1.0], [0.0], [0.0], order=96)
     kernel = correlation_kernel(ens)
     x = ens.space.nodes
-    rho = np.array([kernel.value(1, i, 1, i).real for i in range(x.size)])
+    rho = kernel.blocks[0, 0].diagonal().real
     var = 0.5 * (1.0 - 0.5)
     bridge = np.exp(-x * x / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     assert np.max(np.abs(rho - bridge)) < 1e-10
@@ -236,9 +234,8 @@ def test_karlin_mcgregor_marginal_masses():
     assert ens.floors == 1
     assert ens.n == 2
     kernel = correlation_kernel(ens)
-    rho = np.array([kernel.value(1, i, 1, i).real
-                    for i in range(ens.space.size)])
-    assert complex(ens.space.integrate(rho)).real == pytest.approx(
+    rho = kernel.blocks[0, 0].diagonal().real
+    assert np.sum(rho * ens.space.weights) == pytest.approx(
         2.0, abs=1e-9)
 
 
@@ -248,9 +245,8 @@ def test_karlin_mcgregor_multi_time_floors():
     assert ens.floors == 2
     kernel = correlation_kernel(ens)
     for floor in (1, 2):
-        rho = np.array([kernel.value(floor, i, floor, i).real
-                        for i in range(ens.space.size)])
-        assert complex(ens.space.integrate(rho)).real == pytest.approx(
+        rho = kernel.blocks[floor - 1, floor - 1].diagonal().real
+        assert np.sum(rho * ens.space.weights) == pytest.approx(
             2.0, abs=1e-8)
 
 
@@ -262,7 +258,7 @@ def test_karlin_mcgregor_nearly_degenerate_times_stay_qualitative():
     kernel = correlation_kernel(ens)
     x = ens.space.nodes
     w = ens.space.weights
-    rho = np.array([kernel.value(1, i, 1, i).real for i in range(x.size)])
+    rho = kernel.blocks[0, 0].diagonal().real
     near_low = float(np.sum(rho[np.abs(x + 1.0) < 0.5]
                             * w[np.abs(x + 1.0) < 0.5]))
     near_high = float(np.sum(rho[np.abs(x - 1.0) < 0.5]
