@@ -48,7 +48,6 @@ from .measure_space import (
     window_from_json,
 )
 from .models import (
-    ChainModelSpec,
     build_coupled_chain,
     build_karlin_mcgregor,
     build_model,
@@ -72,7 +71,6 @@ __all__ = [
     "BlockKernel",
     "BudgetExceededError",
     "ChainEnsemble",
-    "ChainModelSpec",
     "ConfigError",
     "ConvolutionTables",
     "DiscretizedSpace",

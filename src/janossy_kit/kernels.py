@@ -87,8 +87,7 @@ class BlockKernel:
     def matrix(self) -> np.ndarray:
         """-G + R inv(gram) L^T, R, L and G stacked from ``tables``."""
         t, M, P = self.tables, self.ensemble.floors, self.ensemble.space.size
-        matrix = ((np.concatenate(t.right) @ np.linalg.inv(t.gram))
-                  @ np.concatenate(t.left).T)
+        matrix = _rank_n_part(t)
         for l in range(1, M):
             for m, g in enumerate(chain_sweep(t, l), start=l + 1):
                 matrix.reshape(M, P, M, P)[l - 1, :, m - 1] -= g
@@ -104,6 +103,12 @@ class BlockKernel:
         """Square matrix of kernel values at a list of (floor, node) points."""
         r = rows(self.ensemble.check_points(points), self.ensemble.space.size)
         return self.matrix.take(r[:, None] * self.matrix.shape[1] + r)
+
+
+def _rank_n_part(tables: ConvolutionTables) -> np.ndarray:
+    """W = R inv(gram) L^T, the (M P, M P) kernel before the -G term."""
+    return ((np.concatenate(tables.right) @ np.linalg.inv(tables.gram))
+            @ np.concatenate(tables.left).T)
 
 
 def kernel_from_tables(ensemble: ChainEnsemble, tables: ConvolutionTables,
@@ -250,10 +255,7 @@ def dyson_mehta_check(kernel: BlockKernel) -> tuple[np.ndarray, float]:
         raise ValueError("dyson_mehta_check needs a correlation kernel")
     ens = kernel.ensemble
     M, P, w = ens.floors, ens.space.size, ens.space.weights
-    proj = kernel.matrix.copy()
-    for l in range(1, M):
-        for m, g in enumerate(chain_sweep(kernel.tables, l), start=l + 1):
-            proj.reshape(M, P, M, P)[l - 1, :, m - 1] += g
+    proj = _rank_n_part(kernel.tables)
     residual = np.empty((M, M, M))
     for l in range(M):
         on_l = slice(l * P, (l + 1) * P)
@@ -295,6 +297,16 @@ def atomic_open(path: str):
         raise
 
 
+def write_csv(path: str, tag: str, header, rows) -> None:
+    """Write a CSV file atomically: the line ``# jk-csv-1 <tag>``, then the
+    header and the rows, cells as ``str`` gives them (floats round-trip)."""
+    with atomic_open(path) as fh:
+        fh.write(f"# {CSV_SCHEMA} {tag}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def export_kernel_csv(kernel: BlockKernel, path: str) -> None:
     """Write every kernel value as one CSV row, atomically.
 
@@ -303,19 +315,15 @@ def export_kernel_csv(kernel: BlockKernel, path: str) -> None:
     """
     ens = kernel.ensemble
     nodes = ens.space.nodes
-    with atomic_open(path) as fh:
-        fh.write(f"# {CSV_SCHEMA} kernel kind={kernel.kind}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["floor_row", "node_row", "point_row",
-                         "floor_col", "node_col", "point_col", "re", "im"])
-        # (floor, node, position) of each matrix row and column, in order
-        points = [(l, x, repr(float(nodes[x])))
-                  for l in range(1, ens.floors + 1)
-                  for x in range(ens.space.size)]
-        for row_point, row in zip(points, kernel.matrix):
-            for col_point, v in zip(points, row):
-                writer.writerow([*row_point, *col_point, repr(float(v.real)),
-                                 repr(float(v.imag))])
+    # (floor, node, position) of each matrix row and column, in order
+    points = [(l, x, float(nodes[x])) for l in range(1, ens.floors + 1)
+              for x in range(ens.space.size)]
+    write_csv(path, f"kernel kind={kernel.kind}",
+              ["floor_row", "node_row", "point_row",
+               "floor_col", "node_col", "point_col", "re", "im"],
+              ((*row_point, *col_point, float(v.real), float(v.imag))
+               for row_point, row in zip(points, kernel.matrix)
+               for col_point, v in zip(points, row)))
 
 
 def kernel_to_json(kernel: BlockKernel) -> dict:

@@ -1,9 +1,9 @@
 """Ready-made ensembles: unitary-type, coupled chains, non-intersecting paths.
 
 Builders return ordinary ChainEnsemble objects; nothing downstream knows
-where an ensemble came from.  ``ChainModelSpec`` is the JSON-facing
-description the CLI uses to name one of the builders or to pass explicit
-sampled arrays.
+where an ensemble came from.  ``build_model`` reads the model object of a
+JSON config, which names one of the builders or passes explicit sampled
+arrays.
 
 Potentials are accepted either as callables ``V(x) -> array`` or as
 polynomial coefficient lists in ascending order (``[0, 0, 1]`` is x^2).
@@ -18,7 +18,6 @@ and one floor's pairing matrix is a multiple of the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,7 +139,7 @@ def heat_kernel(s: float, t: float, x, y) -> np.ndarray:
 
 def build_karlin_mcgregor(times: Sequence[float], start: Sequence[float],
                           end: Sequence[float], n: int | None = None,
-                          order: int = KM_DEFAULT_ORDER,
+                          order: int | None = None,
                           space: DiscretizedSpace | None = None) -> ChainEnsemble:
     """Non-intersecting Brownian paths pinned at both ends.
 
@@ -150,7 +149,8 @@ def build_karlin_mcgregor(times: Sequence[float], start: Sequence[float],
     starts into the first observed floor, transfers are transitions between
     consecutive observed floors, column functions are transitions into the
     ends.  Without an explicit space, a Gauss-Legendre rule of the given
-    order covers the endpoint range padded by 6 sqrt(total time).
+    order (default 120) covers the endpoint range padded by 6 sqrt(total
+    time); an order given together with a space is a ValueError.
     """
     times = [float(t) for t in times]
     if len(times) < 3:
@@ -170,7 +170,10 @@ def build_karlin_mcgregor(times: Sequence[float], start: Sequence[float],
         span = math.sqrt(times[-1] - times[0]) * KM_PADDING_SIGMAS
         lo = min(min(start), min(end)) - span
         hi = max(max(start), max(end)) + span
-        space = make_quadrature((lo, hi), order)
+        space = make_quadrature(
+            (lo, hi), KM_DEFAULT_ORDER if order is None else order)
+    elif order is not None:
+        raise ValueError("a quadrature order and a space exclude each other")
     nodes = space.nodes
     f = np.array([heat_kernel(times[0], times[1], a, nodes) for a in start])
     phi = np.array([heat_kernel(times[-2], times[-1], nodes, b) for b in end])
@@ -214,29 +217,6 @@ VARIANTS = {"unitary": {"potential", "particles", "space"},
             "explicit": {"space", "f", "phi", "g"}}
 
 
-@dataclass(frozen=True)
-class ChainModelSpec:
-    """Parsed model section of a run configuration."""
-
-    variant: str
-    params: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_json(doc: dict) -> "ChainModelSpec":
-        if not isinstance(doc, dict):
-            raise ConfigError("model section must be an object")
-        variant = doc.get("variant")
-        if not isinstance(variant, str) or variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown model variant {variant!r}; known: {', '.join(VARIANTS)}"
-            )
-        params = {k: v for k, v in doc.items() if k != "variant"}
-        unknown = set(params) - VARIANTS[variant]
-        if unknown:
-            raise ConfigError(f"a {variant} model reads no {sorted(unknown)}")
-        return ChainModelSpec(variant=variant, params=params)
-
-
 def _require(params: dict, *names: str) -> list:
     missing = [k for k in names if k not in params]
     if missing:
@@ -251,45 +231,57 @@ def _check_ints(params: dict, *names: str) -> None:
         raise ConfigError(f"model fields must be integers: {', '.join(bad)}")
 
 
-def build_model(spec: ChainModelSpec) -> ChainEnsemble:
-    """Instantiate the ensemble a model spec describes."""
-    p = spec.params
+def build_model(doc: dict) -> ChainEnsemble:
+    """Instantiate the ensemble a config's model object describes.
+
+    ``doc["variant"]`` names one of ``VARIANTS``, and every other key must
+    be a field that variant reads.  An invalid object, variant or field is
+    a ConfigError.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("model section must be an object")
+    variant = doc.get("variant")
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ConfigError(
+            f"unknown model variant {variant!r}; known: {', '.join(VARIANTS)}"
+        )
+    p = {k: v for k, v in doc.items() if k != "variant"}
+    unknown = set(p) - VARIANTS[variant]
+    if unknown:
+        raise ConfigError(f"a {variant} model reads no {sorted(unknown)}")
     _check_ints(p, "particles", "floors", "nodes", "seed", "order")
     try:
         # every field but the space is a number or (nested) list of them
         for name, value in p.items():
             if name != "space":
                 _check_numbers(value, f"model field {name!r}")
-        if spec.variant == "unitary":
+        if variant == "unitary":
             potential, n, space_doc = _require(p, "potential", "particles", "space")
             return build_unitary(potential, n,
                                  DiscretizedSpace.from_json(space_doc))
-        if spec.variant == "coupled-chain":
+        if variant == "coupled-chain":
             n, floors, pots, coups, space_doc = _require(
                 p, "particles", "floors", "potentials", "couplings", "space")
             return build_coupled_chain(n, floors, pots, coups,
                                        DiscretizedSpace.from_json(space_doc))
-        if spec.variant == "karlin-mcgregor":
+        if variant == "karlin-mcgregor":
             times, start, end = _require(p, "times", "start", "end")
-            order = p.get("order", KM_DEFAULT_ORDER)
             space = (DiscretizedSpace.from_json(p["space"])
                      if "space" in p else None)
             return build_karlin_mcgregor(times, start, end,
                                          n=p.get("particles"),
-                                         order=order, space=space)
-        if spec.variant == "random":
+                                         order=p.get("order"), space=space)
+        if variant == "random":
             seed, nodes, n, floors = _require(
                 p, "seed", "nodes", "particles", "floors")
             return build_random(seed, nodes, n, floors)
-        if spec.variant == "explicit":
-            space_doc, f, phi = _require(p, "space", "f", "phi")
-            space = DiscretizedSpace.from_json(space_doc)
-            return ChainEnsemble(space, np.asarray(f, dtype=float),
-                                 np.asarray(phi, dtype=float),
-                                 [np.asarray(gl, dtype=float)
-                                  for gl in p.get("g", [])])
+        space_doc, f, phi = _require(p, "space", "f", "phi")  # explicit
+        space = DiscretizedSpace.from_json(space_doc)
+        return ChainEnsemble(space, np.asarray(f, dtype=float),
+                             np.asarray(phi, dtype=float),
+                             [np.asarray(gl, dtype=float)
+                              for gl in p.get("g", [])])
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {spec.variant} model: {exc}") from exc
-    raise ConfigError(f"unknown model variant {spec.variant!r}")
+        raise ConfigError(f"invalid {variant} model: {exc}") from exc

@@ -16,7 +16,7 @@ from janossy_kit.cli import main, run_experiment
 from janossy_kit.errors import ConfigError
 from janossy_kit.kernels import correlation_kernel, restrict
 from janossy_kit.measure_space import window_family_from_json
-from janossy_kit.models import ChainModelSpec, build_model
+from janossy_kit.models import build_model
 
 GAP_CONFIG = {
     "model": {"variant": "random", "seed": 31, "nodes": 4, "particles": 2,
@@ -87,7 +87,7 @@ def run(tmp_path, doc, *args, out="out") -> tuple[int, str]:
 def dense_gap(doc) -> float:
     """det(Id - K_I) of a gap config by a dense LU of the restricted kernel
     matrix: a route independent of the pairing ratio the gap task takes."""
-    ens = build_model(ChainModelSpec.from_json(doc["model"]))
+    ens = build_model(doc["model"])
     op = restrict(correlation_kernel(ens),
                   window_family_from_json(ens.space, doc["windows"]))
     return scipy.linalg.det(np.eye(op.size) - op.matrix)
@@ -329,6 +329,12 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     # a task name is a string: an unhashable one is refused, not looked up
     dict(GAP_CONFIG, task={"name": ["gap"]}),
     dict(GAP_CONFIG, task={"name": {"x": 1}}),
+    # a quadrature order next to a space used to be ignored
+    dict(EXTREMES_CONFIG, model={
+        "variant": "karlin-mcgregor", "times": [0.0, 0.5, 1.0],
+        "start": [0.0], "end": [0.0], "order": 7,
+        "space": {"kind": "quadrature", "interval": [-4.0, 4.0],
+                  "order": 40}}),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)
@@ -608,6 +614,22 @@ def test_seed_flag_overrides_verify_seed(tmp_path):
     rc = read_json(out_c)
     assert ra["results"]["records"] == rb["results"]["records"]
     assert ra["results"]["records"] != rc["results"]["records"]
+
+
+def test_seed_argument_replaces_a_random_models_seed(tmp_path):
+    """seed=7 gives the values of the config with "seed": 7 written in;
+    the report keeps the config as given, and the caller's dict is left
+    unchanged."""
+    doc = json.loads(json.dumps(JANOSSY_CONFIG))
+    given = json.loads(json.dumps(doc))
+    report = run_experiment(doc, str(tmp_path / "flag"), seed=7)
+    assert doc == given
+    assert report.config["model"]["seed"] == JANOSSY_CONFIG["model"]["seed"]
+    written = dict(doc, model=dict(doc["model"], seed=7))
+    direct = run_experiment(written, str(tmp_path / "written"))
+    assert report.results == direct.results
+    other = run_experiment(doc, str(tmp_path / "plain"))
+    assert other.results != report.results
 
 
 def test_negative_seed_exits_2_without_output_dir(tmp_path):

@@ -44,7 +44,6 @@ from janossy_kit.measure_space import (
     make_quadrature,
 )
 from janossy_kit.models import (
-    ChainModelSpec,
     build_coupled_chain,
     build_model,
     build_random,
@@ -552,8 +551,7 @@ def test_kth_extreme_tails_are_summed_from_the_law():
     >= s) (about 2.5e-5) is the sum of the law's j >= 1 entries."""
     config = Path(__file__).parent.parent / "docs" / "configs" / \
         "bridge-extremes.json"
-    ens = build_model(ChainModelSpec.from_json(
-        json.loads(config.read_text())["model"]))
+    ens = build_model(json.loads(config.read_text())["model"])
     low, high = kth_extreme_distribution(ens, 1, 1, [-1.0, 3.0])
     assert 0.0 < low.count_probs[0] < 1e-7
     assert low.cdf == low.count_probs[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -34,6 +35,7 @@ from janossy_kit.kernels import (
     dyson_mehta_check,
     export_kernel_csv,
     fredholm_det,
+    kernel_from_tables,
     kernel_to_json,
     resolvent_kernel,
     restrict,
@@ -156,9 +158,10 @@ def test_dyson_mehta_check_vanishes_on_cross_floors():
         residual, scale = dyson_mehta_check(kernel)
         assert residual.shape == (3, 3, 3)
         assert residual.max() <= 1e-10 * scale
-        # the check sees a kernel that is not a projection
-        kernel.blocks[0, 2] += 0.01
-        residual, scale = dyson_mehta_check(kernel)
+        # the check sees tables whose kernel is not a projection
+        off = kernel_from_tables(ens, dataclasses.replace(
+            kernel.tables, gram=1.01 * kernel.tables.gram), kernel.kind, ())
+        residual, scale = dyson_mehta_check(off)
         assert residual[0, :, 2].max() > 1e-4 * scale
 
 

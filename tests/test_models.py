@@ -12,7 +12,6 @@ from janossy_kit.errors import ConfigError, SingularOperatorError
 from janossy_kit.kernels import correlation_kernel
 from janossy_kit.measure_space import make_discrete, make_quadrature
 from janossy_kit.models import (
-    ChainModelSpec,
     as_potential,
     build_coupled_chain,
     build_karlin_mcgregor,
@@ -276,6 +275,9 @@ def test_karlin_mcgregor_validation():
         build_karlin_mcgregor([0.0, 0.0, 1.0], [0.0], [0.0])
     with pytest.raises(ValueError):
         build_karlin_mcgregor([0.0, 0.5, 1.0], [0.0, 0.0], [-1.0, 1.0])
+    with pytest.raises(ValueError, match="exclude each other"):
+        build_karlin_mcgregor([0.0, 0.5, 1.0], [0.0], [0.0], order=7,
+                              space=make_quadrature((-3.0, 3.0), 40))
 
 
 def test_build_random_is_bit_deterministic():
@@ -294,24 +296,25 @@ def test_build_random_validates_dimensions():
         build_random(1, 2, 3, 1)  # more particles than nodes
 
 
-def test_model_spec_json_dispatch():
+def test_build_model_dispatches_on_variant():
     doc = {"variant": "random", "seed": 5, "nodes": 4, "particles": 2,
            "floors": 2}
-    spec = ChainModelSpec.from_json(doc)
-    ens = build_model(spec)
+    ens = build_model(doc)
     assert ens.floors == 2 and ens.n == 2 and ens.space.size == 4
     direct = build_random(5, 4, 2, 2)
     assert np.array_equal(ens.f, direct.f)
 
 
-def test_model_spec_rejects_unknown_variant_and_missing_fields():
-    with pytest.raises(ConfigError):
-        ChainModelSpec.from_json({"variant": "mystery"})
-    with pytest.raises(ConfigError):
-        ChainModelSpec.from_json([1, 2, 3])
-    spec = ChainModelSpec.from_json({"variant": "random", "seed": 1})
-    with pytest.raises(ConfigError):
-        build_model(spec)
+def test_build_model_refuses_malformed_model_objects():
+    random = {"variant": "random", "seed": 1, "nodes": 4, "particles": 2,
+              "floors": 2}
+    for doc, match in (([1, 2, 3], "must be an object"),
+                       ({"variant": "mystery"}, "unknown model variant"),
+                       ({"seed": 1}, "unknown model variant"),
+                       (dict(random, order=7), "reads no"),
+                       ({"variant": "random", "seed": 1}, "lacks required")):
+        with pytest.raises(ConfigError, match=match):
+            build_model(doc)
 
 
 def test_explicit_model_variant():
@@ -323,7 +326,7 @@ def test_explicit_model_variant():
         "phi": [[1.0, 1.0, 1.0], [0.0, 0.5, 1.0]],
         "g": [[[1.0, 0.1, 0.0], [0.1, 1.0, 0.1], [0.0, 0.1, 1.0]]],
     }
-    ens = build_model(ChainModelSpec.from_json(doc))
+    ens = build_model(doc)
     assert ens.floors == 2
     assert ens.space.size == 3
 
@@ -335,7 +338,7 @@ def test_unitary_model_from_json_matches_direct_build():
         "particles": 2,
         "space": {"kind": "quadrature", "interval": [-6.0, 6.0], "order": 32},
     }
-    via_json = build_model(ChainModelSpec.from_json(doc))
+    via_json = build_model(doc)
     direct = build_unitary([0.0, 0.0, 0.5],
                            2, make_quadrature((-6.0, 6.0), 32))
     assert np.allclose(via_json.f, direct.f)
