@@ -368,13 +368,6 @@ def pairing_halves(tables: ConvolutionTables,
     return left * w[split - 1], right
 
 
-def _pairing(tables: ConvolutionTables,
-             floor_weights: Sequence[np.ndarray]) -> np.ndarray:
-    """The tables' pairing matrix under ``floor_weights``, met at floor M."""
-    left, right = pairing_halves(tables, floor_weights, len(tables.weights))
-    return left @ right.T
-
-
 def window_pairing(tables: ConvolutionTables,
                    windows: WindowFamily) -> tuple[np.ndarray, complex]:
     """``(A', det A' / det A)`` of a table set and a window family.
@@ -394,8 +387,11 @@ def window_pairing(tables: ConvolutionTables,
     """
     hit = tables.pairings.get(windows)
     if hit is None:
-        w = windows.space.weights
-        pairing = _pairing(tables, tables.weights - w * windows.masks)
+        # the two halves meet at floor M
+        left, right = pairing_halves(
+            tables, tables.weights - windows.space.weights * windows.masks,
+            len(tables.weights))
+        pairing = left @ right.T
         pairing.setflags(write=False)
         hit = pairing, complex(_det_ratio(pairing, tables))
         tables.pairings[windows] = hit

@@ -26,9 +26,11 @@ timing or host details, so a rerun with the same config and seed
 reproduces them byte for byte.  Wall times are printed to stdout only.
 
 Exit codes: 0 success, 1 a verify suite found a tolerance violation,
-2 invalid config, 3 numerical failure (singular operator or a probability
-with an imaginary residue), 4 budget exceeded (oracle state chain, count
-law or kernel dump, or an allocation that numpy refuses).
+2 invalid or unreadable config (not UTF-8, say) or outputs that cannot be
+written (``--out`` names an existing file, say), 3 numerical failure
+(singular operator or a probability with an imaginary residue), 4 budget
+exceeded (oracle state chain, count law or kernel dump, or an allocation
+that numpy refuses).
 """
 
 from __future__ import annotations
@@ -307,7 +309,8 @@ def _check_config(config_doc) -> dict:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's stack
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -441,7 +444,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
@@ -462,6 +465,11 @@ def main(argv=None) -> int:
         # imaginary-residue failures of probabilities
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # the computations open no file: this came from writing outputs
+        # (for example --out names an existing file)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
 
     for w in report.warnings:

@@ -85,18 +85,16 @@ class JanossyKernel:
 
     ``const`` is the probability that every window is empty; Janossy
     densities are ``const`` times determinants of ``kernel`` values.
-    ``gram`` is the complement pairing matrix A^c the kernel inverts;
-    ``gram_cond`` and ``warnings`` are its condition number and warning
-    lines from the one rcond gate it passed.  ``const`` and ``gram`` come
-    from ``window_pairing``, and ``gram`` is its read-only array;
-    ``kernel`` is the kernel of ``complement_tables``, built the first
-    time it is read and then kept.
+    ``gram_cond`` and ``warnings`` are the condition number and warning
+    lines of the one rcond gate that the complement pairing matrix A^c,
+    which the kernel inverts, passed.  ``const`` and A^c come from
+    ``window_pairing``; ``kernel`` is the kernel of ``complement_tables``,
+    built the first time it is read and then kept.
     """
 
     ensemble: ChainEnsemble
     windows: WindowFamily
     const: complex
-    gram: np.ndarray
     gram_cond: float
     warnings: tuple[str, ...]
 
@@ -114,7 +112,7 @@ def complement_tables(ensemble: ChainEnsemble,
     The complement pairing matrix A^c is the ``gram`` of the result: the
     read-only array of ``window_pairing(ensemble.tables, windows)``,
     formed once per window family and shared with
-    ``janossy_kernel_explicit``'s ``gram``.
+    ``janossy_kernel_explicit``'s gate.
     """
     wf = ensemble.check_windows(windows)
     return replace(
@@ -127,7 +125,7 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
                             windows: WindowFamily) -> JanossyKernel:
     """Closed-form Janossy kernel of a window family.
 
-    ``gram`` and ``const`` are A^c and det A^c / det A from
+    ``const`` = det A^c / det A and the gated A^c come from
     ``window_pairing`` of the ensemble's tables, formed once per window
     family and shared with ``fredholm_det``, ``complement_tables`` and
     ``count_distribution``; the kernel is built on the first read of
@@ -140,7 +138,7 @@ def janossy_kernel_explicit(ensemble: ChainEnsemble,
     cond, warns = rcond_gate(gram, "complement pairing matrix",
                              detail=lambda: f"windows: {wf.describe()}")
     return JanossyKernel(ensemble=ensemble, windows=wf, const=const,
-                         gram=gram, gram_cond=cond, warnings=warns)
+                         gram_cond=cond, warnings=warns)
 
 
 def janossy_density(jk: JanossyKernel, points) -> complex:

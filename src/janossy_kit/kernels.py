@@ -158,8 +158,11 @@ class RestrictedOperator:
 
     @functools.cached_property
     def index(self) -> tuple[tuple[int, int], ...]:
-        """``windows.points()``, listed on the first read."""
-        return self.windows.points()
+        """The (floor, node) pairs inside the windows, listed on the first
+        read."""
+        return tuple((l, int(x))
+                     for l, w in enumerate(self.windows.windows, start=1)
+                     for x in w.node_indices)
 
     @property
     def size(self) -> int:
@@ -327,22 +330,15 @@ def export_kernel_csv(kernel: BlockKernel, path: str) -> None:
 
 
 def kernel_to_json(kernel: BlockKernel) -> dict:
-    """Binary-free JSON document of all blocks, values as [re, im] pairs."""
-    ens = kernel.ensemble
-    M, P = ens.floors, ens.space.size
-    blocks = [
-        [
-            [[complex_pair(v) for v in row] for row in kernel.blocks[l, m]]
-            for m in range(M)
-        ]
-        for l in range(M)
-    ]
+    """Binary-free JSON document of all blocks, each value as its
+    ``complex_pair`` [re, im]."""
+    ens, blocks = kernel.ensemble, kernel.blocks
     return {
         "schema": JSON_SCHEMA,
         "kind": kernel.kind,
-        "floors": M,
-        "nodes": P,
+        "floors": ens.floors,
+        "nodes": ens.space.size,
         "space": ens.space.to_json(),
-        "blocks": blocks,
+        "blocks": np.stack((blocks.real, blocks.imag), -1).tolist(),
         "warnings": list(kernel.warnings),
     }

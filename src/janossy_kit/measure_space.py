@@ -18,7 +18,6 @@ one array (``_stack_masks``).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -131,9 +130,6 @@ class DiscretizedSpace:
     def full_window(self) -> Window:
         return Window(self, np.ones(self.size, dtype=bool))
 
-    def empty_window(self) -> Window:
-        return Window(self, np.zeros(self.size, dtype=bool))
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -150,9 +146,7 @@ class DiscretizedSpace:
         }
 
     @staticmethod
-    def from_json(doc: dict | str) -> DiscretizedSpace:
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+    def from_json(doc: dict) -> DiscretizedSpace:
         if (not isinstance(doc, dict) or not isinstance(doc.get("kind"), str)
                 or set(doc) != _SPACE_KEYS.get(doc["kind"])):
             raise ValueError("a space document is {kind: discrete, points, "
@@ -352,15 +346,6 @@ class WindowFamily:
     def complement_weights(self) -> np.ndarray:
         """(M, P) weights of integration over the window complements."""
         return self.space.weights * ~self.masks
-
-    def points(self) -> tuple[tuple[int, int], ...]:
-        """The (floor, node) pairs inside the windows, floor-major.
-
-        Floors ascend, and node indices ascend within a floor: the row
-        order of every operator restricted to the family.
-        """
-        return tuple((l, int(x)) for l, w in enumerate(self.windows, start=1)
-                     for x in w.node_indices)
 
     def describe(self) -> str:
         parts = []

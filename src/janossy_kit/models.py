@@ -138,17 +138,16 @@ def heat_kernel(s: float, t: float, x, y) -> np.ndarray:
 
 
 def build_karlin_mcgregor(times: Sequence[float], start: Sequence[float],
-                          end: Sequence[float], n: int | None = None,
-                          order: int | None = None,
+                          end: Sequence[float], order: int | None = None,
                           space: DiscretizedSpace | None = None) -> ChainEnsemble:
     """Non-intersecting Brownian paths pinned at both ends.
 
     ``times`` lists t_0 < t_1 < ... < t_{M+1}; the paths start at the
     ``start`` positions at t_0, are observed at the M interior times, and
-    end at the ``end`` positions.  Row functions are transitions from the
-    starts into the first observed floor, transfers are transitions between
-    consecutive observed floors, column functions are transitions into the
-    ends.  Without an explicit space, a Gauss-Legendre rule of the given
+    end at the ``end`` positions, one path per start.  Row functions are
+    transitions from the starts into the first observed floor, transfers
+    are transitions between consecutive observed floors, column functions
+    are transitions into the ends.  Without an explicit space, a Gauss-Legendre rule of the given
     order (default 120) covers the endpoint range padded by 6 sqrt(total
     time); an order given together with a space is a ValueError.
     """
@@ -159,10 +158,9 @@ def build_karlin_mcgregor(times: Sequence[float], start: Sequence[float],
         raise ValueError("times must be strictly increasing")
     start = [float(v) for v in start]
     end = [float(v) for v in end]
-    if n is None:
-        n = len(start)
-    if len(start) != n or len(end) != n:
-        raise ValueError(f"start and end must each list {n} positions")
+    if len(end) != len(start):
+        raise ValueError(f"end must list {len(start)} positions, as many "
+                         "as start")
     if any(b <= a for a, b in zip(start, start[1:])) or \
             any(b <= a for a, b in zip(end, end[1:])):
         raise ValueError("start and end positions must be strictly increasing")
@@ -211,8 +209,7 @@ def build_random(seed: int, nodes: int, n: int, floors: int) -> ChainEnsemble:
 VARIANTS = {"unitary": {"potential", "particles", "space"},
             "coupled-chain": {"particles", "floors", "potentials",
                               "couplings", "space"},
-            "karlin-mcgregor": {"times", "start", "end", "particles",
-                                "order", "space"},
+            "karlin-mcgregor": {"times", "start", "end", "order", "space"},
             "random": {"seed", "nodes", "particles", "floors"},
             "explicit": {"space", "f", "phi", "g"}}
 
@@ -269,7 +266,6 @@ def build_model(doc: dict) -> ChainEnsemble:
             space = (DiscretizedSpace.from_json(p["space"])
                      if "space" in p else None)
             return build_karlin_mcgregor(times, start, end,
-                                         n=p.get("particles"),
                                          order=p.get("order"), space=space)
         if variant == "random":
             seed, nodes, n, floors = _require(

@@ -186,24 +186,19 @@ def run_suite(name: str, instance_records, instances: int, seed: int,
 # instance generation
 # ---------------------------------------------------------------------------
 
-def draw_dimensions(seed: int, index: int, floors: int | None = None):
-    """Deterministic desk-scale dimensions and sub-seed for instance #index."""
+def draw_ensemble(seed: int, index: int, floors: int | None = None):
+    """Seeded random instance plus a JSON-friendly description.
+
+    Instance #index draws deterministic desk-scale dimensions and a
+    sub-seed, then redraws the sub-seed until the pairing matrix condition
+    number clears INSTANCE_COND_GATE, so agreement bars measure
+    algorithmic error rather than the luck of a nearly singular draw.
+    """
     rng = np.random.default_rng((seed, index))
     P = int(rng.integers(2, 6))
     n = min(int(rng.integers(1, 3)), P)
     M = int(rng.integers(1, 4)) if floors is None else int(floors)
     sub_seed = int(rng.integers(0, 2 ** 31))
-    return P, n, M, sub_seed, rng
-
-
-def draw_ensemble(seed: int, index: int, floors: int | None = None):
-    """Seeded random instance plus a JSON-friendly description.
-
-    Redraws the sub-seed until the pairing matrix condition number clears
-    INSTANCE_COND_GATE, so agreement bars measure algorithmic error rather
-    than the luck of a nearly singular draw.
-    """
-    P, n, M, sub_seed, rng = draw_dimensions(seed, index, floors)
     for _ in range(64):
         ens = build_random(sub_seed, P, n, M)
         if ens.gram_cond <= INSTANCE_COND_GATE:

@@ -130,7 +130,7 @@ def test_criterion_05_gap_probabilities(janossy_run):
         full = WindowFamily(tuple(space.full_window()
                                   for _ in range(ens.floors)))
         assert abs(fredholm_det(restrict(kernel, full))) <= 1e-8
-        empty = WindowFamily(tuple(space.empty_window()
+        empty = WindowFamily(tuple(space.window([False] * space.size)
                                    for _ in range(ens.floors)))
         assert fredholm_det(restrict(kernel, empty)) == 1.0 + 0.0j
 

@@ -178,6 +178,51 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
     assert not out_dir.exists()
 
 
+def run_file(tmp_path, capsys, data: bytes, *args) -> tuple[int, str]:
+    """Run the CLI on a config file holding ``data``; returns the exit code
+    and stderr, after checking that no traceback was printed."""
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(data)
+    code = main(["run", str(cfg), *args])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_non_utf8_config_exits_2_without_output_dir(tmp_path, capsys):
+    out_dir = tmp_path / "never"
+    code, err = run_file(tmp_path, capsys, b"\xff\xfe{}", "--out",
+                         str(out_dir))
+    assert code == 2
+    assert err.startswith("error: cannot read config: ")
+    assert not out_dir.exists()
+
+
+def test_deeply_nested_config_exits_2_without_output_dir(tmp_path, capsys):
+    """json.loads runs out of stack (RecursionError), not into a
+    JSONDecodeError, on 100,000 nested lists."""
+    out_dir = tmp_path / "never"
+    code, err = run_file(tmp_path, capsys,
+                         b"[" * 100_000 + b"]" * 100_000, "--out",
+                         str(out_dir))
+    assert code == 2
+    assert err.startswith("error: invalid config: ")
+    assert not out_dir.exists()
+
+
+def test_out_naming_a_file_exits_2_without_temp_files(tmp_path, capsys):
+    """The run completes, then its first write fails: exit 2, the file
+    untouched, and no temp file beside it."""
+    target = tmp_path / "taken"
+    target.write_text("mine\n")
+    code, err = run_file(tmp_path, capsys, json.dumps(VERIFY_CONFIG).encode(),
+                         "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: cannot write output: ")
+    assert target.read_text() == "mine\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]
+
+
 @pytest.mark.parametrize("doc", [
     {"task": {"name": "mystery"}},
     {"task": {"name": "gap"}},  # no model
@@ -335,6 +380,14 @@ def test_malformed_json_exits_2_without_output_dir(tmp_path):
         "start": [0.0], "end": [0.0], "order": 7,
         "space": {"kind": "quadrature", "interval": [-4.0, 4.0],
                   "order": 40}}),
+    # a karlin-mcgregor model takes its particle count from start, and a
+    # space is a JSON object, not JSON text
+    dict(EXTREMES_CONFIG, model={
+        "variant": "karlin-mcgregor", "times": [0.0, 0.5, 1.0],
+        "start": [0.0], "end": [0.0], "particles": 1}),
+    dict(EXTREMES_CONFIG, model=dict(
+        EXTREMES_CONFIG["model"],
+        space=json.dumps(EXTREMES_CONFIG["model"]["space"]))),
 ])
 def test_invalid_configs_exit_2_without_partial_files(tmp_path, doc):
     code, out_dir = run(tmp_path, doc)

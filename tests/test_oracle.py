@@ -138,7 +138,8 @@ def three_floor_windows():
     window."""
     ens = build_random(3, 4, 2, 3)
     wf = WindowFamily((ens.space.window([True, False, True, False]),
-                       ens.space.empty_window(), ens.space.full_window()))
+                       ens.space.window([False] * 4),
+                       ens.space.full_window()))
     return ens, wf
 
 
